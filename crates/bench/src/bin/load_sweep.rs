@@ -14,7 +14,7 @@
 //!    closed-loop clients run; every in-flight request must succeed;
 //! 4. **sharded sweep** — an open-loop pass against a server per
 //!    shard count (1/2/4 batcher shards), reporting throughput and
-//!    p99 vs shard count and cross-checking the v3 per-shard batcher
+//!    p99 vs shard count and cross-checking the per-shard batcher
 //!    counters against the aggregate snapshot;
 //! 5. **scrape-under-load** — a server with the HTTP observability
 //!    listener enabled takes identical open-loop passes with and
@@ -357,17 +357,10 @@ fn main() {
         report("reload", 4, rows_per_req, 1, &result);
     }
 
-    let stats = {
-        let mut admin =
-            Client::connect(addr).unwrap_or_else(|e| fail(&format!("stats connect: {e}")));
-        let stats = admin
-            .stats()
-            .unwrap_or_else(|e| fail(&format!("stats: {e}")));
-        admin
-            .shutdown()
-            .unwrap_or_else(|e| fail(&format!("shutdown: {e}")));
-        stats
-    };
+    let stats = server.stats();
+    Client::connect(addr)
+        .and_then(|mut admin| admin.shutdown())
+        .unwrap_or_else(|e| fail(&format!("shutdown: {e}")));
     server.join();
     if stats.reloads != 1 {
         fail(&format!(
@@ -379,7 +372,7 @@ fn main() {
     // Sharded sweep: the same deterministic model served with 1/2/4
     // batcher shards under an identical open-loop arrival schedule, so
     // the reported throughput/p99 differences are attributable to the
-    // shard count alone. The v3 per-shard counters must account for
+    // shard count alone. The per-shard counters must account for
     // every batch and show work on every shard.
     for shards in [1usize, 2, 4] {
         let (model, _) = build_model(&dataset, if smoke { 6 } else { 20 });
@@ -397,13 +390,8 @@ fn main() {
         let result = open_loop(shard_addr, &pool, 4, requests, rows_per_req, 400.0);
         report("sharded", 4, rows_per_req, shards, &result);
 
-        let mut admin = Client::connect(shard_addr)
-            .unwrap_or_else(|e| fail(&format!("sharded admin connect: {e}")));
-        let (snapshot, _, shard_stats) = admin
-            .stats_report()
-            .unwrap_or_else(|e| fail(&format!("sharded stats: {e}")));
-        let shard_stats =
-            shard_stats.unwrap_or_else(|| fail("v3 stats reply is missing the shard block"));
+        let snapshot = shard_server.stats();
+        let shard_stats = shard_server.shard_stats();
         if shard_stats.len() != shards {
             fail(&format!(
                 "expected {shards} shard stat entries, got {}",
@@ -424,8 +412,8 @@ fn main() {
                 fail(&format!("shard {i}/{shards} never ran a batch"));
             }
         }
-        admin
-            .shutdown()
+        Client::connect(shard_addr)
+            .and_then(|mut admin| admin.shutdown())
             .unwrap_or_else(|e| fail(&format!("sharded shutdown: {e}")));
         shard_server.join();
     }
@@ -589,13 +577,9 @@ fn main() {
         let over_addr = over_server.local_addr();
         let result = closed_loop(over_addr, &pool, 8, if smoke { 6 } else { 12 }, 1);
         report("overload", 8, 1, 1, &result);
-        let mut admin = Client::connect(over_addr)
-            .unwrap_or_else(|e| fail(&format!("overload admin connect: {e}")));
-        let stats = admin
-            .stats()
-            .unwrap_or_else(|e| fail(&format!("overload stats: {e}")));
-        admin
-            .shutdown()
+        let stats = over_server.stats();
+        Client::connect(over_addr)
+            .and_then(|mut admin| admin.shutdown())
             .unwrap_or_else(|e| fail(&format!("overload shutdown: {e}")));
         over_server.join();
         if result.overloaded == 0 || stats.overloaded == 0 {

@@ -1,7 +1,7 @@
 //! Tracing smoke gate: a live server with `AMOE_TRACE` on, traffic
 //! with both server-sampled and client-supplied trace ids, then the
-//! two export paths — the `TRACE_DUMP` protocol frame and the
-//! drain-time `AMOE_TRACE` file — validated against the Chrome
+//! two export paths — `GET /trace` on the observability listener and
+//! the drain-time `AMOE_TRACE` file — validated against the Chrome
 //! trace-event contract (schema, finite numbers, monotone per-thread
 //! timestamps) by [`amoe_bench::obs_check::validate_chrome_trace`].
 //!
@@ -12,6 +12,7 @@
 
 use std::path::Path;
 use std::process::exit;
+use std::time::Duration;
 
 use amoe_bench::obs_check;
 use amoe_core::ranker::{OptimConfig, Ranker};
@@ -19,7 +20,7 @@ use amoe_core::{MoeConfig, MoeModel, TowerConfig};
 use amoe_dataset::{generate, Batch, Dataset, GeneratorConfig};
 use amoe_obs::json::{parse, Value};
 use amoe_obs::trace;
-use amoe_serve::{Client, FeatureRow, ServeConfig, Server};
+use amoe_serve::{http_get, Client, FeatureRow, ServeConfig, Server};
 
 fn fail(msg: &str) -> ! {
     eprintln!("trace_smoke: FAIL: {msg}");
@@ -67,13 +68,17 @@ fn main() {
         model.train_step(&batch);
     }
 
-    let server = Server::start("127.0.0.1:0", model, d.meta.clone(), ServeConfig::default())
+    let config = ServeConfig {
+        obs_addr: Some("127.0.0.1:0".into()),
+        ..ServeConfig::default()
+    };
+    let server = Server::start("127.0.0.1:0", model, d.meta.clone(), config)
         .unwrap_or_else(|e| fail(&format!("server start: {e}")));
     let addr = server.local_addr();
+    let obs = server
+        .obs_addr()
+        .unwrap_or_else(|| fail("server started no observability listener"));
     let mut client = Client::connect(addr).unwrap_or_else(|e| fail(&format!("connect: {e}")));
-    if client.negotiated_version() < 2 {
-        fail("client+server must negotiate protocol v2");
-    }
 
     let rows = feature_rows(&d, 8);
     // Server-sampled requests plus explicit client trace ids.
@@ -87,23 +92,21 @@ fn main() {
         .score_traced(&rows, CLIENT_TRACE_ID)
         .unwrap_or_else(|e| fail(&format!("score_traced: {e}")));
 
-    // Export path 1: the TRACE_DUMP protocol frame.
-    let dump = client
-        .trace_dump()
-        .unwrap_or_else(|e| fail(&format!("trace_dump: {e}")));
+    // Export path 1: GET /trace on the observability listener.
+    let (status, dump) = http_get(obs, "/trace", Duration::from_secs(10))
+        .unwrap_or_else(|e| fail(&format!("GET /trace: {e}")));
+    if status != 200 {
+        fail(&format!("GET /trace: HTTP {status}"));
+    }
     let n_live = obs_check::validate_chrome_trace(&dump).unwrap_or_else(|e| fail(&e));
     if n_live == 0 {
-        fail("TRACE_DUMP returned zero events with tracing on");
+        fail("/trace returned zero events with tracing on");
     }
     check_stage_chain(&dump, CLIENT_TRACE_ID);
 
-    // Windowed quantiles must be live on the same connection.
-    let (snapshot, window) = client
-        .stats_full()
-        .unwrap_or_else(|e| fail(&format!("stats: {e}")));
-    let Some(window) = window else {
-        fail("v2 STATS reply carried no windowed block");
-    };
+    // Windowed quantiles must be live for the traffic just sent.
+    let snapshot = server.stats();
+    let window = server.window_stats();
     if snapshot.ok < 7 || window.request_latency_us.count == 0 {
         fail(&format!(
             "stats incomplete: ok={} windowed latency count={}",
@@ -122,7 +125,7 @@ fn main() {
     let n_file = obs_check::validate_chrome_trace(&body).unwrap_or_else(|e| fail(&e));
     if n_file < n_live {
         fail(&format!(
-            "drain dump lost events: file has {n_file}, TRACE_DUMP saw {n_live}"
+            "drain dump lost events: file has {n_file}, /trace saw {n_live}"
         ));
     }
     trace::set_trace_path(None);

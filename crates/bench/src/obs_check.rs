@@ -8,7 +8,7 @@
 //! rather than exiting so callers own the failure policy.
 //!
 //! [`validate_chrome_trace`] applies the same policy to the Chrome
-//! trace-event JSON exported by `AMOE_TRACE` / `TRACE_DUMP`: schema
+//! trace-event JSON exported by `AMOE_TRACE` / `GET /trace`: schema
 //! (name/cat/ph/ts/dur/pid/tid/args), finiteness, non-negative
 //! durations, and per-thread monotone timestamps.
 //!
@@ -80,7 +80,7 @@ pub fn validate_jsonl(body: &str) -> Result<Vec<Record>, String> {
 }
 
 /// Validates a Chrome trace-event JSON document (the `AMOE_TRACE` /
-/// `TRACE_DUMP` export format) and returns the number of events.
+/// `GET /trace` export format) and returns the number of events.
 ///
 /// Checks, per event: the complete-event schema (`name`, `cat`, `ph`
 /// == `"X"`, `ts`, `dur`, `pid`, `tid`, `args` with `trace_id` /

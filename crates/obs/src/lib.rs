@@ -17,7 +17,7 @@
 //!   variable;
 //! * **sliding-window histograms** ([`window`]) — rotating segments
 //!   over the last N seconds, feeding the serving stack's live
-//!   p50/p95/p99 `STATS` readout;
+//!   p50/p95/p99 readout (`/vars`, `/metrics`);
 //! * a **request trace ring** ([`trace`]) — lock-sharded bounded
 //!   buffer of per-request stage events, exportable as Chrome
 //!   trace-event JSON (`AMOE_TRACE=path`, sampled via

@@ -13,7 +13,7 @@
 //! The window is **approximate by one slot**: a merged readout covers
 //! between `window − slot` and `window` of history depending on where
 //! "now" falls inside the current slot. With the default 15 slots over
-//! 60 s that is ±4 s — the right trade for live `STATS` quantiles.
+//! 60 s that is ±4 s — the right trade for live serving quantiles.
 //!
 //! Time is injectable: the `*_at_ns` methods take explicit
 //! nanoseconds-since-anchor so tests drive rotation deterministically;

@@ -10,9 +10,8 @@
 //! the previous batch computes. The collected requests are coalesced with
 //! [`amoe_dataset::Batch::concat`] into **one**
 //! `ServingMoe::predict_many_with_stats` call, and the score vector is
-//! scattered back to each request's reply lane (the per-connection
-//! writer thread on pipelined connections, a per-request channel on
-//! v≤2 ones).
+//! scattered back to each request's reply lane: the writer thread of
+//! the connection it came in on.
 //!
 //! # Determinism contract
 //!

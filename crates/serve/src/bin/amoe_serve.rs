@@ -19,16 +19,7 @@
 //!     `--obs-addr` starts the HTTP observability listener (GET
 //!     /metrics /healthz /readyz /vars /trace) on a second port,
 //!     printed as an `obs HOST:PORT` line after the protocol address.
-//!
-//! amoe-serve stats --addr HOST:PORT [--watch] [--interval-ms N]
-//!     Print the server's counters, sliding-window stage quantiles
-//!     (p50/p95/p99 over the server's stats window) and per-shard
-//!     batcher counters. `--watch` refreshes every `--interval-ms`
-//!     (default 1000) until interrupted.
-//!
-//! amoe-serve trace-dump --addr HOST:PORT [--out FILE]
-//!     Fetch the server's trace ring as Chrome trace-event JSON
-//!     (load in ui.perfetto.dev). Writes FILE or stdout.
+//!     It is the only way to read the server's state; see `scrape`.
 //!
 //! amoe-serve shutdown --addr HOST:PORT
 //!     Ask the server to drain gracefully: every shard queue closes,
@@ -36,9 +27,12 @@
 //!
 //! amoe-serve scrape --obs-addr HOST:PORT [--path /metrics] [--lint]
 //!     Fetch one observability endpoint with the in-repo HTTP client
-//!     and print the body. `--lint` additionally runs the Prometheus
-//!     exposition linter on the response (exit 1 on violations) —
-//!     the CI smoke stage's scrape-correctness gate.
+//!     and print the body. `--path /vars` prints counters, windowed
+//!     stage quantiles and per-shard batcher counters as JSON;
+//!     `--path /trace` prints the trace ring as Chrome trace-event
+//!     JSON (load in ui.perfetto.dev). `--lint` additionally runs the
+//!     Prometheus exposition linter on the response (exit 1 on
+//!     violations) — the CI smoke stage's scrape-correctness gate.
 //! ```
 
 use std::process::ExitCode;
@@ -48,24 +42,17 @@ use amoe_core::ranker::OptimConfig;
 use amoe_core::{MoeConfig, MoeModel, Ranker, TowerConfig};
 use amoe_dataset::{generate, Batch, GeneratorConfig};
 use amoe_nn::ParamSet;
-use amoe_serve::{
-    Client, ModelSpec, OverloadPolicy, QuantileSummary, ServeConfig, Server, ShardStats,
-    StatsSnapshot, WindowedStats,
-};
+use amoe_serve::{Client, ModelSpec, OverloadPolicy, ServeConfig, Server};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let result = match args.first().map(String::as_str) {
         Some("demo-export") => demo_export(&args[1..]),
         Some("serve") => serve(&args[1..]),
-        Some("stats") => stats(&args[1..]),
-        Some("trace-dump") => trace_dump(&args[1..]),
         Some("shutdown") => shutdown(&args[1..]),
         Some("scrape") => scrape(&args[1..]),
         _ => {
-            eprintln!(
-                "usage: amoe-serve <demo-export|serve|stats|trace-dump|shutdown|scrape> [options]"
-            );
+            eprintln!("usage: amoe-serve <demo-export|serve|shutdown|scrape> [options]");
             return ExitCode::FAILURE;
         }
     };
@@ -236,75 +223,6 @@ fn scrape(args: &[String]) -> Result<(), String> {
         let samples = amoe_obs::expose::validate_exposition(&body)
             .map_err(|e| format!("exposition lint failed: {e}"))?;
         eprintln!("scrape: {samples} samples, lint clean");
-    }
-    Ok(())
-}
-
-fn stats(args: &[String]) -> Result<(), String> {
-    let addr = opt(args, "--addr")?.ok_or("stats: --addr HOST:PORT is required")?;
-    let watch = args.iter().any(|a| a == "--watch");
-    let interval_ms: u64 = opt_parse(args, "--interval-ms")?.unwrap_or(1000);
-    let mut client = Client::connect(&addr).map_err(|e| format!("connect {addr}: {e}"))?;
-    loop {
-        let (snapshot, window, shards) = client
-            .stats_report()
-            .map_err(|e| format!("stats from {addr}: {e}"))?;
-        print_stats(&snapshot, window.as_ref(), shards.as_deref());
-        if !watch {
-            return Ok(());
-        }
-        std::thread::sleep(Duration::from_millis(interval_ms.max(50)));
-        println!();
-    }
-}
-
-fn print_stats(s: &StatsSnapshot, w: Option<&WindowedStats>, shards: Option<&[ShardStats]>) {
-    println!(
-        "requests={} rows={} ok={} overloaded={} errors={} batches={} reloads={} queue_depth={}",
-        s.requests, s.rows, s.ok, s.overloaded, s.errors, s.batches, s.reloads, s.queue_depth
-    );
-    match w {
-        None => println!("(v1 server: no windowed quantiles)"),
-        Some(w) => {
-            println!("window={}s", w.window_secs);
-            let stages: [(&str, &QuantileSummary); 5] = [
-                ("latency_us", &w.request_latency_us),
-                ("queue_wait_us", &w.queue_wait_us),
-                ("compute_us", &w.compute_us),
-                ("reply_write_us", &w.reply_write_us),
-                ("queue_depth", &w.queue_depth),
-            ];
-            for (name, q) in stages {
-                println!(
-                    "  {name:<16} n={:<8} p50={:<12.1} p95={:<12.1} p99={:.1}",
-                    q.count, q.p50, q.p95, q.p99
-                );
-            }
-        }
-    }
-    if let Some(shards) = shards {
-        for (i, sh) in shards.iter().enumerate() {
-            println!(
-                "  shard{i:<11} batches={:<8} overloaded={:<8} queue_depth={:<6} depth_p99={:.1}",
-                sh.batches, sh.overloaded, sh.queue_depth, sh.queue_depth_p99
-            );
-        }
-    }
-}
-
-fn trace_dump(args: &[String]) -> Result<(), String> {
-    let addr = opt(args, "--addr")?.ok_or("trace-dump: --addr HOST:PORT is required")?;
-    let out = opt(args, "--out")?;
-    let mut client = Client::connect(&addr).map_err(|e| format!("connect {addr}: {e}"))?;
-    let json = client
-        .trace_dump()
-        .map_err(|e| format!("trace-dump: {e}"))?;
-    match out {
-        Some(path) => {
-            std::fs::write(&path, &json).map_err(|e| format!("write {path}: {e}"))?;
-            eprintln!("wrote {} bytes to {path}", json.len());
-        }
-        None => println!("{json}"),
     }
     Ok(())
 }

@@ -12,10 +12,11 @@ use amoe_dataset::DatasetMeta;
 /// What to do with a score request when the admission queue is full.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum OverloadPolicy {
-    /// Reply `OVERLOADED` immediately (shed load; the default).
+    /// Reply with an overloaded `SCORE_ERROR` immediately (shed load;
+    /// the default).
     Reject,
     /// Block the connection thread for up to this long waiting for
-    /// queue space, then reply `OVERLOADED`.
+    /// queue space, then reply with an overloaded `SCORE_ERROR`.
     Block(Duration),
 }
 
@@ -47,8 +48,9 @@ pub struct ServeConfig {
     /// unaffected (the gate stays f32). Applies to the initial load and
     /// every `RELOAD`.
     pub quantized: bool,
-    /// Length of the sliding window behind the `STATS` p50/p95/p99
-    /// readout (latency, queue wait, compute, reply write, queue
+    /// Length of the sliding window behind the p50/p95/p99 readout
+    /// ([`crate::Server::window_stats`], `/vars`, the `/metrics` window
+    /// families: latency, queue wait, compute, reply write, queue
     /// depth). Always on — windowed accounting is a handful of
     /// histogram increments per request, independent of `AMOE_OBS`.
     pub stats_window: Duration,

@@ -536,10 +536,11 @@ pub fn http_get(
     stream.set_read_timeout(Some(timeout))?;
     stream.set_write_timeout(Some(timeout))?;
     let _ = stream.set_nodelay(true);
-    write!(
-        stream,
-        "GET {path} HTTP/1.1\r\nHost: amoe\r\nConnection: close\r\n\r\n"
-    )?;
+    // One write: `write!` on an unbuffered socket sends each formatted
+    // piece as its own segment, and a server that reads the head once
+    // sees a partial request (and resets on close with bytes unread).
+    let request = format!("GET {path} HTTP/1.1\r\nHost: amoe\r\nConnection: close\r\n\r\n");
+    stream.write_all(request.as_bytes())?;
     // `Connection: close` makes EOF the body delimiter.
     let mut data = Vec::new();
     stream.read_to_end(&mut data)?;

@@ -17,10 +17,12 @@
 //!     ╚══════════════ writer thread ◀──ScoreDone (any order)──── ...
 //! ```
 //!
-//! * **Protocol** ([`protocol`]): length-prefixed binary frames over
-//!   TCP; `SCORE`, `RELOAD`, `SHUTDOWN`, `STATS` requests. v3 adds
-//!   pipelining: requests carry correlation ids, a connection may have
-//!   many scores in flight, and replies arrive in completion order.
+//! * **Protocol** ([`protocol`]): one version of length-prefixed
+//!   binary frames over TCP; `SCORE`, `RELOAD` and `SHUTDOWN` requests.
+//!   Connections are pipelined: requests carry correlation ids, a
+//!   connection may have many scores in flight, and replies arrive in
+//!   completion order. A peer whose hello names another version is
+//!   refused.
 //! * **Batcher shards** ([`batcher`], [`ServeConfig::shards`]): each
 //!   shard owns a bounded queue and batching loop; requests hash to a
 //!   shard by request id ([`shard_of`]). Requests already queued when a
@@ -28,8 +30,8 @@
 //!   waiting for more (scores stay bit-identical at any shard count —
 //!   every model path is row-independent).
 //! * **Backpressure** ([`queue`], [`ServeConfig::overload`]): a full
-//!   shard queue rejects with `OVERLOADED` (v3: a correlated
-//!   `SCORE_ERROR`), or blocks with a deadline under
+//!   shard queue rejects with a correlated `SCORE_ERROR` flagged
+//!   overloaded, or blocks with a deadline under
 //!   [`OverloadPolicy::Block`]. Admission is per shard.
 //! * **Hot-swap** ([`client::Client::reload`]): `RELOAD <path>` builds
 //!   a fresh model from an `AMOE` checkpoint off the serving path and
@@ -43,12 +45,16 @@
 //!
 //! Independent of `AMOE_OBS`, the server keeps **always-on
 //! sliding-window stage histograms** (queue wait, compute, reply
-//! write, end-to-end latency, queue depth) reported as p50/p95/p99
-//! through the v2 `STATS` reply (v3 adds per-shard batch/overload
-//! counters and queue depths), and supports **request-scoped
-//! tracing** (`AMOE_TRACE=path`, sampled via `AMOE_TRACE_SAMPLE=1/N`)
-//! exportable as Chrome trace-event JSON through `TRACE_DUMP` or at
-//! drain. Protocol v1 peers interoperate via hello negotiation.
+//! write, end-to-end latency, queue depth) reported as p50/p95/p99,
+//! with per-shard batch/overload counters and queue depths, and
+//! supports **request-scoped tracing** (`AMOE_TRACE=path`, sampled via
+//! `AMOE_TRACE_SAMPLE=1/N`) exportable as Chrome trace-event JSON.
+//! The HTTP listener ([`http`], [`ServeConfig::obs_addr`]) is the one
+//! read-only admin plane: `/vars` and `/metrics` carry the counters and
+//! windows, `/trace` the trace ring (also written to the `AMOE_TRACE`
+//! path at drain). In process, [`Server::stats`],
+//! [`Server::window_stats`] and [`Server::shard_stats`] read the same
+//! numbers.
 
 pub mod batcher;
 pub mod client;
@@ -61,5 +67,5 @@ pub mod server;
 pub use client::{Client, Completion, ServeError};
 pub use config::{ModelSpec, OverloadPolicy, ServeConfig};
 pub use http::http_get;
-pub use protocol::{FeatureRow, QuantileSummary, ShardStats, StatsSnapshot, WindowedStats};
-pub use server::{shard_of, Server};
+pub use protocol::FeatureRow;
+pub use server::{shard_of, QuantileSummary, Server, ShardStats, StatsSnapshot, WindowedStats};

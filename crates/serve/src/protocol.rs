@@ -1,51 +1,43 @@
 //! Length-prefixed binary wire protocol.
 //!
 //! A connection opens with a fixed 8-byte hello from each side (magic
-//! `AMSV` + `u32` protocol version): the client offers its version,
-//! the server answers with the **negotiated** version
-//! `min(client, server)`, and both sides speak that dialect for the
-//! rest of the connection. A v1 peer therefore interoperates with a
-//! v2 peer unchanged. After the handshake both sides exchange
-//! *frames*: a little-endian `u32` payload length followed by the
-//! payload. The first payload byte is a tag; the rest is the
+//! `AMSV` + `u32` protocol version). The client sends its hello first
+//! and the server answers with its own. There is exactly one version:
+//! a server refuses any other (it still answers with its hello, so the
+//! peer learns what it speaks, then closes), and a client refuses a
+//! server that answers with another. After the handshake both sides
+//! exchange *frames*: a little-endian `u32` payload length followed by
+//! the payload. The first payload byte is a tag; the rest is the
 //! tag-specific body. All integers are little-endian, all floats
-//! IEEE-754 `f32`/`f64` LE — the same conventions as the `AMOE`
-//! checkpoint format.
+//! IEEE-754 `f32` LE — the same conventions as the `AMOE` checkpoint
+//! format.
 //!
-//! Requests: `SCORE` (feature rows to rank; the v2 `SCORE_V2` variant
-//! carries a client-chosen trace id), `RELOAD` (checkpoint hot-swap),
-//! `SHUTDOWN` (drain and exit), `STATS` (counters probe),
-//! `TRACE_DUMP` (v2: fetch the server's trace ring as Chrome trace
-//! JSON). Responses: `SCORES`, `OVERLOADED` (admission control
-//! rejected the request), `ERROR` (with message), `OK`, `STATS` (v2
-//! appends sliding-window stage quantiles; v3 appends per-shard
-//! batcher counters after that), `TRACE_DUMP_REPLY`, and
-//! `SCORE_ERROR` (v3: a failed score carrying its request id).
+//! Requests: `SCORE` (feature rows to rank, with a client-chosen
+//! request id and trace id), `RELOAD` (checkpoint hot-swap) and
+//! `SHUTDOWN` (drain and exit). Responses: `SCORES`, `SCORE_ERROR` (a
+//! failed score carrying its request id and whether admission control
+//! shed it), `ERROR` (with message) and `OK`.
 //!
-//! Through v2 the protocol is strictly request/response per
-//! connection, so the `request_id` echoed in `SCORES` is a
-//! client-side sanity check. From v3 a connection is **pipelined**: a
-//! client may have any number of `SCORE`s in flight at once, the
-//! server completes them in whatever order its batcher shards finish,
-//! and the `request_id` in `SCORES`/`SCORE_ERROR` is the real
-//! multiplexing key. Score failures on a v3 connection use
-//! `SCORE_ERROR` (instead of the uncorrelatable `OVERLOADED`/`ERROR`)
-//! so they can be matched to their request. Admin requests
-//! (`RELOAD`/`STATS`/`SHUTDOWN`/`TRACE_DUMP`) are still answered in
-//! submission order, though score completions may interleave ahead of
-//! their replies.
+//! A connection is **pipelined**: a client may have any number of
+//! `SCORE`s in flight at once, the server completes them in whatever
+//! order its batcher shards finish, and the `request_id` in
+//! `SCORES`/`SCORE_ERROR` is the multiplexing key. `RELOAD` and
+//! `SHUTDOWN` are answered in submission order, though score
+//! completions may interleave ahead of their replies. A frame that
+//! does not decode gets an `ERROR` in that same order and the
+//! connection keeps serving.
+//!
+//! Counters, stage quantiles and the trace ring are not on this
+//! protocol: they are read off the HTTP observability listener
+//! (`/vars`, `/metrics`, `/trace`; see [`crate::http`]).
 
 use std::io::{self, Read, Write};
 
-use amoe_obs::registry::Histogram;
-
 /// Handshake magic: "AMSV" (AMoe SerVe).
 pub const MAGIC: [u8; 4] = *b"AMSV";
-/// Highest wire protocol version this build speaks.
-pub const VERSION: u32 = 3;
-/// Lowest version still accepted (v1 peers predate trace ids and
-/// windowed stats).
-pub const MIN_VERSION: u32 = 1;
+/// The wire protocol version this build speaks, and the only one it
+/// accepts.
+pub const VERSION: u32 = 4;
 /// Upper bound on a frame payload; larger lengths are treated as
 /// protocol corruption rather than allocated.
 pub const MAX_FRAME_LEN: u32 = 16 * 1024 * 1024;
@@ -56,32 +48,14 @@ pub const TAG_SCORE: u8 = 0x01;
 pub const TAG_RELOAD: u8 = 0x02;
 /// See [`TAG_SCORE`].
 pub const TAG_SHUTDOWN: u8 = 0x03;
-/// See [`TAG_SCORE`].
-pub const TAG_STATS: u8 = 0x04;
-/// v2: `SCORE` carrying a client-chosen trace id (see [`TAG_SCORE`]).
-pub const TAG_SCORE_V2: u8 = 0x05;
-/// v2: fetch the trace ring as Chrome trace JSON (see [`TAG_SCORE`]).
-pub const TAG_TRACE_DUMP: u8 = 0x06;
 
 /// Response tags.
 pub const TAG_SCORES: u8 = 0x81;
 /// See [`TAG_SCORES`].
-pub const TAG_OVERLOADED: u8 = 0x82;
-/// See [`TAG_SCORES`].
 pub const TAG_ERROR: u8 = 0x83;
 /// See [`TAG_SCORES`].
 pub const TAG_OK: u8 = 0x84;
-/// See [`TAG_SCORES`].
-pub const TAG_STATS_REPLY: u8 = 0x85;
-/// v2: `STATS_REPLY` plus sliding-window quantiles (see
-/// [`TAG_SCORES`]).
-pub const TAG_STATS_REPLY_V2: u8 = 0x86;
-/// v2: Chrome trace JSON body (see [`TAG_SCORES`]).
-pub const TAG_TRACE_DUMP_REPLY: u8 = 0x87;
-/// v3: `STATS_REPLY_V2` plus per-shard batcher counters (see
-/// [`TAG_SCORES`]).
-pub const TAG_STATS_REPLY_V3: u8 = 0x88;
-/// v3: a score request failed; body carries the request id so a
+/// A score request failed; the body carries the request id so a
 /// pipelined client can correlate the failure (see [`TAG_SCORES`]).
 pub const TAG_SCORE_ERROR: u8 = 0x89;
 
@@ -115,9 +89,7 @@ pub enum Request {
         /// Client-chosen id echoed in the response.
         request_id: u64,
         /// Client-chosen trace id (`0` = none; the server then applies
-        /// its own sampling). Non-zero ids ride the v2 `SCORE_V2` tag;
-        /// a zero id encodes as the v1 `SCORE` tag, so v1 peers are
-        /// unaffected.
+        /// its own sampling).
         trace_id: u64,
         /// Rows to score (at least one; all the same numeric width).
         rows: Vec<FeatureRow>,
@@ -130,10 +102,6 @@ pub enum Request {
     },
     /// Drain the queue, finish in-flight batches, and exit.
     Shutdown,
-    /// Read the server counters.
-    Stats,
-    /// v2: fetch the server's trace ring as Chrome trace JSON.
-    TraceDump,
 }
 
 /// A decoded response frame.
@@ -146,137 +114,34 @@ pub enum Response {
         /// One sigmoid score per submitted row, in row order.
         scores: Vec<f32>,
     },
-    /// The admission queue was full; the request was not scored.
-    Overloaded,
-    /// The request failed; human-readable reason.
+    /// A `Reload` failed, or a frame did not decode; human-readable
+    /// reason.
     Error {
         /// What went wrong.
         message: String,
     },
     /// Acknowledgement for `Reload`/`Shutdown`.
     Ok,
-    /// Counter snapshot for `Stats`. `window` is present on v2+
-    /// connections (it encodes as `STATS_REPLY_V2`), `shards` on v3+
-    /// (`STATS_REPLY_V3`, which always carries the window block too);
-    /// both `None` keeps the bit-exact v1 `STATS_REPLY` wire shape for
-    /// old clients.
-    Stats {
-        /// Lifetime counters.
-        snapshot: StatsSnapshot,
-        /// Sliding-window stage quantiles (v2 only). Boxed so the
-        /// common small responses don't pay the block's enum size.
-        window: Option<Box<WindowedStats>>,
-        /// Per-shard batcher counters (v3 only), indexed by shard id.
-        shards: Option<Vec<ShardStats>>,
-    },
-    /// v2: the server's trace ring as Chrome trace-event JSON.
-    TraceDump {
-        /// A complete Chrome trace JSON document.
-        json: String,
-    },
-    /// v3: a score request failed (validation, overload, or shutdown).
+    /// A score request failed (validation, overload, or shutdown).
     /// Carries the request id so a pipelined connection can correlate
     /// the failure with one of its in-flight submissions.
     ScoreError {
         /// Echo of the request's id.
         request_id: u64,
-        /// True when admission control shed the request (the v3
-        /// equivalent of `OVERLOADED`); the client should back off and
-        /// may retry.
+        /// True when admission control shed the request; the client
+        /// should back off and may retry.
         overloaded: bool,
         /// Human-readable reason (empty for pure overload).
         message: String,
     },
 }
 
-/// Per-shard batcher counters inside a v3 `STATS` reply.
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct ShardStats {
-    /// Model calls this shard's batcher has made.
-    pub batches: u64,
-    /// Score requests this shard's admission queue shed.
-    pub overloaded: u64,
-    /// This shard's queue depth at snapshot time.
-    pub queue_depth: u64,
-    /// p99 of this shard's queue depth over the sliding stats window.
-    pub queue_depth_p99: f64,
-}
-
-/// Point-in-time server counters (also the body of the `STATS` reply).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct StatsSnapshot {
-    /// Score requests received (before admission control).
-    pub requests: u64,
-    /// Feature rows received across all score requests.
-    pub rows: u64,
-    /// Score requests answered with scores.
-    pub ok: u64,
-    /// Score requests rejected by admission control.
-    pub overloaded: u64,
-    /// Requests answered with `ERROR` (validation or internal).
-    pub errors: u64,
-    /// Model calls made by the batcher.
-    pub batches: u64,
-    /// Successful checkpoint hot-swaps.
-    pub reloads: u64,
-    /// Queue depth at snapshot time.
-    pub queue_depth: u64,
-}
-
-/// Count + p50/p95/p99 readout of one sliding-window histogram.
-/// Quantiles inherit the log-bucket relative error bound
-/// (`2^(1/4) − 1 ≈ 19%`); all values are finite by construction.
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct QuantileSummary {
-    /// Samples inside the window.
-    pub count: u64,
-    /// Median.
-    pub p50: f64,
-    /// 95th percentile.
-    pub p95: f64,
-    /// 99th percentile.
-    pub p99: f64,
-}
-
-impl QuantileSummary {
-    /// Reads a summary off a (merged sliding-window) histogram.
-    #[must_use]
-    pub fn from_histogram(h: &Histogram) -> QuantileSummary {
-        QuantileSummary {
-            count: h.count(),
-            p50: h.quantile(0.5),
-            p95: h.quantile(0.95),
-            p99: h.quantile(0.99),
-        }
-    }
-}
-
-/// Stage-broken-down sliding-window quantiles: what the last
-/// `window_secs` of traffic looked like, split into the pipeline
-/// stages a request passes through (queue wait vs batch compute vs
-/// reply write, plus end-to-end latency and queue depth).
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct WindowedStats {
-    /// Window length the summaries cover, seconds.
-    pub window_secs: f64,
-    /// End-to-end request latency (admission → reply written), µs.
-    pub request_latency_us: QuantileSummary,
-    /// Time spent waiting in the admission queue, µs.
-    pub queue_wait_us: QuantileSummary,
-    /// Model compute per batch (gate + experts + scatter), µs.
-    pub compute_us: QuantileSummary,
-    /// Reply serialisation + socket write, µs.
-    pub reply_write_us: QuantileSummary,
-    /// Queue depth observed at every push/pop.
-    pub queue_depth: QuantileSummary,
-}
-
 // ---------------------------------------------------------------------
 // Framing
 // ---------------------------------------------------------------------
 
-/// Writes one side's handshake hello: magic + the version it offers
-/// (client: its best; server: the negotiated answer).
+/// Writes one side's handshake hello: magic + `version` (a peer of
+/// this build always sends [`VERSION`]).
 pub fn write_hello(w: &mut impl Write, version: u32) -> io::Result<()> {
     let mut wire = [0u8; 8];
     wire[..4].copy_from_slice(&MAGIC);
@@ -295,18 +160,17 @@ pub fn read_hello(r: &mut impl Read) -> io::Result<u32> {
     read_u32(r)
 }
 
-/// Clamps a peer's offered version into this build's supported range.
+/// Checks a peer's hello version against this build's.
 ///
 /// # Errors
-/// Rejects versions below [`MIN_VERSION`] (version 0 is reserved and
-/// indicates a corrupt hello).
+/// Rejects every version other than [`VERSION`].
 pub fn negotiate(peer_version: u32) -> io::Result<u32> {
-    if peer_version < MIN_VERSION {
+    if peer_version != VERSION {
         return Err(bad_data(format!(
-            "unsupported protocol version {peer_version} (want {MIN_VERSION}..={VERSION})"
+            "unsupported protocol version {peer_version} (this build speaks {VERSION})"
         )));
     }
-    Ok(peer_version.min(VERSION))
+    Ok(VERSION)
 }
 
 /// Writes one length-prefixed frame.
@@ -352,16 +216,9 @@ impl Request {
                 trace_id,
                 rows,
             } => {
-                // A zero trace id keeps the exact v1 wire shape; only
-                // explicitly traced requests need the v2 tag.
-                if *trace_id == 0 {
-                    out.push(TAG_SCORE);
-                    put_u64(&mut out, *request_id);
-                } else {
-                    out.push(TAG_SCORE_V2);
-                    put_u64(&mut out, *request_id);
-                    put_u64(&mut out, *trace_id);
-                }
+                out.push(TAG_SCORE);
+                put_u64(&mut out, *request_id);
+                put_u64(&mut out, *trace_id);
                 let n_numeric = rows.first().map_or(0, |r| r.numeric.len());
                 put_u32(&mut out, rows.len() as u32);
                 put_u32(&mut out, n_numeric as u32);
@@ -388,27 +245,31 @@ impl Request {
                 put_str(&mut out, path);
             }
             Request::Shutdown => out.push(TAG_SHUTDOWN),
-            Request::Stats => out.push(TAG_STATS),
-            Request::TraceDump => out.push(TAG_TRACE_DUMP),
         }
         out
     }
 
-    /// Parses a frame payload into a request.
+    /// Parses a frame payload into a request. Counts are checked
+    /// against the payload length before anything is allocated, so a
+    /// lying frame costs at most a few times its own size.
     pub fn decode(payload: &[u8]) -> io::Result<Request> {
         let mut c = Cursor::new(payload);
         let req = match c.u8()? {
-            tag @ (TAG_SCORE | TAG_SCORE_V2) => {
+            TAG_SCORE => {
                 let request_id = c.u64()?;
-                let trace_id = if tag == TAG_SCORE_V2 { c.u64()? } else { 0 };
+                let trace_id = c.u64()?;
                 let n_rows = c.u32()? as usize;
                 let n_numeric = c.u32()? as usize;
                 if n_rows == 0 {
                     return Err(bad_data("score request with zero rows"));
                 }
-                // 7 ids + numeric values, 4 bytes each.
-                let row_bytes = (7 + n_numeric) * 4;
-                if c.remaining() != n_rows * row_bytes {
+                // 7 ids + numeric values, 4 bytes each. Checked: the
+                // counts are peer-controlled and the product can wrap.
+                let body = n_numeric
+                    .checked_add(7)
+                    .and_then(|w| w.checked_mul(4))
+                    .and_then(|row_bytes| row_bytes.checked_mul(n_rows));
+                if body != Some(c.remaining()) {
                     return Err(bad_data("score request body length mismatch"));
                 }
                 let mut rows = Vec::with_capacity(n_rows);
@@ -440,8 +301,6 @@ impl Request {
             }
             TAG_RELOAD => Request::Reload { path: c.str()? },
             TAG_SHUTDOWN => Request::Shutdown,
-            TAG_STATS => Request::Stats,
-            TAG_TRACE_DUMP => Request::TraceDump,
             tag => return Err(bad_data(format!("unknown request tag {tag:#04x}"))),
         };
         c.finish()?;
@@ -463,79 +322,11 @@ impl Response {
                     out.extend_from_slice(&s.to_le_bytes());
                 }
             }
-            Response::Overloaded => out.push(TAG_OVERLOADED),
             Response::Error { message } => {
                 out.push(TAG_ERROR);
                 put_str(&mut out, message);
             }
             Response::Ok => out.push(TAG_OK),
-            Response::Stats {
-                snapshot,
-                window,
-                shards,
-            } => {
-                // v1 clients reject trailing bytes, so each added
-                // block rides a distinct tag rather than extending
-                // the v1 body. The v3 shard block requires the window
-                // block (a v3 server always has both).
-                out.push(if shards.is_some() {
-                    TAG_STATS_REPLY_V3
-                } else if window.is_some() {
-                    TAG_STATS_REPLY_V2
-                } else {
-                    TAG_STATS_REPLY
-                });
-                for v in [
-                    snapshot.requests,
-                    snapshot.rows,
-                    snapshot.ok,
-                    snapshot.overloaded,
-                    snapshot.errors,
-                    snapshot.batches,
-                    snapshot.reloads,
-                    snapshot.queue_depth,
-                ] {
-                    put_u64(&mut out, v);
-                }
-                let defaulted;
-                let window = match (window, shards) {
-                    (Some(w), _) => Some(&**w),
-                    (None, Some(_)) => {
-                        debug_assert!(false, "v3 stats reply built without a window block");
-                        defaulted = WindowedStats::default();
-                        Some(&defaulted)
-                    }
-                    (None, None) => None,
-                };
-                if let Some(w) = window {
-                    put_f64(&mut out, w.window_secs);
-                    for s in [
-                        &w.request_latency_us,
-                        &w.queue_wait_us,
-                        &w.compute_us,
-                        &w.reply_write_us,
-                        &w.queue_depth,
-                    ] {
-                        put_u64(&mut out, s.count);
-                        put_f64(&mut out, s.p50);
-                        put_f64(&mut out, s.p95);
-                        put_f64(&mut out, s.p99);
-                    }
-                }
-                if let Some(sh) = shards {
-                    put_u32(&mut out, sh.len() as u32);
-                    for s in sh {
-                        put_u64(&mut out, s.batches);
-                        put_u64(&mut out, s.overloaded);
-                        put_u64(&mut out, s.queue_depth);
-                        put_f64(&mut out, s.queue_depth_p99);
-                    }
-                }
-            }
-            Response::TraceDump { json } => {
-                out.push(TAG_TRACE_DUMP_REPLY);
-                put_str(&mut out, json);
-            }
             Response::ScoreError {
                 request_id,
                 overloaded,
@@ -550,14 +341,15 @@ impl Response {
         out
     }
 
-    /// Parses a frame payload into a response.
+    /// Parses a frame payload into a response, with the same
+    /// check-before-allocate rule as [`Request::decode`].
     pub fn decode(payload: &[u8]) -> io::Result<Response> {
         let mut c = Cursor::new(payload);
         let resp = match c.u8()? {
             TAG_SCORES => {
                 let request_id = c.u64()?;
                 let n = c.u32()? as usize;
-                if c.remaining() != n * 4 {
+                if n.checked_mul(4) != Some(c.remaining()) {
                     return Err(bad_data("scores body length mismatch"));
                 }
                 let mut scores = Vec::with_capacity(n);
@@ -566,69 +358,8 @@ impl Response {
                 }
                 Response::Scores { request_id, scores }
             }
-            TAG_OVERLOADED => Response::Overloaded,
             TAG_ERROR => Response::Error { message: c.str()? },
             TAG_OK => Response::Ok,
-            tag @ (TAG_STATS_REPLY | TAG_STATS_REPLY_V2 | TAG_STATS_REPLY_V3) => {
-                let snapshot = StatsSnapshot {
-                    requests: c.u64()?,
-                    rows: c.u64()?,
-                    ok: c.u64()?,
-                    overloaded: c.u64()?,
-                    errors: c.u64()?,
-                    batches: c.u64()?,
-                    reloads: c.u64()?,
-                    queue_depth: c.u64()?,
-                };
-                let window = if tag != TAG_STATS_REPLY {
-                    let window_secs = c.f64()?;
-                    let mut summaries = [QuantileSummary::default(); 5];
-                    for s in &mut summaries {
-                        *s = QuantileSummary {
-                            count: c.u64()?,
-                            p50: c.f64()?,
-                            p95: c.f64()?,
-                            p99: c.f64()?,
-                        };
-                    }
-                    Some(Box::new(WindowedStats {
-                        window_secs,
-                        request_latency_us: summaries[0],
-                        queue_wait_us: summaries[1],
-                        compute_us: summaries[2],
-                        reply_write_us: summaries[3],
-                        queue_depth: summaries[4],
-                    }))
-                } else {
-                    None
-                };
-                let shards = if tag == TAG_STATS_REPLY_V3 {
-                    let n = c.u32()? as usize;
-                    // Each entry is 3×u64 + f64; reject count/body
-                    // mismatches before allocating.
-                    if c.remaining() != n * 32 {
-                        return Err(bad_data("shard stats body length mismatch"));
-                    }
-                    let mut sh = Vec::with_capacity(n);
-                    for _ in 0..n {
-                        sh.push(ShardStats {
-                            batches: c.u64()?,
-                            overloaded: c.u64()?,
-                            queue_depth: c.u64()?,
-                            queue_depth_p99: c.f64()?,
-                        });
-                    }
-                    Some(sh)
-                } else {
-                    None
-                };
-                Response::Stats {
-                    snapshot,
-                    window,
-                    shards,
-                }
-            }
-            TAG_TRACE_DUMP_REPLY => Response::TraceDump { json: c.str()? },
             TAG_SCORE_ERROR => {
                 let request_id = c.u64()?;
                 let overloaded = match c.u8()? {
@@ -658,10 +389,6 @@ fn put_u32(out: &mut Vec<u8>, v: u32) {
 }
 
 fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_f64(out: &mut Vec<u8>, v: f64) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
@@ -720,10 +447,6 @@ impl<'a> Cursor<'a> {
         Ok(f32::from_le_bytes(self.take(4)?.try_into().unwrap()))
     }
 
-    fn f64(&mut self) -> io::Result<f64> {
-        Ok(f64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
     fn str(&mut self) -> io::Result<String> {
         let len = self.u32()? as usize;
         let bytes = self.take(len)?;
@@ -756,36 +479,6 @@ mod tests {
         }
     }
 
-    fn sample_stats() -> StatsSnapshot {
-        StatsSnapshot {
-            requests: 1,
-            rows: 2,
-            ok: 3,
-            overloaded: 4,
-            errors: 5,
-            batches: 6,
-            reloads: 7,
-            queue_depth: 8,
-        }
-    }
-
-    fn sample_window() -> WindowedStats {
-        let s = |k: u64| QuantileSummary {
-            count: k,
-            p50: 1.5 * k as f64,
-            p95: 9.5 * k as f64,
-            p99: 99.0 * k as f64,
-        };
-        WindowedStats {
-            window_secs: 60.0,
-            request_latency_us: s(10),
-            queue_wait_us: s(11),
-            compute_us: s(3),
-            reply_write_us: s(10),
-            queue_depth: s(21),
-        }
-    }
-
     #[test]
     fn requests_round_trip() {
         let cases = vec![
@@ -803,8 +496,6 @@ mod tests {
                 path: "/tmp/model.amoe".into(),
             },
             Request::Shutdown,
-            Request::Stats,
-            Request::TraceDump,
         ];
         for req in cases {
             let decoded = Request::decode(&req.encode()).expect("decode");
@@ -813,24 +504,27 @@ mod tests {
     }
 
     #[test]
-    fn untraced_score_keeps_v1_wire_shape() {
-        // A zero trace id must encode byte-for-byte as a v1 SCORE
-        // frame so v1 servers accept it.
-        let payload = Request::Score {
+    fn score_always_carries_its_trace_id() {
+        // One wire shape: tag, request id, trace id, counts, rows —
+        // untraced requests send a zero trace id rather than a shorter
+        // frame.
+        let untraced = Request::Score {
             request_id: 5,
             trace_id: 0,
             rows: vec![row(1)],
         }
         .encode();
-        assert_eq!(payload[0], TAG_SCORE);
         let traced = Request::Score {
             request_id: 5,
             trace_id: 9,
             rows: vec![row(1)],
         }
         .encode();
-        assert_eq!(traced[0], TAG_SCORE_V2);
-        assert_eq!(traced.len(), payload.len() + 8);
+        assert_eq!(untraced[0], TAG_SCORE);
+        assert_eq!(traced[0], TAG_SCORE);
+        assert_eq!(untraced.len(), traced.len());
+        assert_eq!(untraced.len(), 1 + 8 + 8 + 4 + 4 + (7 + 3) * 4);
+        assert_eq!(&traced[9..17], &9u64.to_le_bytes());
     }
 
     #[test]
@@ -840,37 +534,10 @@ mod tests {
                 request_id: 9,
                 scores: vec![0.25, 0.75, 1.0],
             },
-            Response::Overloaded,
             Response::Error {
                 message: "bad id".into(),
             },
             Response::Ok,
-            Response::Stats {
-                snapshot: sample_stats(),
-                window: None,
-                shards: None,
-            },
-            Response::Stats {
-                snapshot: sample_stats(),
-                window: Some(Box::new(sample_window())),
-                shards: None,
-            },
-            Response::Stats {
-                snapshot: sample_stats(),
-                window: Some(Box::new(sample_window())),
-                shards: Some(vec![
-                    ShardStats {
-                        batches: 4,
-                        overloaded: 1,
-                        queue_depth: 2,
-                        queue_depth_p99: 3.5,
-                    },
-                    ShardStats::default(),
-                ]),
-            },
-            Response::TraceDump {
-                json: "{\"traceEvents\":[]}".into(),
-            },
             Response::ScoreError {
                 request_id: 42,
                 overloaded: true,
@@ -886,37 +553,6 @@ mod tests {
             let decoded = Response::decode(&resp.encode()).expect("decode");
             assert_eq!(decoded, resp);
         }
-    }
-
-    #[test]
-    fn windowless_stats_reply_keeps_v1_wire_shape() {
-        let payload = Response::Stats {
-            snapshot: sample_stats(),
-            window: None,
-            shards: None,
-        }
-        .encode();
-        // v1 layout: tag + 8 × u64, nothing else (v1 clients reject
-        // trailing bytes).
-        assert_eq!(payload.len(), 1 + 8 * 8);
-        assert_eq!(payload[0], TAG_STATS_REPLY);
-        let v2 = Response::Stats {
-            snapshot: sample_stats(),
-            window: Some(Box::new(sample_window())),
-            shards: None,
-        }
-        .encode();
-        assert_eq!(v2[0], TAG_STATS_REPLY_V2);
-        // The shard block extends the v2 body: v3 = v2 + count + 32
-        // bytes per shard, under yet another tag.
-        let v3 = Response::Stats {
-            snapshot: sample_stats(),
-            window: Some(Box::new(sample_window())),
-            shards: Some(vec![ShardStats::default(); 3]),
-        }
-        .encode();
-        assert_eq!(v3[0], TAG_STATS_REPLY_V3);
-        assert_eq!(v3.len(), v2.len() + 4 + 3 * 32);
     }
 
     #[test]
@@ -955,16 +591,18 @@ mod tests {
     }
 
     #[test]
-    fn handshake_negotiation_clamps_to_supported_range() {
+    fn negotiate_accepts_only_this_version() {
         let mut wire = Vec::new();
         write_hello(&mut wire, VERSION).unwrap();
         assert_eq!(read_hello(&mut &wire[..]).unwrap(), VERSION);
-        // A v1 peer negotiates down; a futuristic peer clamps to ours;
-        // version 0 is a corrupt hello.
-        assert_eq!(negotiate(1).unwrap(), 1);
         assert_eq!(negotiate(VERSION).unwrap(), VERSION);
-        assert_eq!(negotiate(99).unwrap(), VERSION);
-        assert!(negotiate(0).is_err());
+        for old_or_foreign in [0, 1, 2, 3, VERSION + 1, u32::MAX] {
+            let err = negotiate(old_or_foreign).unwrap_err();
+            assert!(
+                err.to_string().contains("unsupported protocol version"),
+                "{old_or_foreign}: {err}"
+            );
+        }
     }
 
     #[test]
@@ -978,8 +616,34 @@ mod tests {
     fn zero_row_score_rejected() {
         let mut payload = vec![TAG_SCORE];
         payload.extend_from_slice(&0u64.to_le_bytes());
+        payload.extend_from_slice(&0u64.to_le_bytes());
         payload.extend_from_slice(&0u32.to_le_bytes());
         payload.extend_from_slice(&3u32.to_le_bytes());
         assert!(Request::decode(&payload).is_err());
+    }
+
+    /// A `SCORE` header claiming 2^31 rows of 7 + (2^31 − 7) values:
+    /// the body size 2^31 · 2^33 wraps to 0 in 64-bit arithmetic, so
+    /// unchecked it matched the empty body and asked for a 120 GB row
+    /// vector. `with_trace_id` picks the current layout or the shorter
+    /// 17-byte one from before every `SCORE` carried a trace id.
+    fn wrapping_score_header(with_trace_id: bool) -> Vec<u8> {
+        let mut payload = vec![TAG_SCORE];
+        payload.extend_from_slice(&1u64.to_le_bytes());
+        if with_trace_id {
+            payload.extend_from_slice(&0u64.to_le_bytes());
+        }
+        payload.extend_from_slice(&(1u32 << 31).to_le_bytes());
+        payload.extend_from_slice(&((1u32 << 31) - 7).to_le_bytes());
+        payload
+    }
+
+    #[test]
+    fn wrapping_row_counts_are_rejected_before_allocating() {
+        let legacy = wrapping_score_header(false);
+        assert_eq!(legacy.len(), 17);
+        assert!(Request::decode(&legacy).is_err());
+        let err = Request::decode(&wrapping_score_header(true)).unwrap_err();
+        assert!(err.to_string().contains("length mismatch"), "{err}");
     }
 }

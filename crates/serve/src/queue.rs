@@ -21,7 +21,8 @@ use crate::config::OverloadPolicy;
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum PushError {
     /// The queue was at capacity (and stayed there past the block
-    /// deadline, if any). The caller should reply `OVERLOADED`.
+    /// deadline, if any). The caller should reply with an overloaded
+    /// `SCORE_ERROR`.
     Full,
     /// The queue is closed (server shutting down).
     Closed,

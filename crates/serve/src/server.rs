@@ -1,7 +1,7 @@
-//! The TCP server: accept loop, per-connection handlers (strict
-//! request/response for v≤2 peers, pipelined with a per-connection
-//! writer thread for v3), N batcher shards with per-shard admission
-//! control, checkpoint hot-swap and graceful drain.
+//! The TCP server: accept loop, one pipelined handler per connection
+//! (a reader that admits requests and a writer thread that sends
+//! replies in completion order), N batcher shards with per-shard
+//! admission control, checkpoint hot-swap and graceful drain.
 
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -15,15 +15,14 @@ use amoe_core::serving::ServingModel;
 use amoe_core::{MoeConfig, MoeModel};
 use amoe_dataset::{Batch, DatasetMeta};
 use amoe_nn::ParamSet;
+use amoe_obs::registry::Histogram;
 use amoe_obs::trace;
 use amoe_obs::WindowedHistogram;
 use amoe_tensor::Matrix;
 
 use crate::batcher::{self, Pending, ScoreDone, WriterMsg};
 use crate::config::ServeConfig;
-use crate::protocol::{
-    self, FeatureRow, QuantileSummary, Request, Response, ShardStats, StatsSnapshot, WindowedStats,
-};
+use crate::protocol::{self, FeatureRow, Request, Response};
 use crate::queue::{PushError, RequestQueue};
 
 /// Interns `serve.queue_depth.shard{N}` gauge names: the registry
@@ -87,12 +86,12 @@ impl StageWindows {
     }
 }
 
-/// Sliding-window stage histograms behind the v2 `STATS` quantiles and
-/// the `/metrics` per-shard quantile families. Always on (a handful of
+/// Sliding-window stage histograms behind [`WindowedStats`] and the
+/// `/metrics` per-shard quantile families. Always on (a handful of
 /// histogram increments per request), independent of the `AMOE_OBS`
 /// telemetry gate. Kept **per shard** (index = shard id) so `/metrics`
-/// exposes `{shard="N"}` series; the cross-shard `STATS` readout is a
-/// bucket-exact merge of the shard windows.
+/// exposes `{shard="N"}` series; the cross-shard [`WindowedStats`]
+/// readout is a bucket-exact merge of the shard windows.
 pub(crate) struct ServeWindows {
     pub shards: Vec<StageWindows>,
 }
@@ -115,6 +114,90 @@ impl ServeWindows {
         }
         out
     }
+}
+
+/// Per-shard batcher counters ([`Server::shard_stats`], `/vars`
+/// `shards_detail`).
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
+pub struct ShardStats {
+    /// Model calls this shard's batcher has made.
+    pub batches: u64,
+    /// Score requests this shard's admission queue shed.
+    pub overloaded: u64,
+    /// This shard's queue depth at snapshot time.
+    pub queue_depth: u64,
+    /// p99 of this shard's queue depth over the sliding stats window.
+    pub queue_depth_p99: f64,
+}
+
+/// Point-in-time server counters ([`Server::stats`], `/vars`).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct StatsSnapshot {
+    /// Score requests received (before admission control).
+    pub requests: u64,
+    /// Feature rows received across all score requests.
+    pub rows: u64,
+    /// Score requests answered with scores.
+    pub ok: u64,
+    /// Score requests rejected by admission control.
+    pub overloaded: u64,
+    /// Requests answered with an error (validation or internal).
+    pub errors: u64,
+    /// Model calls made by the batcher.
+    pub batches: u64,
+    /// Successful checkpoint hot-swaps.
+    pub reloads: u64,
+    /// Queue depth at snapshot time.
+    pub queue_depth: u64,
+}
+
+/// Count + p50/p95/p99 readout of one sliding-window histogram.
+/// Quantiles inherit the log-bucket relative error bound
+/// (`2^(1/4) − 1 ≈ 19%`); all values are finite by construction.
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
+pub struct QuantileSummary {
+    /// Samples inside the window.
+    pub count: u64,
+    /// Median.
+    pub p50: f64,
+    /// 95th percentile.
+    pub p95: f64,
+    /// 99th percentile.
+    pub p99: f64,
+}
+
+impl QuantileSummary {
+    /// Reads a summary off a (merged sliding-window) histogram.
+    #[must_use]
+    pub fn from_histogram(h: &Histogram) -> QuantileSummary {
+        QuantileSummary {
+            count: h.count(),
+            p50: h.quantile(0.5),
+            p95: h.quantile(0.95),
+            p99: h.quantile(0.99),
+        }
+    }
+}
+
+/// Stage-broken-down sliding-window quantiles ([`Server::window_stats`],
+/// `/vars` `window`): what the last `window_secs` of traffic looked
+/// like, split into the pipeline stages a request passes through
+/// (queue wait vs batch compute vs reply write, plus end-to-end latency
+/// and queue depth).
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
+pub struct WindowedStats {
+    /// Window length the summaries cover, seconds.
+    pub window_secs: f64,
+    /// End-to-end request latency (admission → reply written), µs.
+    pub request_latency_us: QuantileSummary,
+    /// Time spent waiting in the admission queue, µs.
+    pub queue_wait_us: QuantileSummary,
+    /// Model compute per batch (gate + experts + scatter), µs.
+    pub compute_us: QuantileSummary,
+    /// Reply serialisation + socket write, µs.
+    pub reply_write_us: QuantileSummary,
+    /// Queue depth observed at every push/pop.
+    pub queue_depth: QuantileSummary,
 }
 
 /// Monotonic service counters, updated lock-free by handler threads
@@ -182,8 +265,8 @@ impl ServerStats {
         }
     }
 
-    /// Folds the sliding windows into the v2 `STATS` quantile block
-    /// (bucket-exact merge across every shard's stage windows).
+    /// Folds the sliding windows into one quantile block (bucket-exact
+    /// merge across every shard's stage windows).
     pub(crate) fn window_stats(&self) -> WindowedStats {
         let mut w = self.windows.lock().unwrap();
         let window_secs = w.shards[0].request_latency_us.window().as_secs_f64();
@@ -203,7 +286,7 @@ impl ServerStats {
         }
     }
 
-    /// Per-shard counters for the v3 `STATS` shard block.
+    /// Per-shard batcher counters, indexed by shard id.
     pub(crate) fn shard_stats(&self, queues: &[RequestQueue<Pending>]) -> Vec<ShardStats> {
         // Depths first: each queue's depth observer takes the windows
         // lock while holding the queue lock, so reading queue lengths
@@ -385,19 +468,20 @@ impl Server {
         self.obs.as_ref().map(crate::http::ObsListener::local_addr)
     }
 
-    /// Current service counters.
+    /// Current service counters (the `/vars` top-level counters).
     #[must_use]
     pub fn stats(&self) -> StatsSnapshot {
         self.shared.stats.snapshot(self.shared.queue_depth_total())
     }
 
-    /// Sliding-window stage quantiles (the v2 `STATS` block).
+    /// Sliding-window stage quantiles, merged across shards (the `/vars`
+    /// `window` block).
     #[must_use]
     pub fn window_stats(&self) -> WindowedStats {
         self.shared.stats.window_stats()
     }
 
-    /// Per-shard batcher counters (the v3 `STATS` shard block).
+    /// Per-shard batcher counters (the `/vars` `shards_detail` block).
     #[must_use]
     pub fn shard_stats(&self) -> Vec<ShardStats> {
         self.shared.stats.shard_stats(&self.shared.queues)
@@ -440,7 +524,11 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
                     thread::Builder::new()
                         .name("amoe-serve-conn".into())
                         .spawn(move || {
-                            let _ = handle_connection(stream, &shared);
+                            let _ = handle_connection(&stream, &shared);
+                            // `conns` holds a clone of this socket for the
+                            // drain sweep, so dropping `stream` would not
+                            // close it: shut it down explicitly.
+                            let _ = stream.shutdown(std::net::Shutdown::Both);
                         });
                 match handle {
                     Ok(h) => handlers.push(h),
@@ -468,8 +556,8 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
         }
     }
     // Every admitted request must be answered before join() returns,
-    // so wait for all connection threads (a pipelined handler in turn
-    // joins its writer, which drains every in-flight completion).
+    // so wait for all connection threads (each handler in turn joins
+    // its writer, which drains every in-flight completion).
     for h in handlers {
         let _ = h.join();
     }
@@ -480,76 +568,19 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
     }
 }
 
-fn handle_connection(mut stream: TcpStream, shared: &Arc<Shared>) -> io::Result<()> {
-    // Replies must not sit in the kernel waiting for an ACK.
-    let _ = stream.set_nodelay(true);
-    // Version negotiation: the client offers, we answer with
-    // min(client, ours) and speak that for the connection — v1 peers
-    // keep working against a v3 server.
-    let offered = protocol::read_hello(&mut stream)?;
-    let version = protocol::negotiate(offered)?;
-    protocol::write_hello(&mut stream, version)?;
-    if version >= 3 {
-        return handle_connection_pipelined(stream, shared);
-    }
-    // v1/v2: strict request/response, kept wire-exact for old peers
-    // (one in-flight score, replies written by this thread).
-    loop {
-        let payload = match protocol::read_frame(&mut stream) {
-            Ok(p) => p,
-            // Peer hung up between requests: normal connection end.
-            Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => return Ok(()),
-            Err(e) => return Err(e),
-        };
-        let request = match Request::decode(&payload) {
-            Ok(r) => r,
-            Err(e) => {
-                shared.stats.errors.fetch_add(1, Ordering::Relaxed);
-                reply(
-                    &mut stream,
-                    &Response::Error {
-                        message: format!("malformed request: {e}"),
-                    },
-                )?;
-                continue;
-            }
-        };
-        match request {
-            Request::Score {
-                request_id,
-                trace_id,
-                rows,
-            } => {
-                handle_score(&mut stream, shared, request_id, trace_id, rows)?;
-            }
-            Request::Reload { path } => {
-                let resp = reload_response(shared, &path);
-                reply(&mut stream, &resp)?;
-            }
-            Request::Stats => {
-                let resp = stats_response(shared, version);
-                reply(&mut stream, &resp)?;
-            }
-            Request::TraceDump => {
-                // An empty document (tracing off) is still valid
-                // Chrome trace JSON, so no special case.
-                let json = trace::chrome_json();
-                reply(&mut stream, &Response::TraceDump { json })?;
-            }
-            Request::Shutdown => {
-                initiate_shutdown(&stream, shared)?;
-                reply(&mut stream, &Response::Ok)?;
-                return Ok(());
-            }
-        }
-    }
-}
-
-/// v3 connections: the reader (this thread) decodes requests and
-/// admits scores without waiting for their completions; a dedicated
+/// The one connection handler. A hello with another version is
+/// refused: the peer gets this server's hello back, then the caller
+/// closes the connection (a hello with another magic gets no reply at
+/// all). Otherwise the reader (this thread) decodes requests and admits
+/// scores without waiting for their completions, while a dedicated
 /// writer thread owns the write half and sends replies in whatever
 /// order the batcher shards finish.
-fn handle_connection_pipelined(mut stream: TcpStream, shared: &Arc<Shared>) -> io::Result<()> {
+fn handle_connection(mut stream: &TcpStream, shared: &Arc<Shared>) -> io::Result<()> {
+    // Replies must not sit in the kernel waiting for an ACK.
+    let _ = stream.set_nodelay(true);
+    let offered = protocol::read_hello(&mut stream)?;
+    protocol::write_hello(&mut stream, protocol::VERSION)?;
+    protocol::negotiate(offered)?;
     let write_half = stream.try_clone()?;
     let (tx, rx) = mpsc::channel::<WriterMsg>();
     let writer = {
@@ -558,7 +589,7 @@ fn handle_connection_pipelined(mut stream: TcpStream, shared: &Arc<Shared>) -> i
             .name("amoe-serve-writer".into())
             .spawn(move || writer_loop(write_half, &rx, &shared))?
     };
-    let result = pipelined_read_loop(&mut stream, shared, &tx);
+    let result = read_loop(stream, shared, &tx);
     // Dropping the reader's sender lets the writer drain and exit:
     // every in-flight Pending holds its own sender clone, so the
     // channel only closes once each admitted request has been
@@ -569,13 +600,13 @@ fn handle_connection_pipelined(mut stream: TcpStream, shared: &Arc<Shared>) -> i
     result
 }
 
-fn pipelined_read_loop(
-    stream: &mut TcpStream,
+fn read_loop(
+    mut stream: &TcpStream,
     shared: &Arc<Shared>,
     tx: &mpsc::Sender<WriterMsg>,
 ) -> io::Result<()> {
     loop {
-        let payload = match protocol::read_frame(stream) {
+        let payload = match protocol::read_frame(&mut stream) {
             Ok(p) => p,
             Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => return Ok(()),
             Err(e) => return Err(e),
@@ -610,14 +641,6 @@ fn pipelined_read_loop(
             Request::Reload { path } => {
                 let _ = tx.send(WriterMsg::Admin(reload_response(shared, &path)));
             }
-            Request::Stats => {
-                let _ = tx.send(WriterMsg::Admin(stats_response(shared, 3)));
-            }
-            Request::TraceDump => {
-                let _ = tx.send(WriterMsg::Admin(Response::TraceDump {
-                    json: trace::chrome_json(),
-                }));
-            }
             Request::Shutdown => {
                 initiate_shutdown(stream, shared)?;
                 let _ = tx.send(WriterMsg::Admin(Response::Ok));
@@ -627,7 +650,7 @@ fn pipelined_read_loop(
     }
 }
 
-/// The per-connection reply writer (v3): single owner of the
+/// The per-connection reply writer: single owner of the
 /// connection's write half. Completions arrive from whichever batcher
 /// shard finishes first; admin responses arrive from the reader in
 /// request order. Runs until every sender (the reader plus one clone
@@ -645,17 +668,14 @@ fn writer_loop(mut stream: TcpStream, rx: &mpsc::Receiver<WriterMsg>, shared: &A
 
 /// Why a score request was not admitted to a shard queue.
 struct ScoreReject {
-    /// True when admission control shed it (reply `OVERLOADED` /
-    /// `SCORE_ERROR{overloaded}`), false for validation/shutdown
-    /// errors.
+    /// True when admission control shed it (`SCORE_ERROR{overloaded}`),
+    /// false for validation/shutdown errors.
     overloaded: bool,
     message: String,
 }
 
-/// Validates a score request and enqueues it onto its shard (shared by
-/// the sync and pipelined paths). On success the request's reply lane
-/// is registered with the shard's batcher; the caller gets the shard
-/// index for telemetry.
+/// Validates a score request and enqueues it onto its shard. On success
+/// the request's reply lane is registered with the shard's batcher.
 fn admit_score(
     shared: &Arc<Shared>,
     request_id: u64,
@@ -663,7 +683,7 @@ fn admit_score(
     rows: &[FeatureRow],
     t0: Instant,
     reply: mpsc::Sender<WriterMsg>,
-) -> Result<usize, ScoreReject> {
+) -> Result<(), ScoreReject> {
     shared.stats.requests.fetch_add(1, Ordering::Relaxed);
     shared
         .stats
@@ -734,45 +754,11 @@ fn admit_score(
     if trace_id != 0 {
         trace::record_instant(trace_id, 0, "enqueued", n_rows_in);
     }
-    Ok(shard)
-}
-
-/// v≤2 score handling: admit, then block this connection thread until
-/// the shard's batcher answers (strict request/response).
-fn handle_score(
-    stream: &mut TcpStream,
-    shared: &Arc<Shared>,
-    request_id: u64,
-    trace_id: u64,
-    rows: Vec<FeatureRow>,
-) -> io::Result<()> {
-    let t0 = Instant::now();
-    let (tx, rx) = mpsc::channel();
-    if let Err(r) = admit_score(shared, request_id, trace_id, &rows, t0, tx) {
-        // Old peers get the uncorrelated v1 rejection frames.
-        return if r.overloaded {
-            reply(stream, &Response::Overloaded)
-        } else {
-            reply(stream, &Response::Error { message: r.message })
-        };
-    }
-    // The batcher always answers admitted requests (drain included);
-    // a recv error means it panicked.
-    let Ok(WriterMsg::Done(done)) = rx.recv() else {
-        shared.stats.errors.fetch_add(1, Ordering::Relaxed);
-        return reply(
-            stream,
-            &Response::Error {
-                message: "internal error: batcher unavailable".into(),
-            },
-        );
-    };
-    write_score_reply(stream, shared, done)
+    Ok(())
 }
 
 /// Writes one completed score and records the per-request completion
-/// telemetry — shared by the sync path and the pipelined writer, so
-/// windowed accounting stays exactly once per request on both.
+/// telemetry, exactly once per request.
 fn write_score_reply(
     stream: &mut TcpStream,
     shared: &Arc<Shared>,
@@ -791,7 +777,7 @@ fn write_score_reply(
     let reply_us = write_t0.elapsed().as_micros() as f64;
     let latency_us = done.enqueued.elapsed().as_micros() as u64;
     {
-        // Always-on windowed stage accounting behind the v2 STATS
+        // Always-on windowed stage accounting behind the `/vars`
         // quantiles and the per-shard /metrics families: a couple of
         // histogram increments per request. Traced requests double as
         // exemplar candidates.
@@ -870,19 +856,6 @@ fn reload_response(shared: &Arc<Shared>, path: &str) -> Response {
             }
             Response::Error { message }
         }
-    }
-}
-
-/// Builds the version-appropriate `STATS` reply: v1 counters only, v2
-/// adds the window block, v3 adds per-shard counters on top.
-fn stats_response(shared: &Arc<Shared>, version: u32) -> Response {
-    let snapshot = shared.stats.snapshot(shared.queue_depth_total());
-    let window = (version >= 2).then(|| Box::new(shared.stats.window_stats()));
-    let shards = (version >= 3).then(|| shared.stats.shard_stats(&shared.queues));
-    Response::Stats {
-        snapshot,
-        window,
-        shards,
     }
 }
 

@@ -177,8 +177,7 @@ fn concurrent_scrape_during_reload_stays_clean() {
     );
 
     assert_eq!(scraper.join().expect("scraper panicked"), 30);
-    let stats = client.stats().expect("stats");
-    assert_eq!(stats.reloads, 1);
+    assert_eq!(server.stats().reloads, 1);
     client.shutdown().expect("shutdown");
     server.join();
 }

@@ -55,8 +55,9 @@ AMOE_OBS=target/ci_serve_smoke.jsonl \
 step "multi-shard smoke: amoe-serve --shards 2 driven over real TCP"
 # Exercises the standalone binary end to end: demo-export a
 # checkpoint, serve it with two batcher shards, drive it with
-# load_sweep's external (closed+open loop) stages over a pipelined v3
-# connection, read the per-shard STATS block, then drain gracefully.
+# load_sweep's external (closed+open loop) stages over pipelined
+# connections, read the per-shard counters off /vars, then drain
+# gracefully.
 cargo build --release --offline -p amoe-serve --bin amoe-serve
 rm -rf target/ci_shard_demo && mkdir -p target/ci_shard_demo
 ./target/release/amoe-serve demo-export --out target/ci_shard_demo >/dev/null
@@ -88,8 +89,11 @@ if [[ -z "$ADDR" || -z "$OBS_ADDR" ]]; then
 fi
 AMOE_BENCH_SMOKE=1 \
   cargo run --release --offline -p amoe-bench --bin load_sweep -- --smoke --addr "$ADDR"
-./target/release/amoe-serve stats --addr "$ADDR" | grep -q "shard0" || {
-  echo "FAIL: stats reply carries no per-shard block" >&2; exit 1; }
+# /vars is one line of JSON; shards_detail holds one object per shard.
+VARS="$(./target/release/amoe-serve scrape --obs-addr "$OBS_ADDR" --path /vars)"
+N_SHARDS="$(grep -o '"shards_detail":\[[^]]*\]' <<<"$VARS" | grep -o '"batches":' | wc -l)"
+[[ "$N_SHARDS" -eq 2 ]] || {
+  echo "FAIL: /vars shards_detail has $N_SHARDS entries, want 2: $VARS" >&2; exit 1; }
 
 step "obs smoke: /metrics lints clean, /healthz and /readyz answer"
 # The scrape subcommand is the in-repo Prometheus client: --lint runs
@@ -166,8 +170,8 @@ AMOE_OBS=target/ci_online_sweep.jsonl AMOE_BENCH_SMOKE=1 \
 
 step "trace smoke: end-to-end request tracing emits valid Chrome JSON"
 # trace_smoke starts a live server with AMOE_TRACE set, drives traced
-# traffic, and validates both export paths (the TRACE_DUMP frame and
-# the drain-time file) against the Chrome trace-event contract —
+# traffic, and validates both export paths (GET /trace and the
+# drain-time file) against the Chrome trace-event contract —
 # schema, finite numbers, monotone per-thread timestamps — via
 # amoe_bench::obs_check::validate_chrome_trace.
 rm -f target/ci_trace_smoke.json

@@ -137,7 +137,7 @@ fn continuous_loop_survives_three_reload_cycles_and_beats_frozen() {
     // the loop's latest weights: TCP scores bit-identical to direct
     // in-process predict on `lp.model()`.
     let mut admin = Client::connect(addr).expect("admin connect");
-    let snapshot = admin.stats().expect("stats");
+    let snapshot = server.stats();
     assert_eq!(snapshot.reloads, 3, "server-side reload counter");
     assert_eq!(snapshot.errors, 0, "no server-side request errors");
 

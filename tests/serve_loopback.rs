@@ -2,13 +2,16 @@
 //! batched scores must be **bit-identical** to direct in-process
 //! `ServingMoe::predict` at every pool width, overload must surface as
 //! `OVERLOADED`, a hot-swap under load must not fail a single
-//! in-flight request, and `SHUTDOWN` must drain every admitted
-//! request before the server exits.
+//! in-flight request, `SHUTDOWN` must drain every admitted request
+//! before the server exits, and lying frames or hellos of another
+//! protocol version must be refused without disturbing scoring.
 //!
 //! The tests share one process, and the pool thread-override is a
 //! process-wide global, so each test sets it explicitly where it
 //! matters and restores the default before returning.
 
+use std::io::{ErrorKind, Read, Write};
+use std::net::TcpStream;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -19,6 +22,7 @@ use adv_hsc_moe::moe::ranker::{OptimConfig, Ranker};
 use adv_hsc_moe::moe::serving::ServingMoe;
 use adv_hsc_moe::moe::{MoeConfig, MoeModel};
 use adv_hsc_moe::online::daemon::feature_row;
+use adv_hsc_moe::serve::protocol::{self, Request, Response};
 use adv_hsc_moe::serve::{
     shard_of, Client, FeatureRow, ModelSpec, OverloadPolicy, ServeConfig, ServeError, Server,
 };
@@ -99,8 +103,7 @@ fn scores_over_tcp_are_bit_identical_to_direct_predict() {
                 "threads={threads}: request {i} scores differ from direct predict"
             );
         }
-        let mut admin = Client::connect(addr).expect("admin connect");
-        let stats = admin.stats().expect("stats");
+        let stats = server.stats();
         assert_eq!(stats.ok, spans.len() as u64, "threads={threads}");
         assert_eq!(stats.errors, 0, "threads={threads}");
         assert!(
@@ -109,6 +112,7 @@ fn scores_over_tcp_are_bit_identical_to_direct_predict() {
             spans.len(),
             stats.batches
         );
+        let mut admin = Client::connect(addr).expect("admin connect");
         admin.shutdown().expect("shutdown");
         server.join();
     }
@@ -158,13 +162,13 @@ fn full_queue_returns_overloaded() {
         overloaded.load(Ordering::Relaxed) > 0,
         "8 concurrent requests against a queue of 2 should shed load"
     );
-    let mut admin = Client::connect(addr).expect("admin connect");
-    let stats = admin.stats().expect("stats");
+    let stats = server.stats();
     assert_eq!(
         stats.overloaded,
         overloaded.load(Ordering::Relaxed) as u64,
         "server-side overload count disagrees with clients"
     );
+    let mut admin = Client::connect(addr).expect("admin connect");
     admin.shutdown().expect("shutdown");
     server.join();
 }
@@ -207,11 +211,11 @@ fn shutdown_drains_admitted_requests() {
         .collect();
     // Wait until all 10 requests have reached the server (the slow
     // batcher guarantees a backlog remains), then shut down mid-drain.
-    let mut admin = Client::connect(addr).expect("admin connect");
-    while admin.stats().expect("stats").requests < 10 {
+    while server.stats().requests < 10 {
         std::thread::sleep(Duration::from_millis(2));
     }
     std::thread::sleep(Duration::from_millis(5));
+    let mut admin = Client::connect(addr).expect("admin connect");
     admin.shutdown().expect("shutdown");
     for h in handles {
         h.join().unwrap();
@@ -284,7 +288,7 @@ fn reload_hot_swaps_without_failing_requests() {
     // After the swap acknowledgement, fresh requests use the new model.
     let mut client = Client::connect(addr).expect("connect");
     assert_eq!(client.score(&rows).expect("score"), scores_b);
-    let stats = admin.stats().expect("stats");
+    let stats = server.stats();
     assert_eq!(stats.reloads, 1);
     assert_eq!(stats.errors, 0);
     admin.shutdown().expect("shutdown");
@@ -312,8 +316,7 @@ fn failed_reload_keeps_serving_old_model() {
         other => panic!("expected server error, got {other:?}"),
     }
     assert_eq!(client.score(&rows).expect("score"), expected);
-    let stats = client.stats().expect("stats");
-    assert_eq!(stats.reloads, 0);
+    assert_eq!(server.stats().reloads, 0);
     client.shutdown().expect("shutdown");
     server.join();
 }
@@ -376,14 +379,14 @@ fn sharded_scores_are_bit_identical_across_shard_and_thread_counts() {
                     "threads={threads} shards={shards}: request {i} differs from direct predict"
                 );
             }
-            let mut admin = Client::connect(addr).expect("admin connect");
-            let stats = admin.stats().expect("stats");
+            let stats = server.stats();
             assert_eq!(
                 stats.ok,
                 spans.len() as u64,
                 "threads={threads} shards={shards}"
             );
             assert_eq!(stats.errors, 0, "threads={threads} shards={shards}");
+            let mut admin = Client::connect(addr).expect("admin connect");
             admin.shutdown().expect("shutdown");
             server.join();
         }
@@ -433,7 +436,7 @@ fn held_batcher_coalesces_what_is_queued_up_to_the_row_budget() {
     }
     // Two 2-row requests fit the 5-row budget, a third would not:
     // [1] [2, 3] [4, 5] [6].
-    let stats = client.stats().expect("stats");
+    let stats = server.stats();
     assert_eq!((stats.ok, stats.batches), (6, 4));
     client.shutdown().expect("shutdown");
     server.join();
@@ -489,7 +492,6 @@ fn pipelined_connection_completes_out_of_order() {
     .expect("server start");
     let addr = server.local_addr();
     let mut client = Client::connect(addr).expect("connect");
-    assert!(client.negotiated_version() >= 3);
 
     let ids: Vec<u64> = (0..N)
         .map(|i| {
@@ -526,7 +528,7 @@ fn pipelined_connection_completes_out_of_order() {
 }
 
 /// Overload and drain are per shard: each shard sheds its own
-/// overflow (counted in the v3 per-shard stats), every submission gets
+/// overflow (counted in the per-shard stats), every submission gets
 /// exactly one completion, and a SHUTDOWN still answers every admitted
 /// request on every shard.
 #[test]
@@ -592,9 +594,8 @@ fn overload_and_drain_are_per_shard() {
     }
 
     // The server's per-shard counters agree with what the client saw.
-    let mut admin = Client::connect(addr).expect("admin connect");
-    let (snapshot, _, shards) = admin.stats_report().expect("stats");
-    let shards = shards.expect("v3 stats carry per-shard counters");
+    let snapshot = server.stats();
+    let shards = server.shard_stats();
     assert_eq!(shards.len(), SHARDS);
     for s in 0..SHARDS {
         assert_eq!(
@@ -613,9 +614,10 @@ fn overload_and_drain_are_per_shard() {
     // Only shut down once all four submits have been through
     // admission (the 50 ms batch delay keeps them queued or in the
     // batcher), so each shard has an admitted request to drain.
-    while admin.stats().expect("stats").requests < 16 {
+    while server.stats().requests < 16 {
         std::thread::sleep(Duration::from_millis(2));
     }
+    let mut admin = Client::connect(addr).expect("admin connect");
     admin.shutdown().expect("shutdown");
     let mut drained_ok = 0;
     for _ in &wave2 {
@@ -711,6 +713,129 @@ fn out_of_vocab_request_is_rejected_not_fatal() {
     // Same connection still serves valid requests afterwards.
     let good = feature_rows(&d, 0..2);
     assert_eq!(client.score(&good).expect("score").len(), 2);
+    client.shutdown().expect("shutdown");
+    server.join();
+}
+
+/// Opens a raw connection (10 s read timeout, so a regression fails
+/// instead of hanging) and sends a hello offering `version`; the server
+/// must answer with its own.
+fn raw_hello(addr: std::net::SocketAddr, version: u32) -> TcpStream {
+    let mut s = TcpStream::connect(addr).expect("connect");
+    s.set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("read timeout");
+    protocol::write_hello(&mut s, version).expect("hello");
+    assert_eq!(
+        protocol::read_hello(&mut s).expect("server hello"),
+        protocol::VERSION,
+        "v{version}: the server answers with its own version"
+    );
+    s
+}
+
+/// A `SCORE` header whose row count times row width wraps to zero in
+/// 64-bit arithmetic (2^31 rows of 7 + (2^31 − 7) values, no body) is
+/// answered with `ERROR` instead of a 120 GB allocation, and the same
+/// connection goes on scoring bit-identically. Both the 17-byte frame
+/// (no trace id) and the current 25-byte layout are sent.
+#[test]
+fn wrapping_score_counts_get_an_error_and_the_server_keeps_scoring() {
+    let (d, model) = trained_model(907, 2);
+    let batch = Batch::from_split(&d.test, &(0..3).collect::<Vec<_>>());
+    let expected = ServingMoe::new(&model).predict(&batch);
+    let server = Server::start("127.0.0.1:0", model, d.meta.clone(), ServeConfig::default())
+        .expect("server start");
+    let addr = server.local_addr();
+    let mut s = raw_hello(addr, protocol::VERSION);
+
+    for with_trace_id in [false, true] {
+        let mut frame = vec![protocol::TAG_SCORE];
+        frame.extend_from_slice(&1u64.to_le_bytes());
+        if with_trace_id {
+            frame.extend_from_slice(&0u64.to_le_bytes());
+        }
+        frame.extend_from_slice(&(1u32 << 31).to_le_bytes());
+        frame.extend_from_slice(&((1u32 << 31) - 7).to_le_bytes());
+        assert_eq!(frame.len(), if with_trace_id { 25 } else { 17 });
+        protocol::write_frame(&mut s, &frame).expect("write lying frame");
+        let reply = protocol::read_frame(&mut s).expect("the server must answer, not crash");
+        match Response::decode(&reply).expect("decode reply") {
+            Response::Error { message } => {
+                assert!(message.contains("malformed request"), "message: {message}")
+            }
+            other => panic!("expected ERROR, got {other:?}"),
+        }
+    }
+
+    let score = Request::Score {
+        request_id: 9,
+        trace_id: 0,
+        rows: feature_rows(&d, 0..3),
+    };
+    protocol::write_frame(&mut s, &score.encode()).expect("write score");
+    let reply = protocol::read_frame(&mut s).expect("scores");
+    assert_eq!(
+        Response::decode(&reply).expect("decode scores"),
+        Response::Scores {
+            request_id: 9,
+            scores: expected.clone(),
+        }
+    );
+    let mut client = Client::connect(addr).expect("connect");
+    assert_eq!(
+        client.score(&feature_rows(&d, 0..3)).expect("score"),
+        expected
+    );
+    assert_eq!(server.stats().errors, 2);
+    client.shutdown().expect("shutdown");
+    server.join();
+}
+
+/// Asserts the server closed `s` without sending anything more.
+fn assert_closed(s: &mut TcpStream, what: &str) {
+    let mut rest = Vec::new();
+    match s.read_to_end(&mut rest) {
+        Ok(_) => {}
+        // A reset is a close too; a timeout means the server left the
+        // refused connection open.
+        Err(e) => assert!(
+            !matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut),
+            "{what}: connection still open: {e}"
+        ),
+    }
+    assert!(rest.is_empty(), "{what}: {} unexpected bytes", rest.len());
+}
+
+/// There is one protocol version. Hellos from older protocol versions
+/// (1–3) and from an unknown one get the server's own hello back and a
+/// closed connection; a hello with the wrong magic gets no reply at
+/// all. None of it disturbs the server, which keeps scoring a client
+/// of this version bit-identically.
+#[test]
+fn old_and_foreign_hellos_are_refused() {
+    let (d, model) = trained_model(908, 2);
+    let batch = Batch::from_split(&d.test, &(0..5).collect::<Vec<_>>());
+    let expected = ServingMoe::new(&model).predict(&batch);
+    let server = Server::start("127.0.0.1:0", model, d.meta.clone(), ServeConfig::default())
+        .expect("server start");
+    let addr = server.local_addr();
+
+    for version in [1, 2, 3, u32::MAX] {
+        assert_closed(&mut raw_hello(addr, version), &format!("v{version}"));
+    }
+    let mut s = TcpStream::connect(addr).expect("connect");
+    s.set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("read timeout");
+    s.write_all(b"HTTP\x04\0\0\0").expect("foreign hello");
+    assert_closed(&mut s, "wrong magic");
+
+    let mut client = Client::connect(addr).expect("connect");
+    assert_eq!(
+        client.score(&feature_rows(&d, 0..5)).expect("score"),
+        expected
+    );
+    let stats = server.stats();
+    assert_eq!((stats.requests, stats.ok, stats.errors), (1, 1, 0));
     client.shutdown().expect("shutdown");
     server.join();
 }

@@ -4,21 +4,18 @@
 //! - a traced request must leave the **full stage chain** (admitted →
 //!   enqueued → queue_exit → batch_assembled → reply_written, plus the
 //!   compute-side gate/expert/scatter events of its batch) with
-//!   causally monotone timestamps, and the `TRACE_DUMP` export must
+//!   causally monotone timestamps, and the `/trace` export must
 //!   round-trip through the same Chrome-trace validator CI uses;
-//! - windowed STATS quantiles must agree with an exact-sort oracle
+//! - windowed stage quantiles must agree with an exact-sort oracle
 //!   within the log-bucket error bound `2^(1/4)`;
 //! - scores must stay **bit-identical** with tracing on at any sample
-//!   rate — telemetry may never perturb the model;
-//! - a protocol-v1 client (hand-rolled frames, no trace id, no
-//!   windowed stats) must interoperate with the v2 server.
+//!   rate — telemetry may never perturb the model.
 //!
 //! The trace ring, its enable gate and the sample rate are process
 //! globals, so every test that touches them runs under one mutex.
 
-use std::io::{Read, Write};
-use std::net::TcpStream;
 use std::sync::Mutex;
+use std::time::Duration;
 
 use adv_hsc_moe::dataset::{generate, Batch, Dataset, GeneratorConfig};
 use adv_hsc_moe::moe::config::TowerConfig;
@@ -29,7 +26,7 @@ use adv_hsc_moe::obs::json::{parse, Value};
 use adv_hsc_moe::obs::registry::SUB_BUCKETS;
 use adv_hsc_moe::obs::{trace, WindowedHistogram};
 use adv_hsc_moe::online::daemon::feature_row;
-use adv_hsc_moe::serve::{Client, FeatureRow, QuantileSummary, ServeConfig, Server};
+use adv_hsc_moe::serve::{http_get, Client, FeatureRow, QuantileSummary, ServeConfig, Server};
 use amoe_bench::obs_check::validate_chrome_trace;
 
 /// Serialises tests that mutate the global trace state (enable gate,
@@ -75,7 +72,7 @@ fn stage_ts(events: &[Value], field: &str, key: f64, stage: &str) -> Option<f64>
 }
 
 /// A traced request leaves the full stage chain with causally monotone
-/// timestamps, and the `TRACE_DUMP` export passes the CI validator.
+/// timestamps, and the `/trace` export passes the CI validator.
 #[test]
 fn traced_request_emits_full_stage_chain() {
     let _guard = TRACE_STATE.lock().unwrap_or_else(|e| e.into_inner());
@@ -84,10 +81,12 @@ fn traced_request_emits_full_stage_chain() {
     trace::reset();
 
     let (d, model) = trained_model(901, 5);
-    let server = Server::start("127.0.0.1:0", model, d.meta.clone(), ServeConfig::default())
-        .expect("server start");
+    let config = ServeConfig {
+        obs_addr: Some("127.0.0.1:0".into()),
+        ..ServeConfig::default()
+    };
+    let server = Server::start("127.0.0.1:0", model, d.meta.clone(), config).expect("server start");
     let mut client = Client::connect(server.local_addr()).expect("connect");
-    assert!(client.negotiated_version() >= 2, "expected protocol v2");
 
     let rows = feature_rows(&d, 0..8);
     for _ in 0..6 {
@@ -97,7 +96,9 @@ fn traced_request_emits_full_stage_chain() {
     client.score_traced(&rows, TRACE_ID).expect("score_traced");
 
     // The dump must round-trip through the validator CI uses.
-    let dump = client.trace_dump().expect("trace_dump");
+    let obs = server.obs_addr().expect("obs listener is configured");
+    let (status, dump) = http_get(obs, "/trace", Duration::from_secs(10)).expect("GET /trace");
+    assert_eq!(status, 200);
     let n = validate_chrome_trace(&dump).expect("chrome trace contract");
     assert!(n > 0, "tracing on but dump is empty");
 
@@ -153,10 +154,9 @@ fn traced_request_emits_full_stage_chain() {
         assert!(ts >= 0.0);
     }
 
-    // Windowed stats are live on the same connection: every score
-    // request of THIS server landed in the always-on windows.
-    let (snapshot, window) = client.stats_full().expect("stats");
-    let w = window.expect("v2 stats must carry the windowed block");
+    // Windowed stats are live: every score request of THIS server
+    // landed in the always-on windows.
+    let (snapshot, w) = (server.stats(), server.window_stats());
     assert_eq!(snapshot.ok, 7);
     assert_eq!(w.request_latency_us.count, 7);
     assert_eq!(w.queue_wait_us.count, 7);
@@ -263,99 +263,4 @@ fn scores_bit_identical_with_tracing_on_at_any_sample_rate() {
     }
     trace::set_enabled(false);
     trace::reset();
-}
-
-/// A protocol-v1 client — hand-rolled hello and frames, no trace ids,
-/// no windowed stats — interoperates with the v2 server: negotiation
-/// answers version 1, scores are bit-identical, and the STATS reply is
-/// the exact v1 body with no trailing windowed block.
-#[test]
-fn v1_client_interoperates_with_v2_server() {
-    let _guard = TRACE_STATE.lock().unwrap_or_else(|e| e.into_inner());
-
-    let (d, model) = trained_model(903, 8);
-    let idx: Vec<usize> = (0..5).collect();
-    let expected = ServingMoe::new(&model).predict(&Batch::from_split(&d.test, &idx));
-    let rows = feature_rows(&d, 0..5);
-
-    let server = Server::start("127.0.0.1:0", model, d.meta.clone(), ServeConfig::default())
-        .expect("server start");
-
-    let mut s = TcpStream::connect(server.local_addr()).expect("connect");
-
-    // v1 hello: magic + version 1. The server must answer version 1.
-    s.write_all(b"AMSV").expect("hello magic");
-    s.write_all(&1u32.to_le_bytes()).expect("hello version");
-    let mut hello = [0u8; 8];
-    s.read_exact(&mut hello).expect("hello reply");
-    assert_eq!(&hello[..4], b"AMSV");
-    assert_eq!(u32::from_le_bytes(hello[4..8].try_into().unwrap()), 1);
-
-    let write_frame = |s: &mut TcpStream, payload: &[u8]| {
-        s.write_all(&(payload.len() as u32).to_le_bytes()).unwrap();
-        s.write_all(payload).unwrap();
-    };
-    let read_frame = |s: &mut TcpStream| -> Vec<u8> {
-        let mut len = [0u8; 4];
-        s.read_exact(&mut len).unwrap();
-        let mut payload = vec![0u8; u32::from_le_bytes(len) as usize];
-        s.read_exact(&mut payload).unwrap();
-        payload
-    };
-
-    // v1 SCORE frame: tag 0x01, request id, row count, numeric width,
-    // then 7 ids + numerics per row. No trace id anywhere.
-    let mut req = vec![0x01u8];
-    req.extend_from_slice(&7u64.to_le_bytes());
-    req.extend_from_slice(&(rows.len() as u32).to_le_bytes());
-    req.extend_from_slice(&(rows[0].numeric.len() as u32).to_le_bytes());
-    for r in &rows {
-        for id in [
-            r.sc,
-            r.tc,
-            r.brand,
-            r.shop,
-            r.user_segment,
-            r.price_bucket,
-            r.query,
-        ] {
-            req.extend_from_slice(&id.to_le_bytes());
-        }
-        for &v in &r.numeric {
-            req.extend_from_slice(&v.to_le_bytes());
-        }
-    }
-    write_frame(&mut s, &req);
-    let reply = read_frame(&mut s);
-    assert_eq!(reply[0], 0x81, "expected SCORES tag");
-    assert_eq!(u64::from_le_bytes(reply[1..9].try_into().unwrap()), 7);
-    let n = u32::from_le_bytes(reply[9..13].try_into().unwrap()) as usize;
-    assert_eq!(n, rows.len());
-    let scores: Vec<f32> = reply[13..]
-        .chunks_exact(4)
-        .map(|c| f32::from_le_bytes(c.try_into().unwrap()))
-        .collect();
-    assert_eq!(
-        scores, expected,
-        "v1 client scores diverged from direct predict"
-    );
-
-    // v1 STATS: the reply must use the v1 tag and the exact v1 body
-    // length — a trailing windowed block would break old decoders.
-    write_frame(&mut s, &[0x04]);
-    let reply = read_frame(&mut s);
-    assert_eq!(reply[0], 0x85, "expected v1 STATS_REPLY tag");
-    assert_eq!(
-        reply.len(),
-        1 + 8 * 8,
-        "v1 STATS reply must carry exactly the 8 v1 counters"
-    );
-    let ok = u64::from_le_bytes(reply[1 + 16..1 + 24].try_into().unwrap());
-    assert_eq!(ok, 1, "the v1 score request must be counted");
-
-    // v1 SHUTDOWN: tag 0x03, expect OK (0x84).
-    write_frame(&mut s, &[0x03]);
-    let reply = read_frame(&mut s);
-    assert_eq!(reply, [0x84], "expected OK reply to shutdown");
-    server.join();
 }
