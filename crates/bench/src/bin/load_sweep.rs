@@ -12,21 +12,17 @@
 //!    rate (arrival process independent of service time);
 //! 3. **reload-under-load** — a `RELOAD` hot-swap is issued while the
 //!    closed-loop clients run; every in-flight request must succeed;
-//! 4. **sharded sweep** — an open-loop pass against a server per
-//!    shard count (1/2/4 batcher shards), reporting throughput and
-//!    p99 vs shard count and cross-checking the per-shard batcher
-//!    counters against the aggregate snapshot;
-//! 5. **scrape-under-load** — a server with the HTTP observability
+//! 4. **scrape-under-load** — a server with the HTTP observability
 //!    listener enabled takes identical open-loop passes with and
 //!    without a concurrent 20 Hz `/metrics` scraper; every scrape must
 //!    return 200 and pass the Prometheus exposition linter, scrape
 //!    latency is bounded, and the best-of-N throughput delta between
 //!    the two configurations must stay under 1 % (the scrape overhead
 //!    contract);
-//! 6. **overload burst** — a second server with a tiny queue and a
+//! 5. **overload burst** — a second server with a tiny queue and a
 //!    throttled batcher takes a burst that must shed load with
 //!    `OVERLOADED` replies;
-//! 7. **quantized serving** — a server with `quantized: true` scores
+//! 6. **quantized serving** — a server with `quantized: true` scores
 //!    the probe rows; TCP-returned scores must stay within the
 //!    documented tolerance of a local f32 oracle on identical weights
 //!    (emitted as a `quant_parity` record), and a closed-loop pass
@@ -36,7 +32,7 @@
 //! event. When `AMOE_OBS` is set the run ends by flushing the sink and
 //! validating the emitted `serve_request` records with the same
 //! schema checks as `obs_smoke` (exit 1 on violation). Pass
-//! `--addr HOST:PORT` to drive an external server instead (stages 3-7
+//! `--addr HOST:PORT` to drive an external server instead (stages 3-6
 //! and the JSONL validation are skipped: they need server-side
 //! control). `--smoke` / `AMOE_BENCH_SMOKE=1` shrinks the workload for
 //! CI.
@@ -52,7 +48,6 @@ use amoe_core::ranker::OptimConfig;
 use amoe_core::serving::{ServingMoe, QUANT_SCORE_TOLERANCE};
 use amoe_core::{MoeConfig, MoeModel, Ranker, TowerConfig};
 use amoe_dataset::{generate, Batch, Dataset, Example, GeneratorConfig};
-use amoe_obs::json::Value;
 use amoe_serve::{Client, FeatureRow, ModelSpec, OverloadPolicy, ServeConfig, ServeError, Server};
 
 fn fail(msg: &str) -> ! {
@@ -201,7 +196,7 @@ fn open_loop(
     }
 }
 
-fn report(mode: &str, clients: usize, rows_per_req: usize, shards: usize, result: &StageResult) {
+fn report(mode: &str, clients: usize, rows_per_req: usize, result: &StageResult) {
     if result.latencies_us.is_empty() {
         fail(&format!("{mode}: no successful requests"));
     }
@@ -216,7 +211,7 @@ fn report(mode: &str, clients: usize, rows_per_req: usize, shards: usize, result
         fail(&format!("{mode}: zero throughput"));
     }
     println!(
-        "load_sweep[{mode}] clients={clients} rows/req={rows_per_req} shards={shards} \
+        "load_sweep[{mode}] clients={clients} rows/req={rows_per_req} \
          ok={} overloaded={} p50={p50:.0}us p95={p95:.0}us p99={p99:.0}us {throughput:.0} req/s",
         result.latencies_us.len(),
         result.overloaded,
@@ -226,7 +221,6 @@ fn report(mode: &str, clients: usize, rows_per_req: usize, shards: usize, result
             .str("mode", mode)
             .u64("clients", clients as u64)
             .u64("rows_per_req", rows_per_req as u64)
-            .u64("shards", shards as u64)
             .u64("sent", result.sent)
             .u64("ok", result.latencies_us.len() as u64)
             .u64("overloaded", result.overloaded)
@@ -285,10 +279,10 @@ fn main() {
             .unwrap_or_else(|_| fail("--addr: expected HOST:PORT"));
         for &clients in &client_counts {
             let result = closed_loop(addr, &pool, clients, requests, rows_per_req);
-            report("closed", clients, rows_per_req, 1, &result);
+            report("closed", clients, rows_per_req, &result);
         }
         let result = open_loop(addr, &pool, 2, requests, rows_per_req, 200.0);
-        report("open", 2, rows_per_req, 1, &result);
+        report("open", 2, rows_per_req, &result);
         println!("load_sweep: OK (external server)");
         return;
     }
@@ -329,11 +323,11 @@ fn main() {
 
     for &clients in &client_counts {
         let result = closed_loop(addr, &pool, clients, requests, rows_per_req);
-        report("closed", clients, rows_per_req, 1, &result);
+        report("closed", clients, rows_per_req, &result);
     }
 
     let result = open_loop(addr, &pool, 2, requests, rows_per_req, 200.0);
-    report("open", 2, rows_per_req, 1, &result);
+    report("open", 2, rows_per_req, &result);
 
     // Reload under load: swap checkpoints while closed-loop clients
     // hammer the server. closed_loop() aborts on any non-OVERLOADED
@@ -354,7 +348,7 @@ fn main() {
         reloader
             .join()
             .unwrap_or_else(|_| fail("reloader panicked"));
-        report("reload", 4, rows_per_req, 1, &result);
+        report("reload", 4, rows_per_req, &result);
     }
 
     let stats = server.stats();
@@ -367,55 +361,6 @@ fn main() {
             "expected 1 reload, server counted {}",
             stats.reloads
         ));
-    }
-
-    // Sharded sweep: the same deterministic model served with 1/2/4
-    // batcher shards under an identical open-loop arrival schedule, so
-    // the reported throughput/p99 differences are attributable to the
-    // shard count alone. The per-shard counters must account for
-    // every batch and show work on every shard.
-    for shards in [1usize, 2, 4] {
-        let (model, _) = build_model(&dataset, if smoke { 6 } else { 20 });
-        let shard_server = Server::start(
-            "127.0.0.1:0",
-            model,
-            dataset.meta.clone(),
-            ServeConfig {
-                shards,
-                ..ServeConfig::default()
-            },
-        )
-        .unwrap_or_else(|e| fail(&format!("sharded server start ({shards} shards): {e}")));
-        let shard_addr = shard_server.local_addr();
-        let result = open_loop(shard_addr, &pool, 4, requests, rows_per_req, 400.0);
-        report("sharded", 4, rows_per_req, shards, &result);
-
-        let snapshot = shard_server.stats();
-        let shard_stats = shard_server.shard_stats();
-        if shard_stats.len() != shards {
-            fail(&format!(
-                "expected {shards} shard stat entries, got {}",
-                shard_stats.len()
-            ));
-        }
-        let batch_sum: u64 = shard_stats.iter().map(|s| s.batches).sum();
-        if batch_sum != snapshot.batches {
-            fail(&format!(
-                "per-shard batches sum to {batch_sum}, aggregate counted {}",
-                snapshot.batches
-            ));
-        }
-        // Client ids are sequential from 1, and shard_of spreads
-        // them, so with hundreds of requests every shard batches.
-        for (i, s) in shard_stats.iter().enumerate() {
-            if s.batches == 0 {
-                fail(&format!("shard {i}/{shards} never ran a batch"));
-            }
-        }
-        Client::connect(shard_addr)
-            .and_then(|mut admin| admin.shutdown())
-            .unwrap_or_else(|e| fail(&format!("sharded shutdown: {e}")));
-        shard_server.join();
     }
 
     // Scrape-under-load: the observability listener must not cost
@@ -451,7 +396,7 @@ fn main() {
         }
         // One warm-up scrape with family spot-checks before the timed
         // passes: the page must carry the build-info gauge and the
-        // per-shard windowed latency family the dashboards key on.
+        // windowed latency family the dashboards key on.
         let (status, page) = amoe_serve::http_get(obs_addr, "/metrics", Duration::from_secs(5))
             .unwrap_or_else(|e| fail(&format!("GET /metrics: {e}")));
         if status != 200 {
@@ -576,7 +521,7 @@ fn main() {
         .unwrap_or_else(|e| fail(&format!("overload server start: {e}")));
         let over_addr = over_server.local_addr();
         let result = closed_loop(over_addr, &pool, 8, if smoke { 6 } else { 12 }, 1);
-        report("overload", 8, 1, 1, &result);
+        report("overload", 8, 1, &result);
         let stats = over_server.stats();
         Client::connect(over_addr)
             .and_then(|mut admin| admin.shutdown())
@@ -647,7 +592,7 @@ fn main() {
         );
 
         let result = closed_loop(q_addr, &pool, 2, requests, rows_per_req);
-        report("quant", 2, rows_per_req, 1, &result);
+        report("quant", 2, rows_per_req, &result);
 
         probe
             .shutdown()
@@ -664,7 +609,6 @@ fn main() {
         let records = obs_check::validate_jsonl(&body).unwrap_or_else(|e| fail(&e));
         let mut serve_requests = 0usize;
         let mut quant_parity = 0usize;
-        let mut sharded_rows = 0usize;
         let mut scrape_rows = 0usize;
         for r in &records {
             let checked = match r.kind.as_str() {
@@ -673,38 +617,26 @@ fn main() {
                     obs_check::require_fields(
                         &r.value,
                         "serve_request",
-                        &["request_id", "rows", "shard", "latency_us", "queue_depth"],
+                        &["request_id", "rows", "latency_us", "queue_depth"],
                     )
                 }
                 "serve_batch" => obs_check::require_fields(
                     &r.value,
                     "serve_batch",
+                    &["requests", "rows", "queue_wait_us_max", "queue_depth"],
+                ),
+                "load_sweep_row" => obs_check::require_fields(
+                    &r.value,
+                    "load_sweep_row",
                     &[
-                        "shard",
-                        "requests",
-                        "rows",
-                        "queue_wait_us_max",
-                        "queue_depth",
+                        "mode",
+                        "clients",
+                        "p50_us",
+                        "p95_us",
+                        "p99_us",
+                        "throughput_rps",
                     ],
                 ),
-                "load_sweep_row" => {
-                    if r.value.get("mode").and_then(Value::as_str) == Some("sharded") {
-                        sharded_rows += 1;
-                    }
-                    obs_check::require_fields(
-                        &r.value,
-                        "load_sweep_row",
-                        &[
-                            "mode",
-                            "clients",
-                            "shards",
-                            "p50_us",
-                            "p95_us",
-                            "p99_us",
-                            "throughput_rps",
-                        ],
-                    )
-                }
                 "quant_parity" => {
                     quant_parity += 1;
                     obs_check::require_fields(
@@ -737,20 +669,13 @@ fn main() {
         if quant_parity == 0 {
             fail(&format!("no quant_parity record in {path}"));
         }
-        if sharded_rows < 3 {
-            fail(&format!(
-                "expected a load_sweep_row per shard count (1/2/4), found {sharded_rows} in {path}"
-            ));
-        }
         if scrape_rows == 0 {
             fail(&format!("no scrape_row record in {path}"));
         }
         println!(
-            "load_sweep: OK — {} JSONL records ({} serve_request, {} sharded rows) \
-             validated in {path}",
+            "load_sweep: OK — {} JSONL records ({} serve_request) validated in {path}",
             records.len(),
             serve_requests,
-            sharded_rows
         );
     } else {
         println!("load_sweep: OK");

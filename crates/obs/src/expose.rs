@@ -1,7 +1,7 @@
 //! Prometheus / OpenMetrics text exposition for the registry.
 //!
 //! The registry records under the workspace's **dotted** names
-//! (`serve.requests`, `pool.region`, `serve.queue_depth.shard0`) so
+//! (`serve.requests`, `pool.region`, `serve.queue_depth`) so
 //! JSONL consumers keep the schema they have depended on since PR 2.
 //! This module is the compatibility layer that maps those names onto a
 //! consistent Prometheus naming scheme at scrape time:
@@ -13,8 +13,6 @@
 //!   `_ms` or `_ns` suffix becomes `_seconds` and every exported
 //!   number (bucket bounds, sums, gauge values) is multiplied by the
 //!   matching power of ten — dashboards never see mixed units;
-//! * a trailing `.shard<N>` segment becomes a `{shard="N"}` label, so
-//!   per-shard series form one family instead of N;
 //! * log-bucketed histograms export as cumulative `_bucket` /
 //!   `_sum` / `_count` series on the registry's global grid, and a
 //!   windowed histogram's retained [`Exemplar`] renders as an
@@ -23,7 +21,7 @@
 //! [`validate_metric_name`] is the recording-side half of the
 //! convention: registry entry points `debug_assert!` it, so a new
 //! dotted name that cannot be exposed cleanly (uppercase, empty
-//! segments, unbounded `shard` cardinality) fails loudly in tests
+//! segments, stray characters) fails loudly in tests
 //! while release binaries keep recording.
 //!
 //! [`validate_exposition`] is the scrape-side half: a linter for the
@@ -37,15 +35,9 @@ use std::fmt::Write as _;
 use crate::registry::{Histogram, Snapshot};
 use crate::window::Exemplar;
 
-/// Highest `.shard<N>` index the naming convention accepts. Shard
-/// labels are the only sanctioned label dimension, and a bounded index
-/// is what keeps them low-cardinality.
-pub const MAX_SHARD_LABEL: u64 = 4096;
-
 /// Checks a dotted registry name against the recording convention:
 /// non-empty `.`-separated segments of `[a-z0-9_]` starting with a
-/// letter, at most 100 bytes, and any trailing `shard<N>` segment
-/// bounded by [`MAX_SHARD_LABEL`] (the high-cardinality guard).
+/// letter, at most 100 bytes.
 ///
 /// # Errors
 /// Describes the first violation.
@@ -74,16 +66,6 @@ pub fn validate_metric_name(name: &str) -> Result<(), String> {
                  (want [a-z0-9_], '.'-separated)"
             ));
         }
-        if let Some(idx) = segment.strip_prefix("shard") {
-            if let Ok(n) = idx.parse::<u64>() {
-                if n >= MAX_SHARD_LABEL {
-                    return Err(format!(
-                        "metric name {name:?}: shard index {n} exceeds {MAX_SHARD_LABEL} \
-                         (high-cardinality label)"
-                    ));
-                }
-            }
-        }
     }
     Ok(())
 }
@@ -102,28 +84,15 @@ pub(crate) fn debug_check_name(name: &str) {
 pub struct PromName {
     /// Prometheus family name (`amoe_*`, unit-suffixed).
     pub family: String,
-    /// Labels extracted from the dotted name (`shard` only, today).
-    pub labels: Vec<(String, String)>,
     /// Multiplier applied to every exported value (unit rescaling).
     pub scale: f64,
 }
 
-/// Maps a dotted registry name to its Prometheus family, labels and
-/// unit scale. `counter` appends `_total` (the counter unit suffix).
+/// Maps a dotted registry name to its Prometheus family and unit
+/// scale. `counter` appends `_total` (the counter unit suffix).
 #[must_use]
 pub fn prom_name(raw: &str, counter: bool) -> PromName {
-    let mut labels = Vec::new();
-    let mut base = raw;
-    // A trailing `.shard<N>` segment becomes the `shard` label.
-    if let Some((head, tail)) = raw.rsplit_once('.') {
-        if let Some(idx) = tail.strip_prefix("shard") {
-            if !idx.is_empty() && idx.bytes().all(|b| b.is_ascii_digit()) {
-                labels.push(("shard".to_string(), idx.to_string()));
-                base = head;
-            }
-        }
-    }
-    let mut family: String = base
+    let mut family: String = raw
         .chars()
         .map(|c| if c.is_ascii_alphanumeric() { c } else { '_' })
         .collect();
@@ -147,14 +116,10 @@ pub fn prom_name(raw: &str, counter: bool) -> PromName {
     if !family.starts_with("amoe_") {
         family = format!("amoe_{family}");
     }
-    PromName {
-        family,
-        labels,
-        scale,
-    }
+    PromName { family, scale }
 }
 
-fn write_label_set(out: &mut String, labels: &[(String, String)]) {
+fn write_label_set(out: &mut String, labels: &[(&str, &str)]) {
     if labels.is_empty() {
         return;
     }
@@ -219,9 +184,7 @@ impl Renderer {
     pub fn counter(&mut self, raw: &str, v: u64) {
         let name = prom_name(raw, true);
         self.type_line(&name.family, "counter");
-        self.out.push_str(&name.family);
-        write_label_set(&mut self.out, &name.labels);
-        let _ = writeln!(self.out, " {v}");
+        let _ = writeln!(self.out, "{} {v}", name.family);
     }
 
     /// Renders a gauge (dotted `raw` name, unit-rescaled).
@@ -231,26 +194,19 @@ impl Renderer {
         }
         let name = prom_name(raw, false);
         self.type_line(&name.family, "gauge");
-        self.out.push_str(&name.family);
-        write_label_set(&mut self.out, &name.labels);
-        let _ = writeln!(self.out, " {}", fmt_value(v * name.scale));
+        let _ = writeln!(self.out, "{} {}", name.family, fmt_value(v * name.scale));
     }
 
-    /// Renders a gauge with explicit extra labels (appended after any
-    /// labels extracted from the name). Used for `amoe_build_info`.
-    pub fn gauge_with(&mut self, raw: &str, extra: &[(&str, &str)], v: f64) {
+    /// Renders a gauge with explicit labels. Used for
+    /// `amoe_build_info`.
+    pub fn gauge_with(&mut self, raw: &str, labels: &[(&str, &str)], v: f64) {
         if !v.is_finite() {
             return;
         }
-        let mut name = prom_name(raw, false);
-        name.labels.extend(
-            extra
-                .iter()
-                .map(|(k, v)| ((*k).to_string(), (*v).to_string())),
-        );
+        let name = prom_name(raw, false);
         self.type_line(&name.family, "gauge");
         self.out.push_str(&name.family);
-        write_label_set(&mut self.out, &name.labels);
+        write_label_set(&mut self.out, labels);
         let _ = writeln!(self.out, " {}", fmt_value(v * name.scale));
     }
 
@@ -273,9 +229,7 @@ impl Renderer {
             let le = upper * name.scale;
             self.out.push_str(&name.family);
             self.out.push_str("_bucket");
-            let mut labels = name.labels.clone();
-            labels.push(("le".to_string(), fmt_value(le)));
-            write_label_set(&mut self.out, &labels);
+            write_label_set(&mut self.out, &[("le", &fmt_value(le))]);
             let _ = write!(self.out, " {cumulative}");
             // The exemplar belongs to the first bucket whose upper
             // bound covers it (OpenMetrics: exemplar value ≤ le).
@@ -296,9 +250,7 @@ impl Renderer {
         // exemplar larger than every finite bound).
         self.out.push_str(&name.family);
         self.out.push_str("_bucket");
-        let mut labels = name.labels.clone();
-        labels.push(("le".to_string(), "+Inf".to_string()));
-        write_label_set(&mut self.out, &labels);
+        write_label_set(&mut self.out, &[("le", "+Inf")]);
         let _ = write!(self.out, " {}", h.count());
         if let Some(e) = exemplar {
             let _ = write!(
@@ -309,14 +261,13 @@ impl Renderer {
             );
         }
         self.out.push('\n');
-        self.out.push_str(&name.family);
-        self.out.push_str("_sum");
-        write_label_set(&mut self.out, &name.labels);
-        let _ = writeln!(self.out, " {}", fmt_value(h.sum() * name.scale));
-        self.out.push_str(&name.family);
-        self.out.push_str("_count");
-        write_label_set(&mut self.out, &name.labels);
-        let _ = writeln!(self.out, " {}", h.count());
+        let _ = writeln!(
+            self.out,
+            "{}_sum {}",
+            name.family,
+            fmt_value(h.sum() * name.scale)
+        );
+        let _ = writeln!(self.out, "{}_count {}", name.family, h.count());
     }
 
     /// Renders every family of a registry [`Snapshot`]: counters,
@@ -644,7 +595,7 @@ mod tests {
         for name in [
             "serve.requests",
             "serve.request_latency_us",
-            "serve.queue_depth.shard0",
+            "serve.queue_depth",
             "pool.region_reuse",
             "pool.spawn_ns",
             "span.train_epoch",
@@ -663,7 +614,6 @@ mod tests {
             "serve.requests.",
             "serve.latency ms",
             "serve.9lives",
-            "serve.queue_depth.shard99999",
         ] {
             assert!(validate_metric_name(name).is_err(), "{name:?} should fail");
         }
@@ -674,7 +624,6 @@ mod tests {
     fn prom_name_mapping() {
         let n = prom_name("serve.requests", true);
         assert_eq!(n.family, "amoe_serve_requests_total");
-        assert!(n.labels.is_empty());
         assert_eq!(n.scale, 1.0);
 
         let n = prom_name("serve.request_latency_us", false);
@@ -685,17 +634,12 @@ mod tests {
         assert_eq!(n.family, "amoe_pool_spawn_seconds");
         assert_eq!(n.scale, 1e-9);
 
-        let n = prom_name("serve.queue_depth.shard3", false);
+        let n = prom_name("serve.queue_depth", false);
         assert_eq!(n.family, "amoe_serve_queue_depth");
-        assert_eq!(n.labels, vec![("shard".to_string(), "3".to_string())]);
 
         // Already-conforming names are left alone.
         let n = prom_name("amoe_uptime_seconds", false);
         assert_eq!(n.family, "amoe_uptime_seconds");
-        // `.shardfoo` is not a shard label.
-        let n = prom_name("serve.shardfoo", false);
-        assert_eq!(n.family, "amoe_serve_shardfoo");
-        assert!(n.labels.is_empty());
     }
 
     #[test]
@@ -706,8 +650,7 @@ mod tests {
         }
         let mut r = Renderer::new();
         r.counter("serve.requests", 41);
-        r.counter("serve.requests.shard0", 40);
-        r.counter("serve.requests.shard1", 1);
+        r.counter("serve.batches", 40);
         r.gauge("serve.queue_depth", 3.0);
         r.gauge_with(
             "amoe_build_info",
@@ -724,9 +667,10 @@ mod tests {
         );
         let page = r.finish();
         let samples = validate_exposition(&page).expect("page lints clean");
-        // 3 counters + 2 gauges + (3 buckets + Inf + sum + count).
-        assert_eq!(samples, 11);
-        assert!(page.contains("amoe_serve_requests_total{shard=\"0\"} 40"));
+        // 2 counters + 2 gauges + (3 buckets + Inf + sum + count).
+        assert_eq!(samples, 10);
+        assert!(page.contains("amoe_serve_batches_total 40"));
+        assert!(page.contains("amoe_build_info{version=\"0.1.0\",quantized=\"false\"} 1"));
         assert!(page.contains("# TYPE amoe_serve_window_request_latency_seconds histogram"));
         assert!(page.contains("trace_id=\"77\""));
         assert!(page.ends_with("# EOF\n"));

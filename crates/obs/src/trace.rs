@@ -88,7 +88,7 @@ static SAMPLE: AtomicU64 = AtomicU64::new(1);
 /// Monotone allocator for server-assigned trace ids.
 static NEXT_ID: AtomicU64 = AtomicU64::new(1);
 /// The batch currently in compute (`0` = none). Owned by whichever
-/// batcher shard wins [`try_claim_active_batch`] (or by a single-owner
+/// batcher wins [`try_claim_active_batch`] (or by a single-owner
 /// embedder via [`set_active_batch`]); read by the forward path and
 /// the pool.
 static ACTIVE_BATCH: AtomicU64 = AtomicU64::new(0);
@@ -252,8 +252,8 @@ pub fn next_trace_id() -> Option<u64> {
 /// the gate/expert/scatter forward path and the worker pool can tag
 /// their events without plumbing an id through every signature. Only
 /// sound when a single thread owns the compute pipeline (benches,
-/// tests); concurrent batcher shards must use
-/// [`try_claim_active_batch`] / [`release_active_batch`] instead.
+/// tests); a server's batcher must use [`try_claim_active_batch`] /
+/// [`release_active_batch`] instead.
 pub fn set_active_batch(batch_id: u64) {
     if !enabled() {
         return;
@@ -263,11 +263,12 @@ pub fn set_active_batch(batch_id: u64) {
 
 /// Attempts to claim the compute marker for `batch_id` (CAS `0 →
 /// batch_id`). Returns `true` when this batch now owns the marker and
-/// must eventually call [`release_active_batch`]. With N batcher
-/// shards computing concurrently only one can hold the marker at a
-/// time; a losing shard's forward events simply go untagged
-/// (`batch_id` 0) instead of being mis-attributed to another shard's
-/// batch.
+/// must eventually call [`release_active_batch`]. The marker is
+/// process-wide, and one process can run several servers whose
+/// batchers compute at once (the test binaries, `load_sweep`); only
+/// one batch holds the marker at a time, and a losing batch's forward
+/// events simply go untagged (`batch_id` 0) instead of being
+/// mis-attributed to another server's batch.
 #[must_use]
 pub fn try_claim_active_batch(batch_id: u64) -> bool {
     if !enabled() || batch_id == 0 {
@@ -280,7 +281,7 @@ pub fn try_claim_active_batch(batch_id: u64) -> bool {
 
 /// Releases the compute marker if `batch_id` still holds it; a no-op
 /// for non-owners, so paired claim/release never clobbers another
-/// shard's claim.
+/// batcher's claim.
 pub fn release_active_batch(batch_id: u64) {
     let _ = ACTIVE_BATCH.compare_exchange(batch_id, 0, Ordering::Relaxed, Ordering::Relaxed);
 }

@@ -1,29 +1,30 @@
-//! The continuous micro-batcher: one batching loop per shard.
+//! The continuous micro-batcher: one batching loop, the single consumer
+//! of the server's bounded admission queue.
 //!
-//! Each batcher shard is the single consumer of its own bounded queue
-//! (requests hash to a shard by request id — see
-//! [`crate::server::shard_of`]). A shard blocks for the first queued
-//! request, then takes every request *already queued* behind it, without
-//! waiting, for as long as the batch stays within `max_batch_rows` rows.
-//! There is no deadline: an idle shard computes a lone request at once,
-//! and under load batches still grow, because requests pile up while
-//! the previous batch computes. The collected requests are coalesced with
+//! The batcher blocks for the first queued request, then takes every
+//! request *already queued* behind it, without waiting, for as long as
+//! the batch stays within `max_batch_rows` rows. There is no deadline:
+//! an idle batcher computes a lone request at once, and under load
+//! batches still grow, because requests pile up while the previous
+//! batch computes. The collected requests are coalesced with
 //! [`amoe_dataset::Batch::concat`] into **one**
 //! `ServingMoe::predict_many_with_stats` call, and the score vector is
 //! scattered back to each request's reply lane: the writer thread of
-//! the connection it came in on.
+//! the connection it came in on. The forward itself is parallelised by
+//! [`amoe_tensor::pool`], the server's only source of parallelism.
 //!
 //! # Determinism contract
 //!
-//! Neither coalescing nor sharding ever changes scores: every
-//! inference path computes each row independently (per-row top-K
-//! gating, row-blocked matmuls, per-row scatter in fixed expert
-//! order), so a row's score is bit-identical whether its request was
-//! predicted alone or inside any coalesced batch, on any shard, at
-//! any `AMOE_THREADS` setting. The `serve_loopback` integration test
-//! asserts this end to end. Tracing observes the pipeline without
-//! touching the data path, so the contract holds at any sample rate.
+//! Coalescing never changes scores: every inference path computes each
+//! row independently (per-row top-K gating, row-blocked matmuls,
+//! per-row scatter in fixed expert order), so a row's score is
+//! bit-identical whether its request was predicted alone or inside any
+//! coalesced batch, at any `AMOE_THREADS` setting. The `serve_loopback`
+//! integration test asserts this end to end. Tracing observes the
+//! pipeline without touching the data path, so the contract holds at
+//! any sample rate.
 
+use std::sync::atomic::Ordering;
 use std::sync::mpsc;
 use std::sync::Arc;
 use std::time::Instant;
@@ -35,7 +36,7 @@ use amoe_obs::trace;
 use crate::protocol::Response;
 use crate::server::Shared;
 
-/// One admitted score request waiting for its shard's batcher.
+/// One admitted score request waiting for the batcher.
 pub(crate) struct Pending {
     /// Decoded, validated feature rows.
     pub batch: Batch,
@@ -52,7 +53,7 @@ pub(crate) struct Pending {
     pub enqueued: Instant,
 }
 
-/// A completed score travelling from a batcher shard to a reply lane.
+/// A completed score travelling from the batcher to a reply lane.
 pub(crate) struct ScoreDone {
     /// Echo of the request's correlation id.
     pub request_id: u64,
@@ -60,17 +61,14 @@ pub(crate) struct ScoreDone {
     pub trace_id: u64,
     /// Admission time, for end-to-end latency accounting.
     pub enqueued: Instant,
-    /// Which batcher shard computed this request.
-    pub shard: usize,
     /// The batch that computed the scores (trace correlation).
     pub batch_id: u64,
     /// One sigmoid score per submitted row, in row order.
     pub scores: Vec<f32>,
 }
 
-/// What flows down a connection's reply lane: completions from
-/// whichever batcher shard finishes first, interleaved with in-order
-/// admin responses from the reader.
+/// What flows down a connection's reply lane: completions from the
+/// batcher, interleaved with in-order admin responses from the reader.
 pub(crate) enum WriterMsg {
     /// A score request completed.
     Done(ScoreDone),
@@ -78,10 +76,9 @@ pub(crate) enum WriterMsg {
     Admin(Response),
 }
 
-/// Runs shard `shard`'s batching loop until its queue is closed and
-/// drained.
-pub(crate) fn run(shared: &Arc<Shared>, shard: usize) {
-    let queue = &shared.queues[shard];
+/// Runs the batching loop until the queue is closed and drained.
+pub(crate) fn run(shared: &Arc<Shared>) {
+    let queue = &shared.queue;
     let max_rows = shared.config.max_batch_rows;
     loop {
         // Block for the request that opens the next batch. `None`
@@ -111,8 +108,6 @@ pub(crate) fn run(shared: &Arc<Shared>, shard: usize) {
         let traced = pending.iter().any(|p| p.trace_id != 0);
         if traced {
             let t = trace::instant_ns(assembled_at);
-            // Ties this batch id to its shard in the trace stream.
-            trace::record(0, batch_id, "shard", t, t, shard as u64);
             for p in &pending {
                 if p.trace_id != 0 {
                     trace::record(p.trace_id, batch_id, "batch_assembled", t, t, rows as u64);
@@ -128,9 +123,9 @@ pub(crate) fn run(shared: &Arc<Shared>, shard: usize) {
         // Tag the forward path (gate/expert/scatter, pool regions) with
         // this batch while it computes — but only when someone in the
         // batch is traced, so untraced batches add no events. The claim
-        // is a CAS: with several shards computing at once only one can
-        // hold the marker, and a losing shard's forward events go
-        // untagged rather than mis-attributed.
+        // is a CAS: with several servers computing in one process only
+        // one can hold the marker, and a losing batch's forward events
+        // go untagged rather than mis-attributed.
         let claimed = traced && trace::try_claim_active_batch(batch_id);
         let (scores, compute) = model.serving().predict_many_with_stats(&parts);
         if claimed {
@@ -138,27 +133,26 @@ pub(crate) fn run(shared: &Arc<Shared>, shard: usize) {
         }
 
         let now = Instant::now();
-        shared.stats.note_batch(shard);
+        shared.stats.batches.fetch_add(1, Ordering::Relaxed);
         {
             // Always-on windowed stage accounting: per-request queue
-            // waits (admission → batch assembly) and per-batch compute,
-            // into this shard's windows. Traced requests double as
-            // exemplar candidates; the batch-level compute sample
-            // carries the first traced member's id.
+            // waits (admission → batch assembly) and per-batch compute.
+            // Traced requests double as exemplar candidates; the
+            // batch-level compute sample carries the first traced
+            // member's id.
             let mut w = shared.stats.windows.lock().unwrap();
-            let sw = &mut w.shards[shard];
             for p in &pending {
                 let wait_us = assembled_at.duration_since(p.enqueued).as_micros() as f64;
-                sw.queue_wait_us.record_traced(wait_us, p.trace_id);
+                w.queue_wait_us.record_traced(wait_us, p.trace_id);
             }
             let compute_trace = pending.iter().map(|p| p.trace_id).find(|&t| t != 0);
-            sw.compute_us.record_traced(
+            w.compute_us.record_traced(
                 now.duration_since(assembled_at).as_micros() as f64,
                 compute_trace.unwrap_or(0),
             );
         }
         if amoe_obs::enabled() {
-            record_batch_telemetry(shared, shard, &pending, rows, assembled_at, &compute);
+            record_batch_telemetry(shared, &pending, rows, assembled_at, &compute);
         }
         for (p, s) in pending.into_iter().zip(scores) {
             // A reply lane that hung up (client disconnect) makes send
@@ -167,7 +161,6 @@ pub(crate) fn run(shared: &Arc<Shared>, shard: usize) {
                 request_id: p.request_id,
                 trace_id: p.trace_id,
                 enqueued: p.enqueued,
-                shard,
                 batch_id,
                 scores: s,
             }));
@@ -188,7 +181,6 @@ fn note_queue_exit(p: &Pending) {
 /// so they never include the batch's compute.
 fn record_batch_telemetry(
     shared: &Arc<Shared>,
-    shard: usize,
     pending: &[Pending],
     rows: usize,
     assembled_at: Instant,
@@ -202,17 +194,16 @@ fn record_batch_telemetry(
     }
     amoe_obs::histogram_record("serve.batch_rows", rows as f64);
     amoe_obs::histogram_record("serve.batch_requests", pending.len() as f64);
-    // Per-shard queue depths are published by each queue's depth
+    // The queue-depth gauge is published by the queue's depth
     // observer, under the queue lock — reading `len()` here could go
     // stale against concurrent pushes.
     amoe_obs::counter_add("serve.batches", 1);
     amoe_obs::emit(
         &amoe_obs::Event::new("serve_batch")
-            .u64("shard", shard as u64)
             .u64("requests", pending.len() as u64)
             .u64("rows", rows as u64)
             .u64("queue_wait_us_max", max_wait_us)
-            .u64("queue_depth", shared.queues[shard].len() as u64)
+            .u64("queue_depth", shared.queue.len() as u64)
             .u64("gate_ns", compute.gate_time.as_nanos() as u64)
             .u64("expert_ns", compute.expert_time.as_nanos() as u64)
             .u64("scatter_ns", compute.scatter_time.as_nanos() as u64),

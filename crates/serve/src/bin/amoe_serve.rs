@@ -7,13 +7,11 @@
 //!
 //! amoe-serve serve --ckpt FILE --spec FILE [--addr HOST:PORT]
 //!                  [--obs-addr HOST:PORT] [--max-batch-rows N]
-//!                  [--queue-cap N] [--shards N] [--block-ms N]
-//!                  [--quantized]
+//!                  [--queue-cap N] [--block-ms N] [--quantized]
 //!     Serve the checkpoint over TCP. Prints the bound address on
 //!     stdout, then blocks until a SHUTDOWN request. Any other argument
-//!     is an error. `--shards` runs N batcher shards, each with its own
-//!     `--queue-cap`-deep admission queue (scores are bit-identical at
-//!     any shard count).
+//!     is an error. One batcher drains one `--queue-cap`-deep admission
+//!     queue; `AMOE_THREADS` sizes the pool that runs its forwards.
 //!     `--quantized` (or `serve_quantized=true` in the spec) serves
 //!     int8 expert weights; see DESIGN.md for the error contract.
 //!     `--obs-addr` starts the HTTP observability listener (GET
@@ -22,13 +20,13 @@
 //!     It is the only way to read the server's state; see `scrape`.
 //!
 //! amoe-serve shutdown --addr HOST:PORT
-//!     Ask the server to drain gracefully: every shard queue closes,
-//!     every admitted request is answered, then the process exits.
+//!     Ask the server to drain gracefully: the queue closes, every
+//!     admitted request is answered, then the process exits.
 //!
 //! amoe-serve scrape --obs-addr HOST:PORT [--path /metrics] [--lint]
 //!     Fetch one observability endpoint with the in-repo HTTP client
-//!     and print the body. `--path /vars` prints counters, windowed
-//!     stage quantiles and per-shard batcher counters as JSON;
+//!     and print the body. `--path /vars` prints counters and windowed
+//!     stage quantiles as JSON;
 //!     `--path /trace` prints the trace ring as Chrome trace-event
 //!     JSON (load in ui.perfetto.dev). `--lint` additionally runs the
 //!     Prometheus exposition linter on the response (exit 1 on
@@ -155,7 +153,6 @@ fn serve(args: &[String]) -> Result<(), String> {
             "--obs-addr",
             "--max-batch-rows",
             "--queue-cap",
-            "--shards",
             "--block-ms",
         ],
         &["--quantized"],
@@ -171,12 +168,6 @@ fn serve(args: &[String]) -> Result<(), String> {
     }
     if let Some(v) = opt_parse::<usize>(args, "--queue-cap")? {
         config.queue_cap = v;
-    }
-    if let Some(v) = opt_parse::<usize>(args, "--shards")? {
-        if v == 0 {
-            return Err("serve: --shards must be positive".into());
-        }
-        config.shards = v;
     }
     if let Some(v) = opt_parse::<u64>(args, "--block-ms")? {
         config.overload = OverloadPolicy::Block(Duration::from_millis(v));
@@ -247,6 +238,7 @@ mod tests {
     fn serve_rejects_an_unknown_flag_by_name() {
         for (line, bad) in [
             ("--ckpt m --spec s --deadline-us 1", "--deadline-us"),
+            ("--ckpt m --spec s --shards 2", "--shards"),
             ("--ckpt m --spec s --quantised", "--quantised"),
             ("--ckpt m stray --spec s", "stray"),
         ] {
@@ -260,7 +252,7 @@ mod tests {
         // Known flags pass the check, so `serve` gets as far as loading
         // the (missing) spec file.
         let line = "--ckpt missing.amoe --spec missing.spec --addr 127.0.0.1:0 \
-                    --obs-addr 127.0.0.1:0 --shards 2 --queue-cap 8 \
+                    --obs-addr 127.0.0.1:0 --queue-cap 8 \
                     --max-batch-rows 64 --block-ms 5 --quantized";
         let err = serve(&args(line)).unwrap_err();
         assert!(err.starts_with("load missing.spec"), "{err}");

@@ -4,8 +4,8 @@
 //! A client may keep several scores in flight at once:
 //! [`Client::submit`] writes a `SCORE` without waiting, and
 //! [`Client::poll`] / [`Client::wait`] read completions in whatever
-//! order the server's batcher shards finish them, matched back to their
-//! request by correlation id. [`Client::score`] is `submit` + `wait`.
+//! order the server completes them, matched back to their request by
+//! correlation id. [`Client::score`] is `submit` + `wait`.
 //! Replies for ids that were never submitted (or already answered) are
 //! protocol errors — the client never silently trusts reply ordering.
 
@@ -280,8 +280,8 @@ impl Client {
         }
     }
 
-    /// Initiates graceful shutdown: the server drains every shard's
-    /// queue, answers every admitted request, and exits.
+    /// Initiates graceful shutdown: the server drains its queue,
+    /// answers every admitted request, and exits.
     pub fn shutdown(&mut self) -> Result<(), ServeError> {
         match self.round_trip(&Request::Shutdown)? {
             Response::Ok => Ok(()),

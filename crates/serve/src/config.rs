@@ -26,15 +26,8 @@ pub struct ServeConfig {
     /// Coalesce at most this many feature rows into one model call. A
     /// single larger request still runs, as a batch of its own.
     pub max_batch_rows: usize,
-    /// Admission queue capacity in *requests* (not rows), **per
-    /// batcher shard**.
+    /// Admission queue capacity in *requests* (not rows).
     pub queue_cap: usize,
-    /// Number of batcher shards. Each shard owns its own bounded queue
-    /// (of `queue_cap` requests) and batching loop; requests hash to a
-    /// shard by request id ([`crate::shard_of`]). Admission control
-    /// and graceful drain are per-shard; scores stay bit-identical to
-    /// the single-shard path at every shard count.
-    pub shards: usize,
     /// Full-queue behaviour.
     pub overload: OverloadPolicy,
     /// Test-only throttle: sleep this long before every model call so
@@ -68,7 +61,6 @@ impl Default for ServeConfig {
         ServeConfig {
             max_batch_rows: 256,
             queue_cap: 128,
-            shards: 1,
             overload: OverloadPolicy::Reject,
             batcher_delay: None,
             quantized: false,
@@ -83,7 +75,6 @@ impl ServeConfig {
     pub fn validate(&self) {
         assert!(self.max_batch_rows > 0, "max_batch_rows must be positive");
         assert!(self.queue_cap > 0, "queue_cap must be positive");
-        assert!(self.shards > 0, "shards must be positive");
         assert!(
             self.stats_window > Duration::ZERO,
             "stats_window must be positive"

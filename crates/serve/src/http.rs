@@ -5,9 +5,9 @@
 //! | endpoint   | content                                              |
 //! |------------|------------------------------------------------------|
 //! | `/metrics` | Prometheus text exposition of everything the server  |
-//! |            | knows: build info, uptime, native counters, per-shard|
-//! |            | windowed stage histograms with OpenMetrics exemplars,|
-//! |            | plus the `AMOE_OBS` registry (deduplicated by family)|
+//! |            | knows: build info, uptime, native counters, windowed |
+//! |            | stage histograms with OpenMetrics exemplars, plus    |
+//! |            | the `AMOE_OBS` registry (deduplicated by family)     |
 //! | `/healthz` | liveness — 200 until the process exits               |
 //! | `/readyz`  | readiness — 200 while accepting work, 503 from the   |
 //! |            | moment `SHUTDOWN` drain begins                       |
@@ -24,7 +24,7 @@
 //! Scrapes are designed to stay off the score path: rendering takes
 //! the windows lock for one merge pass (the same lock a request holds
 //! for two histogram increments) and never touches the model or the
-//! admission queues' locks beyond a depth read. The `load_sweep`
+//! admission queue's lock beyond a depth read. The `load_sweep`
 //! scrape stage enforces the resulting contract: < 1 % throughput
 //! delta under concurrent 20 Hz scraping.
 
@@ -305,30 +305,17 @@ fn write_response(
     stream.write_all(&out)
 }
 
-/// The five windowed stage families, as (dotted family name, selector)
-/// pairs. The dotted names gain a `.shard<N>` suffix per shard, which
-/// [`prom_name`] turns into the `{shard="N"}` label.
-const STAGE_FAMILIES: [&str; 5] = [
-    "serve.window.request_latency_us",
-    "serve.window.queue_wait_us",
-    "serve.window.compute_us",
-    "serve.window.reply_write_us",
-    "serve.window.queue_depth",
-];
-
 /// Renders the `/metrics` page: build info and uptime, the server's
-/// native always-on counters and per-shard windowed stage histograms
-/// (with exemplars), then the `AMOE_OBS` registry snapshot for every
+/// native always-on counters and windowed stage histograms (with
+/// exemplars), then the `AMOE_OBS` registry snapshot for every
 /// family not already rendered natively (the native series are
 /// authoritative; duplicate series would poison real scrapers).
 pub(crate) fn render_metrics(shared: &Shared) -> String {
     let mut r = Renderer::new();
     let stats = &shared.stats;
-    let n_shards = shared.queues.len();
 
     let version = env!("CARGO_PKG_VERSION");
     let protocol_version = protocol::VERSION.to_string();
-    let shards_str = n_shards.to_string();
     let threads = amoe_tensor::pool::threads().to_string();
     let quantized = shared.config.quantized.to_string();
     r.gauge_with(
@@ -336,7 +323,6 @@ pub(crate) fn render_metrics(shared: &Shared) -> String {
         &[
             ("version", version),
             ("protocol", &protocol_version),
-            ("shards", &shards_str),
             ("threads", &threads),
             ("quantized", &quantized),
         ],
@@ -367,41 +353,23 @@ pub(crate) fn render_metrics(shared: &Shared) -> String {
     r.counter("serve.ok", stats.ok.load(Ordering::Relaxed));
     r.counter("serve.errors", stats.errors.load(Ordering::Relaxed));
     r.counter("serve.reloads", stats.reloads.load(Ordering::Relaxed));
-    // Sharded families: one series per shard, `sum()` in PromQL for
-    // the service total (no unlabelled duplicate of the same count).
-    for (i, c) in stats.shard_batches.iter().enumerate() {
-        r.counter(
-            &format!("serve.batches.shard{i}"),
-            c.load(Ordering::Relaxed),
-        );
-    }
-    for (i, c) in stats.shard_overloaded.iter().enumerate() {
-        r.counter(
-            &format!("serve.overloaded.shard{i}"),
-            c.load(Ordering::Relaxed),
-        );
-    }
-    for (i, q) in shared.queues.iter().enumerate() {
-        r.gauge(&format!("serve.queue_depth.shard{i}"), q.len() as f64);
-    }
+    r.counter("serve.batches", stats.batches.load(Ordering::Relaxed));
+    r.counter("serve.overloaded", stats.overloaded.load(Ordering::Relaxed));
+    r.gauge("serve.queue_depth", shared.queue.len() as f64);
 
-    // The five windowed stage quantile families, one labelled series
-    // set per shard, each carrying its window's max-latency exemplar.
+    // The five windowed stage quantile families, each carrying its
+    // window's max-value exemplar.
     {
-        let mut w = stats.windows.lock().unwrap();
-        for family in STAGE_FAMILIES {
-            for (i, sw) in w.shards.iter_mut().enumerate() {
-                let win = match family {
-                    "serve.window.request_latency_us" => &mut sw.request_latency_us,
-                    "serve.window.queue_wait_us" => &mut sw.queue_wait_us,
-                    "serve.window.compute_us" => &mut sw.compute_us,
-                    "serve.window.reply_write_us" => &mut sw.reply_write_us,
-                    _ => &mut sw.queue_depth,
-                };
-                let merged = win.merged();
-                let exemplar = win.exemplar();
-                r.histogram(&format!("{family}.shard{i}"), &merged, exemplar);
-            }
+        let mut guard = stats.windows.lock().unwrap();
+        let w = &mut *guard;
+        for (family, win) in [
+            ("serve.window.request_latency_us", &mut w.request_latency_us),
+            ("serve.window.queue_wait_us", &mut w.queue_wait_us),
+            ("serve.window.compute_us", &mut w.compute_us),
+            ("serve.window.reply_write_us", &mut w.reply_write_us),
+            ("serve.window.queue_depth", &mut w.queue_depth),
+        ] {
+            r.histogram(family, &win.merged(), win.exemplar());
         }
     }
 
@@ -440,9 +408,8 @@ fn render_vars(shared: &Shared) -> String {
     use std::fmt::Write as _;
 
     let stats = &shared.stats;
-    let snapshot = stats.snapshot(shared.queue_depth_total());
+    let snapshot = stats.snapshot(shared.queue.len());
     let window = stats.window_stats();
-    let shard_stats = stats.shard_stats(&shared.queues);
 
     let mut s = String::with_capacity(1024);
     s.push('{');
@@ -450,7 +417,6 @@ fn render_vars(shared: &Shared) -> String {
     s.push(':');
     write_str(&mut s, env!("CARGO_PKG_VERSION"));
     let _ = write!(s, ",\"protocol\":{}", protocol::VERSION);
-    let _ = write!(s, ",\"shards\":{}", shared.queues.len());
     let _ = write!(s, ",\"threads\":{}", amoe_tensor::pool::threads());
     let _ = write!(s, ",\"quantized\":{}", shared.config.quantized);
     let ready = !shared.shutdown.load(Ordering::SeqCst);
@@ -503,20 +469,7 @@ fn render_vars(shared: &Shared) -> String {
         write_f64(&mut s, q.p99);
         s.push('}');
     }
-    s.push_str("},\"shards_detail\":[");
-    for (i, sh) in shard_stats.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        let _ = write!(
-            s,
-            "{{\"batches\":{},\"overloaded\":{},\"queue_depth\":{},\"queue_depth_p99\":",
-            sh.batches, sh.overloaded, sh.queue_depth
-        );
-        write_f64(&mut s, sh.queue_depth_p99);
-        s.push('}');
-    }
-    s.push_str("]}");
+    s.push_str("}}");
     s
 }
 

@@ -19,9 +19,10 @@
 //! shed it), `ERROR` (with message) and `OK`.
 //!
 //! A connection is **pipelined**: a client may have any number of
-//! `SCORE`s in flight at once, the server completes them in whatever
-//! order its batcher shards finish, and the `request_id` in
-//! `SCORES`/`SCORE_ERROR` is the multiplexing key. `RELOAD` and
+//! `SCORE`s in flight at once, the server answers them in completion
+//! order (a `SCORE_ERROR` from admission overtakes earlier scores still
+//! queued), and the `request_id` in `SCORES`/`SCORE_ERROR` is the
+//! multiplexing key. `RELOAD` and
 //! `SHUTDOWN` are answered in submission order, though score
 //! completions may interleave ahead of their replies. A frame that
 //! does not decode gets an `ERROR` in that same order and the
@@ -41,6 +42,8 @@ pub const VERSION: u32 = 4;
 /// Upper bound on a frame payload; larger lengths are treated as
 /// protocol corruption rather than allocated.
 pub const MAX_FRAME_LEN: u32 = 16 * 1024 * 1024;
+/// Most bytes [`read_frame`] reserves before the body arrives.
+const FRAME_PREALLOC: usize = 64 * 1024;
 
 /// Request tags.
 pub const TAG_SCORE: u8 = 0x01;
@@ -191,13 +194,23 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
 }
 
 /// Reads one length-prefixed frame payload.
+///
+/// The buffer grows as body bytes arrive rather than being sized from
+/// the prefix up front, so a peer that claims a large frame and then
+/// stalls or hangs up costs at most 64 KiB.
 pub fn read_frame(r: &mut impl Read) -> io::Result<Vec<u8>> {
     let len = read_u32(r)?;
     if len > MAX_FRAME_LEN {
         return Err(bad_data(format!("frame length {len} exceeds limit")));
     }
-    let mut payload = vec![0u8; len as usize];
-    r.read_exact(&mut payload)?;
+    let mut payload = Vec::with_capacity((len as usize).min(FRAME_PREALLOC));
+    r.take(u64::from(len)).read_to_end(&mut payload)?;
+    if payload.len() != len as usize {
+        return Err(io::Error::new(
+            io::ErrorKind::UnexpectedEof,
+            format!("frame body cut at {} of {len} bytes", payload.len()),
+        ));
+    }
     Ok(payload)
 }
 

@@ -1,8 +1,9 @@
 //! The TCP server: accept loop, one pipelined handler per connection
 //! (a reader that admits requests and a writer thread that sends
-//! replies in completion order), N batcher shards with per-shard
-//! admission control, checkpoint hot-swap and graceful drain.
+//! replies in completion order), one admission queue feeding one
+//! batcher thread, checkpoint hot-swap and graceful drain.
 
+use std::collections::HashMap;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -25,41 +26,13 @@ use crate::config::ServeConfig;
 use crate::protocol::{self, FeatureRow, Request, Response};
 use crate::queue::{PushError, RequestQueue};
 
-/// Interns `serve.queue_depth.shard{N}` gauge names: the registry
-/// wants `&'static str` keys, and interning bounds the leak to one
-/// string per distinct shard index ever used (not per server start).
-fn shard_gauge_name(shard: usize) -> &'static str {
-    static NAMES: std::sync::OnceLock<Mutex<Vec<&'static str>>> = std::sync::OnceLock::new();
-    let names = NAMES.get_or_init(|| Mutex::new(Vec::new()));
-    let mut v = names.lock().unwrap();
-    while v.len() <= shard {
-        let s: &'static str =
-            Box::leak(format!("serve.queue_depth.shard{}", v.len()).into_boxed_str());
-        v.push(s);
-    }
-    v[shard]
-}
-
-/// Maps a request id to its batcher shard: a Fibonacci multiplicative
-/// hash of the id, reduced modulo the shard count. Deterministic and
-/// stable across runs, so tests and load generators can precompute a
-/// request's shard from the ids a [`crate::Client`] assigns
-/// (sequential from 1 per connection).
-#[must_use]
-pub fn shard_of(request_id: u64, shards: usize) -> usize {
-    debug_assert!(shards > 0, "shard_of: zero shards");
-    if shards <= 1 {
-        return 0;
-    }
-    // 2^64 / φ; the multiply diffuses sequential ids across the high
-    // bits so consecutive requests spread over the shards.
-    ((request_id.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) % shards as u64) as usize
-}
-
-/// One batcher shard's sliding-window stage histograms. Traced
-/// requests leave an [`amoe_obs::Exemplar`] in each window (the
-/// max-value traced sample per slot), surfaced as OpenMetrics
-/// exemplars on `/metrics` so a quantile spike links to its trace.
+/// Sliding-window stage histograms behind [`WindowedStats`] and the
+/// `/metrics` window families. Always on (a handful of histogram
+/// increments per request), independent of the `AMOE_OBS` telemetry
+/// gate. Traced requests leave an [`amoe_obs::Exemplar`] in each
+/// window (the max-value traced sample per slot), surfaced as
+/// OpenMetrics exemplars on `/metrics` so a quantile spike links to
+/// its trace.
 pub(crate) struct StageWindows {
     /// End-to-end request latency (admission → reply written), µs.
     pub request_latency_us: WindowedHistogram,
@@ -69,7 +42,7 @@ pub(crate) struct StageWindows {
     pub compute_us: WindowedHistogram,
     /// Reply serialisation + socket write per request, µs.
     pub reply_write_us: WindowedHistogram,
-    /// Queue depth observed at every push/pop of this shard's queue.
+    /// Queue depth observed at every push/pop of the admission queue.
     pub queue_depth: WindowedHistogram,
 }
 
@@ -84,50 +57,6 @@ impl StageWindows {
             queue_depth: mk(),
         }
     }
-}
-
-/// Sliding-window stage histograms behind [`WindowedStats`] and the
-/// `/metrics` per-shard quantile families. Always on (a handful of
-/// histogram increments per request), independent of the `AMOE_OBS`
-/// telemetry gate. Kept **per shard** (index = shard id) so `/metrics`
-/// exposes `{shard="N"}` series; the cross-shard [`WindowedStats`]
-/// readout is a bucket-exact merge of the shard windows.
-pub(crate) struct ServeWindows {
-    pub shards: Vec<StageWindows>,
-}
-
-impl ServeWindows {
-    fn new(window: Duration, shards: usize) -> Self {
-        ServeWindows {
-            shards: (0..shards).map(|_| StageWindows::new(window)).collect(),
-        }
-    }
-
-    /// Merges one stage's histograms across every shard.
-    fn merged_stage(
-        &mut self,
-        stage: impl Fn(&mut StageWindows) -> &mut WindowedHistogram,
-    ) -> amoe_obs::registry::Histogram {
-        let mut out = amoe_obs::registry::Histogram::new();
-        for s in &mut self.shards {
-            out.merge(&stage(s).merged());
-        }
-        out
-    }
-}
-
-/// Per-shard batcher counters ([`Server::shard_stats`], `/vars`
-/// `shards_detail`).
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct ShardStats {
-    /// Model calls this shard's batcher has made.
-    pub batches: u64,
-    /// Score requests this shard's admission queue shed.
-    pub overloaded: u64,
-    /// This shard's queue depth at snapshot time.
-    pub queue_depth: u64,
-    /// p99 of this shard's queue depth over the sliding stats window.
-    pub queue_depth_p99: f64,
 }
 
 /// Point-in-time server counters ([`Server::stats`], `/vars`).
@@ -201,7 +130,7 @@ pub struct WindowedStats {
 }
 
 /// Monotonic service counters, updated lock-free by handler threads
-/// and the batcher shards, plus the sliding-window stage histograms.
+/// and the batcher, plus the sliding-window stage histograms.
 pub struct ServerStats {
     pub(crate) requests: AtomicU64,
     pub(crate) rows: AtomicU64,
@@ -210,18 +139,14 @@ pub struct ServerStats {
     pub(crate) errors: AtomicU64,
     pub(crate) batches: AtomicU64,
     pub(crate) reloads: AtomicU64,
-    /// Per-shard slices of `batches` / `overloaded` (index = shard id).
-    pub(crate) shard_batches: Vec<AtomicU64>,
-    pub(crate) shard_overloaded: Vec<AtomicU64>,
     /// Allocator for trace batch ids (`fetch_add + 1`, so ids start at
-    /// 1 and 0 stays "no batch"). Shared across shards, so batch ids
-    /// are unique service-wide.
+    /// 1 and 0 stays "no batch").
     batch_seq: AtomicU64,
-    pub(crate) windows: Mutex<ServeWindows>,
+    pub(crate) windows: Mutex<StageWindows>,
 }
 
 impl ServerStats {
-    fn new(window: Duration, shards: usize) -> Self {
+    fn new(window: Duration) -> Self {
         ServerStats {
             requests: AtomicU64::new(0),
             rows: AtomicU64::new(0),
@@ -230,21 +155,9 @@ impl ServerStats {
             errors: AtomicU64::new(0),
             batches: AtomicU64::new(0),
             reloads: AtomicU64::new(0),
-            shard_batches: (0..shards).map(|_| AtomicU64::new(0)).collect(),
-            shard_overloaded: (0..shards).map(|_| AtomicU64::new(0)).collect(),
             batch_seq: AtomicU64::new(0),
-            windows: Mutex::new(ServeWindows::new(window, shards)),
+            windows: Mutex::new(StageWindows::new(window)),
         }
-    }
-
-    pub(crate) fn note_batch(&self, shard: usize) {
-        self.batches.fetch_add(1, Ordering::Relaxed);
-        self.shard_batches[shard].fetch_add(1, Ordering::Relaxed);
-    }
-
-    fn note_overloaded(&self, shard: usize) {
-        self.overloaded.fetch_add(1, Ordering::Relaxed);
-        self.shard_overloaded[shard].fetch_add(1, Ordering::Relaxed);
     }
 
     /// Allocates the next trace batch id (≥ 1).
@@ -265,47 +178,22 @@ impl ServerStats {
         }
     }
 
-    /// Folds the sliding windows into one quantile block (bucket-exact
-    /// merge across every shard's stage windows).
+    /// Folds the sliding windows into one quantile block.
     pub(crate) fn window_stats(&self) -> WindowedStats {
         let mut w = self.windows.lock().unwrap();
-        let window_secs = w.shards[0].request_latency_us.window().as_secs_f64();
+        let summary = |h: &mut WindowedHistogram| QuantileSummary::from_histogram(&h.merged());
         WindowedStats {
-            window_secs,
-            request_latency_us: QuantileSummary::from_histogram(
-                &w.merged_stage(|s| &mut s.request_latency_us),
-            ),
-            queue_wait_us: QuantileSummary::from_histogram(
-                &w.merged_stage(|s| &mut s.queue_wait_us),
-            ),
-            compute_us: QuantileSummary::from_histogram(&w.merged_stage(|s| &mut s.compute_us)),
-            reply_write_us: QuantileSummary::from_histogram(
-                &w.merged_stage(|s| &mut s.reply_write_us),
-            ),
-            queue_depth: QuantileSummary::from_histogram(&w.merged_stage(|s| &mut s.queue_depth)),
+            window_secs: w.request_latency_us.window().as_secs_f64(),
+            request_latency_us: summary(&mut w.request_latency_us),
+            queue_wait_us: summary(&mut w.queue_wait_us),
+            compute_us: summary(&mut w.compute_us),
+            reply_write_us: summary(&mut w.reply_write_us),
+            queue_depth: summary(&mut w.queue_depth),
         }
-    }
-
-    /// Per-shard batcher counters, indexed by shard id.
-    pub(crate) fn shard_stats(&self, queues: &[RequestQueue<Pending>]) -> Vec<ShardStats> {
-        // Depths first: each queue's depth observer takes the windows
-        // lock while holding the queue lock, so reading queue lengths
-        // under the windows lock would invert that order.
-        let depths: Vec<u64> = queues.iter().map(|q| q.len() as u64).collect();
-        let mut w = self.windows.lock().unwrap();
-        (0..queues.len())
-            .map(|i| ShardStats {
-                batches: self.shard_batches[i].load(Ordering::Relaxed),
-                overloaded: self.shard_overloaded[i].load(Ordering::Relaxed),
-                queue_depth: depths[i],
-                queue_depth_p99: w.shards[i].queue_depth.merged().quantile(0.99),
-            })
-            .collect()
     }
 }
 
-/// State shared by the accept loop, handler threads and the batcher
-/// shards.
+/// State shared by the accept loop, handler threads and the batcher.
 pub(crate) struct Shared {
     /// The serving bundle (model + optional int8 expert snapshot,
     /// quantized once at load). Handlers swap the `Arc` on RELOAD; the
@@ -316,13 +204,12 @@ pub(crate) struct Shared {
     pub meta: DatasetMeta,
     /// Architecture used to rebuild models on RELOAD.
     pub model_config: MoeConfig,
-    /// One bounded admission queue per batcher shard (index = shard
-    /// id; requests hash to a shard via [`shard_of`]).
-    pub queues: Vec<RequestQueue<Pending>>,
+    /// The bounded admission queue; the batcher is its only consumer.
+    pub queue: RequestQueue<Pending>,
     /// Tuning knobs.
     pub config: ServeConfig,
     /// Set once SHUTDOWN is received — the **first** store of
-    /// [`initiate_shutdown`], before the queues close, so `/readyz`
+    /// [`initiate_shutdown`], before the queue closes, so `/readyz`
     /// flips to 503 at drain start while in-flight requests (and
     /// `/healthz`) keep being served.
     pub shutdown: AtomicBool,
@@ -335,21 +222,15 @@ pub(crate) struct Shared {
     /// the first RELOAD). Behind `amoe_model_age_seconds` — the
     /// freshness signal the online train→reload loop is judged by.
     pub model_swapped: Mutex<Instant>,
-    /// Service counters (`Arc` so each queue's depth observer can hold
+    /// Service counters (`Arc` so the queue's depth observer can hold
     /// a reference without a cycle through `Shared`).
     pub stats: Arc<ServerStats>,
-    /// Read-half handles of every accepted connection, so shutdown can
-    /// unblock handler threads parked in `read_frame` on idle
-    /// connections (their write halves stay open for in-flight
-    /// replies).
-    pub conns: Mutex<Vec<TcpStream>>,
-}
-
-impl Shared {
-    /// Total queued requests across every shard.
-    pub(crate) fn queue_depth_total(&self) -> usize {
-        self.queues.iter().map(RequestQueue::len).sum()
-    }
+    /// Read-half handles of every open connection, keyed by accept
+    /// order, so shutdown can unblock handler threads parked in
+    /// `read_frame` on idle connections (their write halves stay open
+    /// for in-flight replies). A handler removes its own entry when it
+    /// finishes.
+    pub conns: Mutex<HashMap<u64, TcpStream>>,
 }
 
 /// A running inference service.
@@ -361,16 +242,16 @@ pub struct Server {
     addr: SocketAddr,
     shared: Arc<Shared>,
     accept_thread: Option<JoinHandle<()>>,
-    batcher_threads: Vec<JoinHandle<()>>,
+    batcher_thread: Option<JoinHandle<()>>,
     /// The HTTP observability listener, when `obs_addr` is configured.
     obs: Option<crate::http::ObsListener>,
 }
 
 impl Server {
     /// Binds `addr` (use port 0 for an ephemeral port) and starts the
-    /// accept loop and one batcher thread per configured shard. Every
-    /// gate-input configuration is servable (the tape-free path
-    /// mirrors the training encoder for each variant).
+    /// accept loop and the batcher thread. Every gate-input
+    /// configuration is servable (the tape-free path mirrors the
+    /// training encoder for each variant).
     ///
     /// # Errors
     /// Fails on bind or thread-spawn errors.
@@ -383,47 +264,39 @@ impl Server {
         config.validate();
         let listener = TcpListener::bind(addr)?;
         let local = listener.local_addr()?;
-        let shards = config.shards;
-        let stats = Arc::new(ServerStats::new(config.stats_window, shards));
-        let mut queues = Vec::with_capacity(shards);
-        for shard in 0..shards {
-            let mut queue = RequestQueue::new(config.queue_cap);
+        let stats = Arc::new(ServerStats::new(config.stats_window));
+        let mut queue = RequestQueue::new(config.queue_cap);
+        {
             // Depth accounting runs inside the queue lock, so the
             // published depth is exact even under concurrent pops
             // (a read-then-set from outside the lock can go stale).
             let stats = Arc::clone(&stats);
-            let gauge_name = shard_gauge_name(shard);
-            let single = shards == 1;
             queue.set_depth_observer(move |depth| {
-                {
-                    let mut w = stats.windows.lock().unwrap();
-                    w.shards[shard].queue_depth.record(depth as f64);
-                }
+                stats
+                    .windows
+                    .lock()
+                    .unwrap()
+                    .queue_depth
+                    .record(depth as f64);
                 if amoe_obs::enabled() {
-                    amoe_obs::gauge_set(gauge_name, depth as f64);
-                    if single {
-                        // Single-shard servers keep publishing the
-                        // pre-sharding aggregate gauge name.
-                        amoe_obs::gauge_set("serve.queue_depth", depth as f64);
-                    }
+                    amoe_obs::gauge_set("serve.queue_depth", depth as f64);
                 }
             });
-            queues.push(queue);
         }
         let shared = Arc::new(Shared {
             model_config: model.config().clone(),
             model: Mutex::new(Arc::new(ServingModel::new(model, config.quantized))),
             meta,
-            queues,
+            queue,
             config,
             shutdown: AtomicBool::new(false),
             started: Instant::now(),
             model_generation: AtomicU64::new(0),
             model_swapped: Mutex::new(Instant::now()),
             stats,
-            conns: Mutex::new(Vec::new()),
+            conns: Mutex::new(HashMap::new()),
         });
-        // The observability listener binds before the batchers spawn so
+        // The observability listener binds before the batcher spawns so
         // a bind failure aborts startup instead of leaving a half-dead
         // server that scores but cannot be scraped.
         let obs = match shared.config.obs_addr.clone() {
@@ -431,15 +304,12 @@ impl Server {
             None => None,
         };
 
-        let mut batcher_threads = Vec::with_capacity(shards);
-        for shard in 0..shards {
+        let batcher_thread = {
             let shared = Arc::clone(&shared);
-            batcher_threads.push(
-                thread::Builder::new()
-                    .name(format!("amoe-serve-batcher-{shard}"))
-                    .spawn(move || batcher::run(&shared, shard))?,
-            );
-        }
+            thread::Builder::new()
+                .name("amoe-serve-batcher".into())
+                .spawn(move || batcher::run(&shared))?
+        };
         let accept_thread = {
             let shared = Arc::clone(&shared);
             thread::Builder::new()
@@ -450,7 +320,7 @@ impl Server {
             addr: local,
             shared,
             accept_thread: Some(accept_thread),
-            batcher_threads,
+            batcher_thread: Some(batcher_thread),
             obs,
         })
     }
@@ -471,24 +341,17 @@ impl Server {
     /// Current service counters (the `/vars` top-level counters).
     #[must_use]
     pub fn stats(&self) -> StatsSnapshot {
-        self.shared.stats.snapshot(self.shared.queue_depth_total())
+        self.shared.stats.snapshot(self.shared.queue.len())
     }
 
-    /// Sliding-window stage quantiles, merged across shards (the `/vars`
-    /// `window` block).
+    /// Sliding-window stage quantiles (the `/vars` `window` block).
     #[must_use]
     pub fn window_stats(&self) -> WindowedStats {
         self.shared.stats.window_stats()
     }
 
-    /// Per-shard batcher counters (the `/vars` `shards_detail` block).
-    #[must_use]
-    pub fn shard_stats(&self) -> Vec<ShardStats> {
-        self.shared.stats.shard_stats(&self.shared.queues)
-    }
-
     /// Blocks until the server has shut down (all connections
-    /// answered, every shard's queue drained, threads exited). Only
+    /// answered, the queue drained, threads exited). Only
     /// returns after a `SHUTDOWN` request.
     ///
     /// The observability listener is stopped **last**: `/healthz`
@@ -499,7 +362,7 @@ impl Server {
         if let Some(t) = self.accept_thread.take() {
             let _ = t.join();
         }
-        for t in self.batcher_threads.drain(..) {
+        if let Some(t) = self.batcher_thread.take() {
             let _ = t.join();
         }
         if let Some(obs) = self.obs.take() {
@@ -510,32 +373,30 @@ impl Server {
 
 fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
     let mut handlers: Vec<JoinHandle<()>> = Vec::new();
-    for stream in listener.incoming() {
+    for (conn_id, stream) in (0u64..).zip(listener.incoming()) {
         if shared.shutdown.load(Ordering::SeqCst) {
             break;
         }
-        match stream {
-            Ok(stream) => {
-                if let Ok(clone) = stream.try_clone() {
-                    shared.conns.lock().unwrap().push(clone);
-                }
-                let shared = Arc::clone(shared);
-                let handle =
-                    thread::Builder::new()
-                        .name("amoe-serve-conn".into())
-                        .spawn(move || {
-                            let _ = handle_connection(&stream, &shared);
-                            // `conns` holds a clone of this socket for the
-                            // drain sweep, so dropping `stream` would not
-                            // close it: shut it down explicitly.
-                            let _ = stream.shutdown(std::net::Shutdown::Both);
-                        });
-                match handle {
-                    Ok(h) => handlers.push(h),
-                    Err(_) => continue,
-                }
-            }
-            Err(_) => continue,
+        let Ok(stream) = stream else { continue };
+        if let Ok(clone) = stream.try_clone() {
+            shared.conns.lock().unwrap().insert(conn_id, clone);
+        }
+        let shared = Arc::clone(shared);
+        let handle = thread::Builder::new()
+            .name("amoe-serve-conn".into())
+            .spawn(move || {
+                let _ = handle_connection(&stream, &shared);
+                // Dropping the registered clone and `stream` closes the
+                // socket: the writer's half was joined above.
+                shared.conns.lock().unwrap().remove(&conn_id);
+            });
+        // A finished handler has answered everything it admitted, so
+        // only running handlers need joining at drain; dropping the
+        // rest keeps a long-lived server from holding one handle per
+        // past connection.
+        handlers.retain(|h| !h.is_finished());
+        if let Ok(h) = handle {
+            handlers.push(h);
         }
     }
     // Drain phase. Handlers parked in read_frame on connections the
@@ -544,7 +405,7 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
     // read_frame later) turns their next read into EOF while replies
     // still flow out the write half. This sweep is complete because
     // this thread is the only registrar and has stopped accepting.
-    for conn in shared.conns.lock().unwrap().iter() {
+    for conn in shared.conns.lock().unwrap().values() {
         let _ = conn.shutdown(std::net::Shutdown::Read);
     }
     // Connections that raced the shutdown sit un-accepted in the
@@ -574,7 +435,7 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
 /// all). Otherwise the reader (this thread) decodes requests and admits
 /// scores without waiting for their completions, while a dedicated
 /// writer thread owns the write half and sends replies in whatever
-/// order the batcher shards finish.
+/// order they complete.
 fn handle_connection(mut stream: &TcpStream, shared: &Arc<Shared>) -> io::Result<()> {
     // Replies must not sit in the kernel waiting for an ACK.
     let _ = stream.set_nodelay(true);
@@ -651,9 +512,9 @@ fn read_loop(
 }
 
 /// The per-connection reply writer: single owner of the
-/// connection's write half. Completions arrive from whichever batcher
-/// shard finishes first; admin responses arrive from the reader in
-/// request order. Runs until every sender (the reader plus one clone
+/// connection's write half. Completions arrive from the batcher;
+/// admission errors and admin responses arrive from the reader in
+/// request order, so they can overtake earlier scores still queued. Runs until every sender (the reader plus one clone
 /// per in-flight request) is gone. Write errors don't stop the drain:
 /// remaining completions still need their accounting, and their
 /// writes fail fast on the dead socket.
@@ -666,7 +527,7 @@ fn writer_loop(mut stream: TcpStream, rx: &mpsc::Receiver<WriterMsg>, shared: &A
     }
 }
 
-/// Why a score request was not admitted to a shard queue.
+/// Why a score request was not admitted to the queue.
 struct ScoreReject {
     /// True when admission control shed it (`SCORE_ERROR{overloaded}`),
     /// false for validation/shutdown errors.
@@ -674,8 +535,8 @@ struct ScoreReject {
     message: String,
 }
 
-/// Validates a score request and enqueues it onto its shard. On success
-/// the request's reply lane is registered with the shard's batcher.
+/// Validates a score request and enqueues it. On success the request's
+/// reply lane travels with it to the batcher.
 fn admit_score(
     shared: &Arc<Shared>,
     request_id: u64,
@@ -720,7 +581,6 @@ fn admit_score(
         );
     }
 
-    let shard = shard_of(request_id, shared.queues.len());
     let pending = Pending {
         batch,
         request_id,
@@ -728,10 +588,10 @@ fn admit_score(
         reply,
         enqueued: t0,
     };
-    match shared.queues[shard].push(pending, shared.config.overload) {
+    match shared.queue.push(pending, shared.config.overload) {
         Ok(()) => {}
         Err(PushError::Full) => {
-            shared.stats.note_overloaded(shard);
+            shared.stats.overloaded.fetch_add(1, Ordering::Relaxed);
             if amoe_obs::enabled() {
                 amoe_obs::counter_add("serve.overloaded", 1);
             }
@@ -748,9 +608,9 @@ fn admit_score(
             });
         }
     }
-    // Per-shard queue-depth gauges are published by each queue's depth
-    // observer, under the queue lock — not here, where a concurrent pop
-    // could already have made the depth stale.
+    // The queue-depth gauge is published by the queue's depth observer,
+    // under the queue lock — not here, where a concurrent pop could
+    // already have made the depth stale.
     if trace_id != 0 {
         trace::record_instant(trace_id, 0, "enqueued", n_rows_in);
     }
@@ -778,13 +638,12 @@ fn write_score_reply(
     let latency_us = done.enqueued.elapsed().as_micros() as u64;
     {
         // Always-on windowed stage accounting behind the `/vars`
-        // quantiles and the per-shard /metrics families: a couple of
+        // quantiles and the /metrics window families: a couple of
         // histogram increments per request. Traced requests double as
         // exemplar candidates.
         let mut w = shared.stats.windows.lock().unwrap();
-        let sw = &mut w.shards[done.shard];
-        sw.reply_write_us.record_traced(reply_us, done.trace_id);
-        sw.request_latency_us
+        w.reply_write_us.record_traced(reply_us, done.trace_id);
+        w.request_latency_us
             .record_traced(latency_us as f64, done.trace_id);
     }
     if done.trace_id != 0 {
@@ -804,9 +663,8 @@ fn write_score_reply(
             &amoe_obs::Event::new("serve_request")
                 .u64("request_id", done.request_id)
                 .u64("rows", n_rows as u64)
-                .u64("shard", done.shard as u64)
                 .u64("latency_us", latency_us)
-                .u64("queue_depth", shared.queue_depth_total() as u64),
+                .u64("queue_depth", shared.queue.len() as u64),
         );
     }
     result
@@ -859,17 +717,14 @@ fn reload_response(shared: &Arc<Shared>, path: &str) -> Response {
     }
 }
 
-/// Flips the shutdown flag, closes every shard queue (admitted
-/// requests drain, new ones are refused) and wakes the accept loop.
-/// The caller still owes the client its `OK` reply.
+/// Flips the shutdown flag, closes the queue (admitted requests drain,
+/// new ones are refused) and wakes the accept loop. The caller still
+/// owes the client its `OK` reply.
 fn initiate_shutdown(stream: &TcpStream, shared: &Arc<Shared>) -> io::Result<()> {
     shared.shutdown.store(true, Ordering::SeqCst);
-    // Close the queues first: each shard's batcher exits once its
-    // queue is empty, so every admitted request on every shard is
-    // still answered.
-    for q in &shared.queues {
-        q.close();
-    }
+    // Close the queue first: the batcher exits once it is empty, so
+    // every admitted request is still answered.
+    shared.queue.close();
     // Wake the accept loop (it blocks in accept()) with a throwaway
     // connection to our own listening address; the shutdown flag makes
     // it break out instead of serving it. The accept loop then
@@ -1007,21 +862,34 @@ mod tests {
     }
 
     #[test]
-    fn shard_of_is_stable_in_range_and_non_degenerate() {
-        for shards in [1usize, 2, 3, 4, 8] {
-            let mut hit = vec![0usize; shards];
-            for id in 1..=1000u64 {
-                let s = shard_of(id, shards);
-                assert!(s < shards, "shard {s} out of range for {shards}");
-                assert_eq!(s, shard_of(id, shards), "must be deterministic");
-                hit[s] += 1;
-            }
-            // Sequential ids (what Client assigns) must spread over
-            // every shard, not pile onto one.
-            for (s, &n) in hit.iter().enumerate() {
-                assert!(n > 0, "shard {s}/{shards} never hit by ids 1..=1000");
-            }
+    fn finished_connections_leave_no_registered_socket() {
+        let meta = meta();
+        let config = MoeConfig {
+            n_experts: 2,
+            top_k: 1,
+            tower: amoe_core::TowerConfig { hidden: vec![4] },
+            ..MoeConfig::default()
+        };
+        let model = MoeModel::new(&meta, config, OptimConfig::default());
+        let server = Server::start("127.0.0.1:0", model, meta, ServeConfig::default())
+            .expect("server start");
+        for _ in 0..50 {
+            drop(crate::Client::connect(server.local_addr()).expect("connect"));
         }
-        assert_eq!(shard_of(7, 1), 0);
+        // Each handler deregisters its socket once the client hangs up.
+        let deadline = Instant::now() + Duration::from_secs(10);
+        let mut open = usize::MAX;
+        while Instant::now() < deadline {
+            open = server.shared.conns.lock().unwrap().len();
+            if open == 0 {
+                break;
+            }
+            thread::sleep(Duration::from_millis(5));
+        }
+        assert_eq!(open, 0, "closed connections still hold registered sockets");
+        crate::Client::connect(server.local_addr())
+            .and_then(|mut admin| admin.shutdown())
+            .expect("shutdown");
+        server.join();
     }
 }

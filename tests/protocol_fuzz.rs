@@ -10,6 +10,9 @@
 //! trailing garbage. A frame that does decode must re-encode to exactly
 //! its own bytes (the encoding is canonical).
 //!
+//! The frame reader gets the same treatment one layer down: a length
+//! prefix is a claim, not an allocation budget.
+//!
 //! The binary installs an allocator that tallies, per thread, the bytes
 //! requested while a decode runs. Replay a failing case with the
 //! `AMOE_CHECK_SEED` it prints.
@@ -18,7 +21,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::panic::catch_unwind;
 
-use adv_hsc_moe::serve::protocol::{Request, Response};
+use adv_hsc_moe::serve::protocol::{read_frame, Request, Response, MAX_FRAME_LEN};
 use adv_hsc_moe::serve::FeatureRow;
 use adv_hsc_moe::tensor::check::{ensure, CaseResult, Checker};
 use adv_hsc_moe::tensor::rng::Rng;
@@ -221,4 +224,28 @@ fn response_decode_never_panics_and_allocates_within_the_frame() {
     Checker::new("response_decode_fuzz")
         .cases(64)
         .run(|rng| check_mutations(&random_response(rng).encode(), rng));
+}
+
+/// A prefix claiming the largest legal frame, followed by 10 body bytes
+/// and EOF, is a short read — and costs a bounded buffer, not the
+/// 16 MiB the prefix asked for.
+#[test]
+fn read_frame_allocates_what_arrives_not_what_the_prefix_claims() {
+    let mut wire = MAX_FRAME_LEN.to_le_bytes().to_vec();
+    wire.extend_from_slice(&[0xAB; 10]);
+    let (result, bytes) = alloc_bytes(|| read_frame(&mut wire.as_slice()));
+    let err = result.expect_err("a 10-byte body cannot satisfy a 16 MiB prefix");
+    assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof, "{err}");
+    assert!(
+        bytes < 128 * 1024,
+        "read_frame allocated {bytes} bytes for a 10-byte body"
+    );
+
+    // A complete frame still reads back exactly.
+    let mut wire = 3u32.to_le_bytes().to_vec();
+    wire.extend_from_slice(b"abc");
+    assert_eq!(
+        read_frame(&mut wire.as_slice()).expect("whole frame"),
+        b"abc"
+    );
 }

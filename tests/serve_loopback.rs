@@ -24,7 +24,7 @@ use adv_hsc_moe::moe::{MoeConfig, MoeModel};
 use adv_hsc_moe::online::daemon::feature_row;
 use adv_hsc_moe::serve::protocol::{self, Request, Response};
 use adv_hsc_moe::serve::{
-    shard_of, Client, FeatureRow, ModelSpec, OverloadPolicy, ServeConfig, ServeError, Server,
+    Client, FeatureRow, ModelSpec, OverloadPolicy, ServeConfig, ServeError, Server,
 };
 use adv_hsc_moe::tensor::pool;
 
@@ -321,79 +321,6 @@ fn failed_reload_keeps_serving_old_model() {
     server.join();
 }
 
-/// Batcher shards never change scores: at every shard count × pool
-/// width, serving the same weights returns bitwise the single-shard
-/// direct-predict scores, even with concurrent mixed-size requests.
-#[test]
-fn sharded_scores_are_bit_identical_across_shard_and_thread_counts() {
-    let spans: Vec<std::ops::Range<usize>> = vec![0..3, 3..4, 4..11, 11..16, 16..17, 17..25];
-    for threads in [1usize, 4] {
-        pool::set_threads(threads);
-        let (d, model) = trained_model(910, 4);
-        let expected: Vec<Vec<f32>> = spans
-            .iter()
-            .map(|s| {
-                let batch = Batch::from_split(&d.test, &s.clone().collect::<Vec<_>>());
-                ServingMoe::new(&model).predict(&batch)
-            })
-            .collect();
-        for shards in [1usize, 2, 4] {
-            // Rebuild from the same ParamSet so every shard count
-            // serves bitwise-identical weights.
-            let served = MoeModel::from_params(
-                &d.meta,
-                model.config().clone(),
-                OptimConfig::default(),
-                model.params(),
-            )
-            .expect("rebuild from params");
-            let server = Server::start(
-                "127.0.0.1:0",
-                served,
-                d.meta.clone(),
-                ServeConfig {
-                    shards,
-                    batcher_delay: Some(Duration::from_millis(10)),
-                    ..ServeConfig::default()
-                },
-            )
-            .expect("server start");
-            let addr = server.local_addr();
-            let handles: Vec<_> = spans
-                .iter()
-                .cloned()
-                .map(|span| {
-                    let rows = feature_rows(&d, span);
-                    std::thread::spawn(move || {
-                        Client::connect(addr)
-                            .expect("connect")
-                            .score(&rows)
-                            .expect("score")
-                    })
-                })
-                .collect();
-            let got: Vec<Vec<f32>> = handles.into_iter().map(|h| h.join().unwrap()).collect();
-            for (i, (g, e)) in got.iter().zip(&expected).enumerate() {
-                assert_eq!(
-                    g, e,
-                    "threads={threads} shards={shards}: request {i} differs from direct predict"
-                );
-            }
-            let stats = server.stats();
-            assert_eq!(
-                stats.ok,
-                spans.len() as u64,
-                "threads={threads} shards={shards}"
-            );
-            assert_eq!(stats.errors, 0, "threads={threads} shards={shards}");
-            let mut admin = Client::connect(addr).expect("admin connect");
-            admin.shutdown().expect("shutdown");
-            server.join();
-        }
-    }
-    pool::clear_threads_override();
-}
-
 /// A held batcher coalesces every request queued behind the batch it
 /// is computing, up to `max_batch_rows` and no further: the request
 /// that would overflow the budget opens the next batch.
@@ -442,208 +369,79 @@ fn held_batcher_coalesces_what_is_queued_up_to_the_row_budget() {
     server.join();
 }
 
-/// One pipelined connection with several requests in flight completes
-/// them out of submission order when their shards drain at different
-/// speeds — and every completion still carries the right scores.
+/// One pipelined connection completes out of submission order: a
+/// request rejected at admission is answered straight from the reader,
+/// so its `SCORE_ERROR` overtakes earlier requests still queued behind
+/// a held batcher — and every good completion still carries the right
+/// scores.
 #[test]
 fn pipelined_connection_completes_out_of_order() {
     let (d, model) = trained_model(911, 2);
-    const N: usize = 10;
-    const SHARDS: usize = 3;
-    let delay = Duration::from_millis(40);
-    let expected: Vec<Vec<f32>> = (0..N)
+    const GOOD: usize = 4;
+    let expected: Vec<Vec<f32>> = (0..GOOD)
         .map(|i| {
             let batch = Batch::from_split(&d.test, &[i]);
             ServingMoe::new(&model).predict(&batch)
         })
         .collect();
-
-    // With one request per batch and a fixed per-batch delay, a
-    // shard's requests complete serially in submission order, so a
-    // request's completion time grows with its in-shard rank. The
-    // shard hash is deterministic, so find a submission pair (j < k)
-    // where j sits ≥ 2 ranks deeper in its shard than k: k must then
-    // finish at least one full delay period before j.
-    let mut rank = [0usize; N + 1];
-    let mut cnt = [0usize; SHARDS];
-    for id in 1..=N as u64 {
-        let s = shard_of(id, SHARDS);
-        rank[id as usize] = cnt[s];
-        cnt[s] += 1;
-    }
-    let pair = (1..=N as u64)
-        .flat_map(|j| (j + 1..=N as u64).map(move |k| (j, k)))
-        .filter(|&(j, k)| rank[j as usize] >= rank[k as usize] + 2)
-        .max_by_key(|&(j, k)| rank[j as usize] - rank[k as usize]);
-    let (deep, shallow) = pair.expect("precondition: the shard hash must imbalance ids 1..=N");
-
     let server = Server::start(
         "127.0.0.1:0",
         model,
         d.meta.clone(),
         ServeConfig {
-            shards: SHARDS,
+            // One request per batch, each held for the delay: the last
+            // good request completes about GOOD delays after submission.
             max_batch_rows: 1,
             queue_cap: 64,
-            batcher_delay: Some(delay),
+            batcher_delay: Some(Duration::from_millis(40)),
             ..ServeConfig::default()
         },
     )
     .expect("server start");
-    let addr = server.local_addr();
-    let mut client = Client::connect(addr).expect("connect");
+    let mut client = Client::connect(server.local_addr()).expect("connect");
 
-    let ids: Vec<u64> = (0..N)
+    let mut ids: Vec<u64> = (0..GOOD)
         .map(|i| {
             client
                 .submit(&feature_rows(&d, i..i + 1))
                 .expect("pipelined submit")
         })
         .collect();
-    assert_eq!(ids, (1..=N as u64).collect::<Vec<_>>());
-    assert_eq!(client.in_flight(), N);
+    let mut bad = feature_rows(&d, GOOD..GOOD + 1);
+    bad[0].query = u32::MAX;
+    let bad_id = client.submit(&bad).expect("pipelined submit");
+    ids.push(bad_id);
+    assert_eq!(ids, (1..=GOOD as u64 + 1).collect::<Vec<_>>());
+    assert_eq!(client.in_flight(), GOOD + 1);
 
-    let mut completion_pos = [usize::MAX; N + 1];
-    for pos in 0..N {
+    let mut order = Vec::new();
+    for _ in 0..=GOOD {
         let done = client.poll().expect("poll");
-        let scores = done.result.expect("pipelined score");
-        assert_eq!(
-            scores,
-            expected[done.request_id as usize - 1],
-            "request {} scored wrong",
-            done.request_id
-        );
-        completion_pos[done.request_id as usize] = pos;
+        if done.request_id == bad_id {
+            match done.result {
+                Err(ServeError::Server(msg)) => assert!(msg.contains("query"), "message: {msg}"),
+                other => panic!("bad request: expected a score error, got {other:?}"),
+            }
+        } else {
+            let scores = done.result.expect("pipelined score");
+            assert_eq!(
+                scores,
+                expected[done.request_id as usize - 1],
+                "request {} scored wrong",
+                done.request_id
+            );
+        }
+        order.push(done.request_id);
     }
     assert_eq!(client.in_flight(), 0);
-    assert!(
-        completion_pos[shallow as usize] < completion_pos[deep as usize],
-        "request {shallow} (shard rank {}) should complete before {deep} (shard rank {}): \
-         completion order {completion_pos:?}",
-        rank[shallow as usize],
-        rank[deep as usize],
+    // The rejection needs no batch, so it lands before the good
+    // requests submitted ahead of it have all been computed.
+    assert_ne!(
+        order.last(),
+        Some(&bad_id),
+        "the admission error should overtake earlier queued requests: completion order {order:?}"
     );
     client.shutdown().expect("shutdown");
-    server.join();
-}
-
-/// Overload and drain are per shard: each shard sheds its own
-/// overflow (counted in the per-shard stats), every submission gets
-/// exactly one completion, and a SHUTDOWN still answers every admitted
-/// request on every shard.
-#[test]
-fn overload_and_drain_are_per_shard() {
-    let (d, model) = trained_model(912, 2);
-    const SHARDS: usize = 2;
-    // Precompute before `model` moves into the server.
-    let expected: Vec<Vec<f32>> = (0..16)
-        .map(|i| {
-            let batch = Batch::from_split(&d.test, &[i]);
-            ServingMoe::new(&model).predict(&batch)
-        })
-        .collect();
-    let expected = |i: usize| expected[i].clone();
-    let server = Server::start(
-        "127.0.0.1:0",
-        model,
-        d.meta.clone(),
-        ServeConfig {
-            shards: SHARDS,
-            queue_cap: 1,
-            max_batch_rows: 1,
-            overload: OverloadPolicy::Reject,
-            batcher_delay: Some(Duration::from_millis(50)),
-            ..ServeConfig::default()
-        },
-    )
-    .expect("server start");
-    let addr = server.local_addr();
-    let mut client = Client::connect(addr).expect("connect");
-
-    // Wave 1: 12 single-row submits land ~6 per shard within the first
-    // batch delay. Per shard at most one fits the batcher and one the
-    // queue (cap 1), so each shard must shed at least one request.
-    let wave1: Vec<u64> = (0..12)
-        .map(|i| client.submit(&feature_rows(&d, i..i + 1)).expect("submit"))
-        .collect();
-    let mut shard_ok = [0u64; SHARDS];
-    let mut shard_shed = [0u64; SHARDS];
-    for _ in &wave1 {
-        let done = client.poll().expect("poll");
-        let shard = shard_of(done.request_id, SHARDS);
-        match done.result {
-            Ok(scores) => {
-                assert_eq!(scores, expected(done.request_id as usize - 1));
-                shard_ok[shard] += 1;
-            }
-            Err(ServeError::Overloaded) => shard_shed[shard] += 1,
-            Err(e) => panic!("request {}: unexpected error {e}", done.request_id),
-        }
-    }
-    assert_eq!(
-        client.in_flight(),
-        0,
-        "every submission completes exactly once"
-    );
-    for s in 0..SHARDS {
-        assert!(
-            shard_shed[s] >= 1,
-            "shard {s} should shed overflow: ok={shard_ok:?} shed={shard_shed:?}"
-        );
-        assert!(shard_ok[s] >= 1, "shard {s} should admit its first request");
-    }
-
-    // The server's per-shard counters agree with what the client saw.
-    let snapshot = server.stats();
-    let shards = server.shard_stats();
-    assert_eq!(shards.len(), SHARDS);
-    for s in 0..SHARDS {
-        assert_eq!(
-            shards[s].overloaded, shard_shed[s],
-            "shard {s} overload count disagrees with the client"
-        );
-    }
-    assert_eq!(snapshot.overloaded, shard_shed.iter().sum::<u64>());
-
-    // Wave 2: refill both shards, then shut down from the admin
-    // connection while batches are still sleeping. Every admitted
-    // request must still be answered with real scores during drain.
-    let wave2: Vec<u64> = (12..16)
-        .map(|i| client.submit(&feature_rows(&d, i..i + 1)).expect("submit"))
-        .collect();
-    // Only shut down once all four submits have been through
-    // admission (the 50 ms batch delay keeps them queued or in the
-    // batcher), so each shard has an admitted request to drain.
-    while server.stats().requests < 16 {
-        std::thread::sleep(Duration::from_millis(2));
-    }
-    let mut admin = Client::connect(addr).expect("admin connect");
-    admin.shutdown().expect("shutdown");
-    let mut drained_ok = 0;
-    for _ in &wave2 {
-        let done = client.poll().expect("poll during drain");
-        match done.result {
-            Ok(scores) => {
-                assert_eq!(scores, expected(done.request_id as usize - 1));
-                drained_ok += 1;
-            }
-            Err(ServeError::Overloaded) => {}
-            // A submit that raced the queue close is refused, not lost.
-            Err(ServeError::Server(msg)) => {
-                assert!(msg.contains("shutting down"), "message: {msg}");
-            }
-            Err(e) => panic!("request {}: unexpected error {e}", done.request_id),
-        }
-    }
-    assert_eq!(
-        client.in_flight(),
-        0,
-        "drain answers every admitted request"
-    );
-    assert!(
-        drained_ok >= 1,
-        "at least each shard's first wave-2 request is admitted and drained"
-    );
     server.join();
 }
 
@@ -671,16 +469,8 @@ fn non_sc_gate_inputs_are_servable_bit_identical() {
         let probe = Batch::from_split(&d.test, &(0..9).collect::<Vec<_>>());
         let expected = ServingMoe::new(&model).predict(&probe);
 
-        let server = Server::start(
-            "127.0.0.1:0",
-            model,
-            d.meta.clone(),
-            ServeConfig {
-                shards: 2,
-                ..ServeConfig::default()
-            },
-        )
-        .unwrap_or_else(|e| panic!("{which:?}: server start: {e}"));
+        let server = Server::start("127.0.0.1:0", model, d.meta.clone(), ServeConfig::default())
+            .unwrap_or_else(|e| panic!("{which:?}: server start: {e}"));
         let mut client = Client::connect(server.local_addr()).expect("connect");
         let got = client
             .score(&feature_rows(&d, 0..9))
