@@ -3,7 +3,7 @@
 /// All knobs of the synthetic search-log generator.
 ///
 /// The defaults produce roughly 120k training and 24k test examples —
-/// the paper's 26.7M-example log scaled to a single-core host while
+/// the paper's 26.7M-example log scaled to a 2-core host while
 /// preserving the category skew, feature structure and session shape.
 #[derive(Clone, Debug)]
 pub struct GeneratorConfig {

@@ -35,7 +35,7 @@ use amoe_tensor::{ops, Rng};
 use crate::brands::BrandUniverse;
 use crate::config::GeneratorConfig;
 use crate::data::{DatasetMeta, Example, Split, N_NUMERIC};
-use crate::generator::{calibrate_bias, normal_cdf, F_SALES};
+use crate::generator::{calibrate_bias, normal_cdf, shop_weights, F_SALES};
 use crate::hierarchy::{CategoryHierarchy, ScId, TcId};
 use crate::query_model::QueryClassifier;
 use crate::truth::GroundTruth;
@@ -138,6 +138,8 @@ pub struct DriftWorld {
     season_plane: Vec<(usize, usize)>,
     /// Per-TC seasonal phase offset.
     season_phase: Vec<f32>,
+    /// Zipf shop-rank weights (shop popularity does not drift).
+    shop_weights: Vec<f64>,
 }
 
 impl DriftWorld {
@@ -260,6 +262,7 @@ impl DriftWorld {
             brand_target,
             season_plane,
             season_phase,
+            shop_weights: shop_weights(config.n_shops),
         }
     }
 
@@ -373,6 +376,7 @@ impl DriftWorld {
     #[must_use]
     pub fn window(&self, tick: u64, n_sessions: usize) -> SessionWindow {
         assert!(n_sessions > 0, "DriftWorld::window: n_sessions must be > 0");
+        let _span = amoe_obs::Span::enter("dataset.window");
         let mut root = Rng::seed_from(self.config.seed);
         let mut rng = root.fork(WINDOW_STREAM_BASE ^ tick.wrapping_mul(0x9E37_79B9_7F4A_7C15));
 
@@ -450,7 +454,7 @@ impl DriftWorld {
                     pred_sc: query.pred_sc,
                     pred_tc: self.hierarchy.parent(query.pred_sc),
                     brand,
-                    shop: rng.zipf(self.config.n_shops, 1.05) - 1,
+                    shop: rng.weighted_index(&self.shop_weights),
                     user_segment,
                     price_bucket,
                     numeric,

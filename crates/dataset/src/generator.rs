@@ -23,6 +23,19 @@ pub(crate) const F_SALES: usize = 1;
 /// Index of `price_z` in the numeric features.
 pub(crate) const F_PRICE: usize = 0;
 
+/// Zipf exponent of shop popularity: shop rank `k` (1-based) is drawn
+/// with weight `k^-1.05`.
+const SHOP_ZIPF_EXPONENT: f64 = 1.05;
+
+/// The shop-rank weights, built once per split or drift world so each
+/// draw is one [`Rng::weighted_index`] (index = rank − 1) rather than
+/// `n_shops` `powf` calls.
+pub(crate) fn shop_weights(n_shops: usize) -> Vec<f64> {
+    (1..=n_shops)
+        .map(|k| (k as f64).powf(-SHOP_ZIPF_EXPONENT))
+        .collect()
+}
+
 /// Generates a complete dataset from the configuration.
 ///
 /// Determinism: two calls with equal configs produce identical datasets.
@@ -32,6 +45,7 @@ pub(crate) const F_PRICE: usize = 0;
 /// [`GeneratorConfig::validate`]).
 #[must_use]
 pub fn generate(config: &GeneratorConfig) -> Dataset {
+    let _span = amoe_obs::Span::enter("dataset.generate");
     config.validate();
     let mut root = Rng::seed_from(config.seed);
     let mut world_rng = root.fork(1);
@@ -155,6 +169,7 @@ fn generate_split(
     let mut examples = Vec::new();
     let mut sessions = Vec::new();
     let mut seen_queries = vec![false; queries.len()];
+    let shop_weights = shop_weights(config.n_shops);
     let span = config.max_items_per_session - config.min_items_per_session + 1;
 
     for session_id in 0..n_sessions {
@@ -205,7 +220,7 @@ fn generate_split(
                 pred_sc: query.pred_sc,
                 pred_tc: hierarchy.parent(query.pred_sc),
                 brand,
-                shop: rng.zipf(config.n_shops, 1.05) - 1,
+                shop: rng.weighted_index(&shop_weights),
                 user_segment,
                 price_bucket,
                 numeric,

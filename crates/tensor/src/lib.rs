@@ -13,15 +13,17 @@
 //! # Design notes
 //!
 //! * Everything is `f32`: the paper's models are small MLPs where single
-//!   precision is standard, and it doubles effective memory bandwidth on
-//!   the single-core benchmark host.
+//!   precision is standard, and it doubles effective memory bandwidth and
+//!   SIMD lanes over `f64` on the 2-core benchmark host.
 //! * Shapes are validated eagerly; mismatches are programming errors and
 //!   panic with a message naming the operation and both shapes. Fallible
 //!   construction from user data goes through [`Matrix::try_from_vec`].
-//! * The mat-mul kernels use the `ikj` loop order so the inner loop is a
-//!   contiguous FMA sweep the compiler can auto-vectorise; that is within
-//!   a small factor of hand-tuned kernels at the matrix sizes used here
-//!   (hidden dims ≤ 512).
+//! * The mat-mul kernels pack their operands into cache-blocked panels
+//!   and accumulate `MR x NR` register tiles with a separate multiply and
+//!   add per step (never a fused multiply-add), so every fast path is
+//!   bit-identical to the naive `ikj` reference. On x86-64 the packed
+//!   kernel runs an AVX2 copy when the CPU has AVX2 (see
+//!   [`matmul`]'s module docs).
 //! * Products large enough to amortise region dispatch are row-blocked
 //!   across the [`pool`] runtime; each worker owns a disjoint block of
 //!   output rows, so results are bit-identical for every thread count

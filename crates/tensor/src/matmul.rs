@@ -24,6 +24,22 @@
 //!   over both panels and a fixed `[[f32; NR]; MR]` accumulator tile:
 //!   no bounds checks, fixed trip widths, autovectorisable.
 //!
+//! # Instruction sets
+//!
+//! The packed kernel body is compiled twice: once for the target's
+//! baseline (SSE2 on x86-64, four `f32` lanes), and on x86-64 once more
+//! inside `#[target_feature(enable = "avx2")]` (eight lanes, so one
+//! `NR`-wide tile row is one register). Each product picks its copy
+//! once, from `is_x86_feature_detected!("avx2")`, whose CPUID probe
+//! std caches; there is no option to force either copy. Both copies
+//! are the same Rust source, so they compute the same chain below.
+//!
+//! `fma` stays off on purpose. A fused multiply-add rounds
+//! `acc + a * b` once, where the chain below rounds the product and
+//! then the sum, so it would change results in the last bit.
+//! Enabling `avx2` alone never fuses: rustc does not contract a
+//! separate multiply and add into an FMA.
+//!
 //! # Exact-result contract
 //!
 //! Every kernel — packed, naive fallback, parallel or serial — computes
@@ -57,15 +73,20 @@ pub const PAR_FLOP_THRESHOLD: usize = 1 << 17;
 
 /// Minimum `m * k * n` multiply-add count before the packed blocked
 /// kernel pays for its copies. Below this the naive reference loop is
-/// both faster (no packing traffic) and identical in result.
-pub const PACK_FLOP_THRESHOLD: usize = 1 << 13;
+/// both faster (no packing traffic) and identical in result. At 2¹²
+/// the packed kernel already wins on the tower's narrow products
+/// (256x16x1 forward, 16x256x1 and 256x1x16 backward), whose naive
+/// inner loops run one element wide.
+pub const PACK_FLOP_THRESHOLD: usize = 1 << 12;
 
 /// Micro-tile height: output rows accumulated per register tile.
 pub const MR: usize = 4;
 
 /// Micro-tile width: output columns accumulated per register tile.
-/// `MR * NR` f32 accumulators fit the 16 SSE2 registers of the x86-64
-/// baseline with room for the broadcast and the `B` line.
+/// One tile row fills one 256-bit AVX2 register (two 128-bit SSE2
+/// registers), so the `MR * NR` accumulators take 4 of the 16 vector
+/// registers in the AVX2 copy and 8 in the SSE2 copy, leaving room for
+/// the broadcast and the `B` line.
 pub const NR: usize = 8;
 
 /// `p`-dimension block size: one packed `A` strip (`KC * MR` floats)
@@ -255,8 +276,15 @@ fn pack_b_nn(b: &Matrix) -> PackedB {
         {
             let j0 = s * NR;
             let w = NR.min(n - j0);
-            for (p, line) in strip.chunks_mut(NR).enumerate() {
-                line[..w].copy_from_slice(&b.row(p0 + p)[j0..j0 + w]);
+            for (p, line) in strip.chunks_exact_mut(NR).enumerate() {
+                let b_row = b.row(p0 + p);
+                // Constant-width copies compile to vector moves (see
+                // `gemm_block_body`).
+                if w == NR {
+                    line.copy_from_slice(&b_row[j0..j0 + NR]);
+                } else {
+                    line[..w].copy_from_slice(&b_row[j0..j0 + w]);
+                }
             }
         }
         p0 += kc;
@@ -282,9 +310,9 @@ fn pack_b_nt(b: &Matrix) -> PackedB {
             let j0 = s * NR;
             let w = NR.min(n - j0);
             for jj in 0..w {
-                let b_row = b.row(j0 + jj);
-                for (p, line) in strip.chunks_mut(NR).enumerate() {
-                    line[jj] = b_row[p0 + p];
+                let b_row = &b.row(j0 + jj)[p0..p0 + kc];
+                for (line, &v) in strip.chunks_exact_mut(NR).zip(b_row) {
+                    line[jj] = v;
                 }
             }
         }
@@ -307,8 +335,9 @@ fn pack_a(a: AOrient<'_>, first_row: usize, rows: usize, p0: usize, kc: usize, b
                 let i0 = first_row + s * MR;
                 let h = MR.min(first_row + rows - i0);
                 for r in 0..h {
-                    for (p, &v) in a.row(i0 + r)[p0..p0 + kc].iter().enumerate() {
-                        strip[p * MR + r] = v;
+                    let a_row = &a.row(i0 + r)[p0..p0 + kc];
+                    for (slot, &v) in strip[r..].iter_mut().step_by(MR).zip(a_row) {
+                        *slot = v;
                     }
                 }
             }
@@ -319,7 +348,11 @@ fn pack_a(a: AOrient<'_>, first_row: usize, rows: usize, p0: usize, kc: usize, b
                 for (s, strip) in buf.chunks_mut(kc * MR).enumerate() {
                     let i0 = first_row + s * MR;
                     let h = MR.min(first_row + rows - i0);
-                    strip[p * MR..p * MR + h].copy_from_slice(&a_row[i0..i0 + h]);
+                    if h == MR {
+                        strip[p * MR..p * MR + MR].copy_from_slice(&a_row[i0..i0 + MR]);
+                    } else {
+                        strip[p * MR..p * MR + h].copy_from_slice(&a_row[i0..i0 + h]);
+                    }
                 }
             }
         }
@@ -329,23 +362,97 @@ fn pack_a(a: AOrient<'_>, first_row: usize, rows: usize, p0: usize, kc: usize, b
 /// The register-tile inner loop: `acc[r][c] += apanel[p][r] *
 /// bstrip[p][c]` for `p` ascending over one `KC` block. `chunks_exact`
 /// over both panels eliminates bounds checks; the fixed `MR x NR`
-/// accumulator tile unrolls into vector registers.
-#[inline]
+/// accumulator tile unrolls into vector registers. Always inlined, so
+/// each copy of [`gemm_block_body`] vectorises it for its own
+/// instruction set.
+#[inline(always)]
 fn microkernel(apanel: &[f32], bstrip: &[f32], acc: &mut [[f32; NR]; MR]) {
+    // Accumulate in a local tile, zipped rather than indexed: with
+    // `acc[r]` the crate's unit-test build kept all `MR * NR`
+    // accumulators as scalars in memory and never vectorised them.
+    let mut tile = *acc;
     for (ap, bp) in apanel.chunks_exact(MR).zip(bstrip.chunks_exact(NR)) {
-        for (r, &ar) in ap.iter().enumerate() {
-            for (av, &bv) in acc[r].iter_mut().zip(bp) {
+        for (row, &ar) in tile.iter_mut().zip(ap) {
+            for (av, &bv) in row.iter_mut().zip(bp) {
                 *av += ar * bv;
             }
         }
     }
+    *acc = tile;
+}
+
+/// Which compiled copy of the packed kernel a product runs (see
+/// "Instruction sets" in the module docs). Only [`Kernel::detect`] can
+/// select the AVX2 copy, so holding one proves this CPU runs AVX2.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Kernel {
+    avx2: bool,
+}
+
+impl Kernel {
+    /// The copy built for the target's baseline (SSE2 on x86-64).
+    #[cfg(test)]
+    const PORTABLE: Kernel = Kernel { avx2: false };
+
+    /// The widest copy this CPU runs. `is_x86_feature_detected!`
+    /// caches its CPUID probe in a static, so after the first product
+    /// this is one atomic load.
+    pub(crate) fn detect() -> Kernel {
+        #[cfg(target_arch = "x86_64")]
+        let avx2 = std::arch::is_x86_feature_detected!("avx2");
+        #[cfg(not(target_arch = "x86_64"))]
+        let avx2 = false;
+        Kernel { avx2 }
+    }
+
+    /// Runs [`gemm_block_body`] in this copy.
+    fn gemm_block(
+        self,
+        a: AOrient<'_>,
+        bp: &PackedB,
+        k: usize,
+        n: usize,
+        first_row: usize,
+        block: &mut [f32],
+    ) {
+        #[cfg(target_arch = "x86_64")]
+        if self.avx2 {
+            // SAFETY: `avx2` is true only when `Kernel::detect` found
+            // AVX2 on the running CPU, which is all `gemm_block_avx2`'s
+            // `target_feature` requires.
+            unsafe { gemm_block_avx2(a, bp, k, n, first_row, block) };
+            return;
+        }
+        gemm_block_body(a, bp, k, n, first_row, block);
+    }
+}
+
+/// [`gemm_block_body`] compiled with AVX2 (256-bit lanes). `fma` stays
+/// off: a fused multiply-add rounds once where the reference chain
+/// rounds twice, which would break the exact-result contract.
+///
+/// # Safety
+/// The running CPU must support AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn gemm_block_avx2(
+    a: AOrient<'_>,
+    bp: &PackedB,
+    k: usize,
+    n: usize,
+    first_row: usize,
+    block: &mut [f32],
+) {
+    gemm_block_body(a, bp, k, n, first_row, block);
 }
 
 /// Blocked kernel over output rows `[first_row, first_row + rows)`:
 /// for each `KC` block (ascending `p`), pack the block's `A` strips,
 /// then sweep `MR x NR` tiles. Tiles are loaded from `C` and stored
 /// back, so the per-element chain is exactly the reference chain.
-pub(crate) fn gemm_block(
+/// Always inlined, so the portable and AVX2 copies each compile it.
+#[inline(always)]
+fn gemm_block_body(
     a: AOrient<'_>,
     bp: &PackedB,
     k: usize,
@@ -367,14 +474,27 @@ pub(crate) fn gemm_block(
                 let j0 = sb * NR;
                 let w = NR.min(n - j0);
                 let bstrip = &bp.data[bbase + sb * kc * NR..bbase + (sb + 1) * kc * NR];
+                // Full-width tile rows copy a constant `NR` floats, which
+                // compiles to vector moves; a variable-width copy is a
+                // `memcpy` call per row and cost more than the tile's
+                // arithmetic at the tower shapes.
                 let mut acc = [[0.0f32; NR]; MR];
-                for r in 0..h {
-                    let c_line = &block[(r0 + r) * n + j0..(r0 + r) * n + j0 + w];
-                    acc[r][..w].copy_from_slice(c_line);
+                for (r, acc_row) in acc.iter_mut().enumerate().take(h) {
+                    let c0 = (r0 + r) * n + j0;
+                    if w == NR {
+                        acc_row.copy_from_slice(&block[c0..c0 + NR]);
+                    } else {
+                        acc_row[..w].copy_from_slice(&block[c0..c0 + w]);
+                    }
                 }
                 microkernel(apanel, bstrip, &mut acc);
-                for r in 0..h {
-                    block[(r0 + r) * n + j0..(r0 + r) * n + j0 + w].copy_from_slice(&acc[r][..w]);
+                for (r, acc_row) in acc.iter().enumerate().take(h) {
+                    let c0 = (r0 + r) * n + j0;
+                    if w == NR {
+                        block[c0..c0 + NR].copy_from_slice(acc_row);
+                    } else {
+                        block[c0..c0 + w].copy_from_slice(&acc_row[..w]);
+                    }
                 }
             }
         }
@@ -382,10 +502,30 @@ pub(crate) fn gemm_block(
     }
 }
 
-/// Shared driver: picks packed/naive and serial/parallel per shape.
-/// All four paths produce identical bits (see module docs), so the
-/// dispatch is invisible in the numbers.
-fn run_gemm(
+/// The packed product into `c` (`m x n`, zeroed), row-blocked across
+/// the pool when worthwhile, in the given kernel copy.
+fn gemm_packed(
+    kernel: Kernel,
+    a: AOrient<'_>,
+    bp: &PackedB,
+    m: usize,
+    k: usize,
+    n: usize,
+    c: &mut [f32],
+) {
+    if parallel_worthwhile(m, k, n) {
+        pool::par_row_blocks(c, m, n, |first_row, block| {
+            kernel.gemm_block(a, bp, k, n, first_row, block);
+        });
+    } else {
+        kernel.gemm_block(a, bp, k, n, 0, c);
+    }
+}
+
+/// Shared driver: picks packed/naive, serial/parallel and the kernel
+/// copy per product. All paths produce identical bits (see module
+/// docs), so the dispatch is invisible in the numbers.
+pub(crate) fn run_gemm(
     a: AOrient<'_>,
     packed: impl Fn() -> PackedB,
     naive: impl Fn(usize, &mut [f32]) + Sync,
@@ -395,14 +535,7 @@ fn run_gemm(
 ) -> Matrix {
     let mut c = Matrix::zeros(m, n);
     if pack_worthwhile(m, k, n) {
-        let bp = packed();
-        if parallel_worthwhile(m, k, n) {
-            pool::par_row_blocks(c.as_mut_slice(), m, n, |first_row, block| {
-                gemm_block(a, &bp, k, n, first_row, block);
-            });
-        } else {
-            gemm_block(a, &bp, k, n, 0, c.as_mut_slice());
-        }
+        gemm_packed(Kernel::detect(), a, &packed(), m, k, n, c.as_mut_slice());
     } else if parallel_worthwhile(m, k, n) {
         pool::par_row_blocks(c.as_mut_slice(), m, n, &naive);
     } else {
@@ -552,6 +685,60 @@ mod tests {
                 reference::matmul_nt(&a, &bt),
                 "matmul_nt {m}x{k}x{n}"
             );
+        }
+    }
+
+    /// Both compiled copies of the packed kernel, forced even where
+    /// dispatch would take the naive loop, against the oracle with
+    /// `==` in every flavour: the tower shapes (rows x (k, n)), partial
+    /// tiles, and a depth that crosses `KC`.
+    #[test]
+    fn both_kernel_copies_match_reference_exactly() {
+        let mut kernels = vec![Kernel::PORTABLE];
+        if Kernel::detect().avx2 {
+            kernels.push(Kernel::detect());
+        } else {
+            eprintln!("this CPU has no AVX2: only the portable copy runs");
+        }
+        let mut rng = Rng::seed_from(29);
+        for m in [1usize, 3, 4, 17, 255, 256, 300] {
+            for (k, n) in [(48usize, 32usize), (32, 16), (16, 1), (8, 10), (KC + 3, 5)] {
+                let a = rng.normal_matrix(m, k, 0.0, 1.0);
+                let at = rng.normal_matrix(k, m, 0.0, 1.0);
+                let b = rng.normal_matrix(k, n, 0.0, 1.0);
+                let bt = rng.normal_matrix(n, k, 0.0, 1.0);
+                let flavours = [
+                    (
+                        "nn",
+                        AOrient::RowMajor(&a),
+                        pack_b_nn(&b),
+                        matmul(&a, &b),
+                        reference::matmul(&a, &b),
+                    ),
+                    (
+                        "tn",
+                        AOrient::ColMajor(&at),
+                        pack_b_nn(&b),
+                        matmul_tn(&at, &b),
+                        reference::matmul_tn(&at, &b),
+                    ),
+                    (
+                        "nt",
+                        AOrient::RowMajor(&a),
+                        pack_b_nt(&bt),
+                        matmul_nt(&a, &bt),
+                        reference::matmul_nt(&a, &bt),
+                    ),
+                ];
+                for (name, a_eff, bp, dispatched, oracle) in &flavours {
+                    assert_eq!(dispatched, oracle, "dispatched {name} {m}x{k}x{n}");
+                    for &kernel in &kernels {
+                        let mut c = Matrix::zeros(m, n);
+                        gemm_packed(kernel, *a_eff, bp, m, k, n, c.as_mut_slice());
+                        assert_eq!(&c, oracle, "{kernel:?} {name} {m}x{k}x{n}");
+                    }
+                }
+            }
         }
     }
 

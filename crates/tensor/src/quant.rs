@@ -2,9 +2,9 @@
 //!
 //! Serving-time expert forwards are weight-stationary: the same tower
 //! weights multiply every request batch, so shrinking the weights 4x
-//! (f32 → i8) cuts the memory traffic that dominates the single-core
-//! GEMM. Quantization is **symmetric per row** of the stored matrix:
-//! row `j` keeps one f32 scale `s_j = max|w_j| / 127` and i8 codes
+//! (f32 → i8) cuts the weight memory traffic of the tower GEMMs.
+//! Quantization is **symmetric per row** of the stored matrix: row `j`
+//! keeps one f32 scale `s_j = max|w_j| / 127` and i8 codes
 //! `q = round(w / s_j)`, so dequantization is `w ≈ s_j * q` and the
 //! per-element round-trip error is bounded by `s_j / 2`.
 //!
@@ -30,7 +30,6 @@
 //! behind an opt-in flag.
 
 use crate::matmul::{self, AOrient, PackedB, KC, NR};
-use crate::pool;
 use crate::Matrix;
 
 /// An i8 matrix with one f32 scale per stored row.
@@ -186,9 +185,10 @@ fn naive_q_block(a: &Matrix, b: &QuantMatrix, first_row: usize, block: &mut [f32
 /// (matching [`crate::matmul::matmul_nt`]'s layout).
 ///
 /// Bit-identical to `matmul_nt(a, &b.dequantize())` on every dispatch
-/// path (see module docs), and row-blocked across the [`pool`] runtime
-/// with the same disjoint-output-rows split as the f32 kernels, so
-/// results are identical for every `AMOE_THREADS`.
+/// path (see module docs), and row-blocked across the
+/// [`pool`](crate::pool) runtime with the same disjoint-output-rows
+/// split as the f32 kernels, so results are identical for every
+/// `AMOE_THREADS`.
 ///
 /// # Panics
 /// Panics if `a.cols() != b.cols()`.
@@ -203,24 +203,14 @@ pub fn matmul_nt_q(a: &Matrix, b: &QuantMatrix) -> Matrix {
         b.cols()
     );
     let (m, k, n) = (a.rows(), a.cols(), b.rows());
-    let mut c = Matrix::zeros(m, n);
-    if matmul::pack_worthwhile(m, k, n) {
-        let bp = pack_b_nt_q(b);
-        if matmul::parallel_worthwhile(m, k, n) {
-            pool::par_row_blocks(c.as_mut_slice(), m, n, |first_row, block| {
-                matmul::gemm_block(AOrient::RowMajor(a), &bp, k, n, first_row, block);
-            });
-        } else {
-            matmul::gemm_block(AOrient::RowMajor(a), &bp, k, n, 0, c.as_mut_slice());
-        }
-    } else if matmul::parallel_worthwhile(m, k, n) {
-        pool::par_row_blocks(c.as_mut_slice(), m, n, |first_row, block| {
-            naive_q_block(a, b, first_row, block);
-        });
-    } else {
-        naive_q_block(a, b, 0, c.as_mut_slice());
-    }
-    c
+    matmul::run_gemm(
+        AOrient::RowMajor(a),
+        || pack_b_nt_q(b),
+        |first_row, block| naive_q_block(a, b, first_row, block),
+        m,
+        k,
+        n,
+    )
 }
 
 #[cfg(test)]

@@ -182,7 +182,11 @@ impl Rng {
         idx
     }
 
-    /// Samples an index according to unnormalised non-negative weights.
+    /// Samples an index according to unnormalised non-negative weights:
+    /// one `uniform()` scaled by the weight sum, then the weights are
+    /// subtracted in order until the target goes negative. Callers that
+    /// draw often from one distribution (the generator's Zipf shop
+    /// ranks, `weights[k] = (k + 1)^-s`) build the weights once.
     ///
     /// # Panics
     /// Panics if weights are empty or sum to zero/NaN.
@@ -200,23 +204,6 @@ impl Rng {
             }
         }
         weights.len() - 1 // fp rounding fallback
-    }
-
-    /// Samples from a Zipf distribution over ranks `1..=n` with exponent
-    /// `s` (inverse-CDF over precomputed weights is the caller's job for
-    /// hot loops; this is the simple direct method).
-    pub fn zipf(&mut self, n: usize, s: f64) -> usize {
-        assert!(n > 0);
-        // Direct inverse-CDF on the harmonic partial sums.
-        let h: f64 = (1..=n).map(|k| (k as f64).powf(-s)).sum();
-        let mut target = self.uniform() * h;
-        for k in 1..=n {
-            target -= (k as f64).powf(-s);
-            if target < 0.0 {
-                return k;
-            }
-        }
-        n
     }
 }
 
@@ -318,15 +305,39 @@ mod tests {
         assert!((p2 - 0.7).abs() < 0.02, "p2 {p2}");
     }
 
-    #[test]
-    fn zipf_rank_one_most_frequent() {
-        let mut rng = Rng::seed_from(10);
-        let mut counts = [0usize; 11];
-        for _ in 0..10_000 {
-            counts[rng.zipf(10, 1.2)] += 1;
+    /// The direct inverse-CDF Zipf sampler over ranks `1..=n`, kept as
+    /// the reference for precomputed weights: rank weights `k^-s`
+    /// summed, then subtracted in order from one scaled uniform.
+    fn zipf_direct(rng: &mut Rng, n: usize, s: f64) -> usize {
+        let h: f64 = (1..=n).map(|k| (k as f64).powf(-s)).sum();
+        let mut target = rng.uniform() * h;
+        for k in 1..=n {
+            target -= (k as f64).powf(-s);
+            if target < 0.0 {
+                return k;
+            }
         }
-        assert!(counts[1] > counts[2]);
-        assert!(counts[2] > counts[5]);
+        n
+    }
+
+    #[test]
+    fn precomputed_zipf_weights_reproduce_direct_draws() {
+        for (n, s) in [(10usize, 1.2f64), (400, 1.05)] {
+            let weights: Vec<f64> = (1..=n).map(|k| (k as f64).powf(-s)).collect();
+            let mut direct = Rng::seed_from(10);
+            let mut table = Rng::seed_from(10);
+            let mut counts = vec![0usize; n];
+            for draw in 0..10_000 {
+                let rank = zipf_direct(&mut direct, n, s);
+                assert_eq!(
+                    table.weighted_index(&weights) + 1,
+                    rank,
+                    "draw {draw} of Zipf({n}, {s})"
+                );
+                counts[rank - 1] += 1;
+            }
+            assert!(counts[0] > counts[1] && counts[1] > counts[4], "{counts:?}");
+        }
     }
 
     #[test]

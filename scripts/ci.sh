@@ -186,9 +186,10 @@ AMOE_TRACE=target/ci_trace_smoke.json \
   cargo run --release --offline -p amoe-bench --bin trace_smoke
 
 step "noalloc guard: disabled telemetry and tracing allocate nothing"
-# Debug build on purpose: the counting allocator must not be optimised
+# Unoptimised on purpose: the counting allocator must not be optimised
 # around, and the zero-allocation contract has to hold without the
-# optimiser's help.
-cargo test -q --offline --test obs_noalloc
+# optimiser's help. The dev profile itself runs at opt-level 1 (root
+# Cargo.toml), so this step sets opt-level 0 explicitly.
+cargo test -q --offline --config profile.dev.opt-level=0 --test obs_noalloc
 
 step "ci green"

@@ -9,10 +9,11 @@
 //! lives in a single `#[test]` because the thread budget is process
 //! global state.
 
-use adv_hsc_moe::dataset::{generate, Batch, DriftConfig, DriftWorld, GeneratorConfig};
+use adv_hsc_moe::dataset::{generate, Batch, DriftConfig, DriftWorld, GeneratorConfig, Split};
 use adv_hsc_moe::moe::ranker::{OptimConfig, Ranker};
 use adv_hsc_moe::moe::serving::{QuantizedExperts, ServingMoe};
 use adv_hsc_moe::moe::{MoeConfig, MoeModel, TrainConfig, Trainer};
+use adv_hsc_moe::online::SessionStream;
 use adv_hsc_moe::tensor::matmul::{self, reference};
 use adv_hsc_moe::tensor::{pool, Rng};
 
@@ -302,5 +303,70 @@ fn drift_stream_windows_identical_across_runs_and_thread_counts() {
         drift_fingerprint(&other, &ticks, 12),
         reference,
         "drift schedule seed must matter"
+    );
+}
+
+/// FNV-1a (64-bit) over the session ranges and every field of every
+/// example of a split, with floats as raw bits.
+fn split_hash(split: &Split) -> u64 {
+    let mut h = 0xCBF2_9CE4_8422_2325u64;
+    let mut eat = |v: u64| {
+        for byte in v.to_le_bytes() {
+            h = (h ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01B3);
+        }
+    };
+    for r in &split.sessions {
+        eat(r.start as u64);
+        eat(r.end as u64);
+    }
+    for e in &split.examples {
+        eat(u64::from(e.session));
+        eat(u64::from(e.query));
+        eat(e.true_sc as u64);
+        eat(e.true_tc as u64);
+        eat(e.pred_sc as u64);
+        eat(e.pred_tc as u64);
+        eat(e.brand as u64);
+        eat(e.shop as u64);
+        eat(e.user_segment as u64);
+        eat(e.price_bucket as u64);
+        for v in e.numeric {
+            eat(u64::from(v.to_bits()));
+        }
+        eat(u64::from(e.label));
+        eat(u64::from(e.raw_sales.to_bits()));
+    }
+    h
+}
+
+#[test]
+fn generated_data_matches_pinned_fingerprints() {
+    // The constants were taken from the generator that drew each shop
+    // with the direct inverse-CDF Zipf sampler. Any change to how the
+    // log or a drift window is drawn — sampler, draw order, float
+    // chain — moves them, so sampler rewrites must keep every example
+    // bit for bit.
+    let static_log: Vec<(u64, u64)> = [1u64, 2]
+        .iter()
+        .map(|&seed| {
+            let d = generate(&GeneratorConfig::tiny(seed));
+            (split_hash(&d.train), split_hash(&d.test))
+        })
+        .collect();
+    let stream = SessionStream::new(&GeneratorConfig::tiny(47), &DriftConfig::default(), 12);
+    let window = stream.window_at(5);
+    let drift_window = (window.tick, split_hash(&window.split));
+    assert_eq!(
+        static_log,
+        [
+            (0xCE44_29FB_F283_D293, 0xE3AC_F40F_E999_A900),
+            (0x3710_C487_6E7E_1E29, 0x2909_F27F_6ACE_EA8D),
+        ],
+        "static log moved"
+    );
+    assert_eq!(
+        drift_window,
+        (5, 0x450A_15CF_450C_7A98),
+        "drift window moved"
     );
 }
