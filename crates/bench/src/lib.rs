@@ -1,88 +1,8 @@
-//! Shared command-line plumbing for the experiment binaries.
+//! The reproduction entry point and its one shared check.
 //!
-//! Every binary accepts:
-//!
-//! ```text
-//! --seed <u64>      dataset seed            (default 20210407)
-//! --model-seed <u64> model-init seed        (default 17)
-//! --scale <f64>     dataset volume factor   (default 1.0)
-//! --epochs <usize>  training epochs         (default 2)
-//! --batch <usize>   mini-batch size         (default 256)
-//! --out <dir>       CSV output directory    (default results)
-//! --quiet           suppress progress logs
-//! ```
+//! `repro_all` (in `src/bin`) regenerates every table and figure of the
+//! paper, or one of them by name. [`obs_check`] holds the Chrome
+//! trace-event validator that the integration tests and `perfbench`
+//! hold the `AMOE_TRACE` / `GET /trace` export to.
 
 pub mod obs_check;
-pub mod timing;
-
-use amoe_experiments::SuiteConfig;
-
-/// Parsed common flags.
-pub struct Cli {
-    /// The suite configuration implied by the flags.
-    pub config: SuiteConfig,
-    /// Output directory for CSV artefacts.
-    pub out_dir: std::path::PathBuf,
-}
-
-/// Parses `std::env::args`, exiting with a usage message on error.
-#[must_use]
-pub fn parse_cli(binary: &str) -> Cli {
-    let mut config = SuiteConfig {
-        verbose: true,
-        ..SuiteConfig::default()
-    };
-    let mut out_dir = std::path::PathBuf::from("results");
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    let usage = || -> ! {
-        eprintln!(
-            "usage: {binary} [--seed u64] [--model-seed u64] [--scale f64] \
-             [--epochs n] [--batch n] [--out dir] [--quiet]"
-        );
-        std::process::exit(2);
-    };
-    while i < args.len() {
-        let need_value = |i: usize| -> &str {
-            args.get(i + 1)
-                .map(String::as_str)
-                .unwrap_or_else(|| usage())
-        };
-        match args[i].as_str() {
-            "--seed" => {
-                config.data_seed = need_value(i).parse().unwrap_or_else(|_| usage());
-                i += 2;
-            }
-            "--model-seed" => {
-                config.model_seed = need_value(i).parse().unwrap_or_else(|_| usage());
-                i += 2;
-            }
-            "--scale" => {
-                config.scale = need_value(i).parse().unwrap_or_else(|_| usage());
-                i += 2;
-            }
-            "--epochs" => {
-                config.epochs = need_value(i).parse().unwrap_or_else(|_| usage());
-                i += 2;
-            }
-            "--batch" => {
-                config.batch_size = need_value(i).parse().unwrap_or_else(|_| usage());
-                i += 2;
-            }
-            "--out" => {
-                out_dir = need_value(i).into();
-                i += 2;
-            }
-            "--quiet" => {
-                config.verbose = false;
-                i += 1;
-            }
-            "--help" | "-h" => usage(),
-            other => {
-                eprintln!("unknown flag {other}");
-                usage();
-            }
-        }
-    }
-    Cli { config, out_dir }
-}

@@ -1,40 +1,17 @@
-//! Shared JSONL run-log validation for the smoke gates.
+//! Validation of the Chrome trace-event JSON exported by `AMOE_TRACE`
+//! and `GET /trace`.
 //!
-//! `obs_smoke` and `load_sweep` both end by re-reading the file the
-//! telemetry sink produced and checking the schema contract: every
-//! line parses as JSON, carries `event` and `ts`, and contains no
-//! non-finite number (the writer serialises those as `null`, so a
-//! `null` anywhere is a violation). Helpers return `Err(String)`
-//! rather than exiting so callers own the failure policy.
-//!
-//! [`validate_chrome_trace`] applies the same policy to the Chrome
-//! trace-event JSON exported by `AMOE_TRACE` / `GET /trace`: schema
+//! [`validate_chrome_trace`] checks the schema
 //! (name/cat/ph/ts/dur/pid/tid/args), finiteness, non-negative
-//! durations, and per-thread monotone timestamps.
-//!
-//! [`validate_exposition`] does the same for the Prometheus text
-//! `/metrics` pages scraped off the observability listener (grammar,
-//! `amoe_*` naming, finite values, monotone cumulative buckets,
-//! exemplar syntax). The implementation lives in
-//! [`amoe_obs::expose`] — next to the renderer it polices — and is
-//! re-exported here so the smoke gates keep one validation entry
-//! point per format.
+//! durations, and per-thread monotone timestamps. It returns
+//! `Err(String)` rather than exiting so callers own the failure
+//! policy.
 
 use amoe_obs::json::{parse, Value};
 
-pub use amoe_obs::expose::validate_exposition;
-
-/// One validated record: its `event` kind plus the parsed object.
-pub struct Record {
-    /// The record's `event` field.
-    pub kind: String,
-    /// The full parsed JSON object.
-    pub value: Value,
-}
-
 /// Recursively checks that every number in `v` is finite and no value
 /// is `null` (the writer's stand-in for non-finite floats).
-pub fn check_finite(v: &Value, context: &str) -> Result<(), String> {
+fn check_finite(v: &Value, context: &str) -> Result<(), String> {
     match v {
         Value::Null => Err(format!(
             "{context}: null value (non-finite number emitted?)"
@@ -44,39 +21,6 @@ pub fn check_finite(v: &Value, context: &str) -> Result<(), String> {
         Value::Obj(map) => map.values().try_for_each(|i| check_finite(i, context)),
         _ => Ok(()),
     }
-}
-
-/// Checks that `record` carries every field in `fields`.
-pub fn require_fields(record: &Value, kind: &str, fields: &[&str]) -> Result<(), String> {
-    for f in fields {
-        if record.get(f).is_none() {
-            return Err(format!("{kind} record is missing field '{f}'"));
-        }
-    }
-    Ok(())
-}
-
-/// Validates a whole JSONL body against the sink contract and returns
-/// the records for caller-specific checks.
-pub fn validate_jsonl(body: &str) -> Result<Vec<Record>, String> {
-    let mut records = Vec::new();
-    for (lineno, line) in body.lines().enumerate() {
-        let record = parse(line).map_err(|e| format!("line {}: invalid JSON: {e}", lineno + 1))?;
-        let kind = record
-            .get("event")
-            .and_then(Value::as_str)
-            .ok_or_else(|| format!("line {}: missing 'event'", lineno + 1))?
-            .to_string();
-        if record.get("ts").and_then(Value::as_f64).is_none() {
-            return Err(format!("line {}: missing 'ts'", lineno + 1));
-        }
-        check_finite(&record, &format!("line {} ({kind})", lineno + 1))?;
-        records.push(Record {
-            kind,
-            value: record,
-        });
-    }
-    Ok(records)
 }
 
 /// Validates a Chrome trace-event JSON document (the `AMOE_TRACE` /
@@ -142,32 +86,6 @@ pub fn validate_chrome_trace(body: &str) -> Result<usize, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn valid_body_passes() {
-        let body = "{\"event\":\"x\",\"ts\":0.5,\"n\":3}\n{\"event\":\"y\",\"ts\":1.0}";
-        let records = validate_jsonl(body).expect("valid");
-        assert_eq!(records.len(), 2);
-        assert_eq!(records[0].kind, "x");
-    }
-
-    #[test]
-    fn null_value_is_a_violation() {
-        let body = "{\"event\":\"x\",\"ts\":0.5,\"n\":null}";
-        assert!(validate_jsonl(body).is_err());
-    }
-
-    #[test]
-    fn missing_event_is_a_violation() {
-        assert!(validate_jsonl("{\"ts\":0.5}").is_err());
-    }
-
-    #[test]
-    fn missing_required_field_reported() {
-        let records = validate_jsonl("{\"event\":\"x\",\"ts\":0.5,\"a\":1}").unwrap();
-        assert!(require_fields(&records[0].value, "x", &["a"]).is_ok());
-        assert!(require_fields(&records[0].value, "x", &["b"]).is_err());
-    }
 
     #[test]
     fn chrome_trace_round_trips_through_the_validator() {

@@ -20,9 +20,9 @@
 //! budget, but each row's cut is computed independently, so the routing
 //! tables it produces do not.)
 //!
-//! The `serving_sweep` bench demonstrates the constant-cost property by
-//! sweeping `N` at fixed `K`, and the parallel speedup by sweeping the
-//! thread count.
+//! `examples/serving.rs` demonstrates the constant-cost property by
+//! sweeping `N` at fixed `K`; `tests/determinism.rs` holds the logits
+//! bit-identical across thread counts at `N` = 8 and 32.
 //!
 //! # Quantized expert weights (opt-in)
 //!

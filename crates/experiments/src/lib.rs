@@ -4,8 +4,8 @@
 //!
 //! Every experiment is a pure function from a [`SuiteConfig`] to a typed
 //! report that implements `Display` in the shape of the corresponding
-//! paper table. The `amoe-bench` crate provides one binary per
-//! experiment; `EXPERIMENTS.md` at the workspace root records
+//! paper table. The `amoe-bench` crate's `repro_all` binary runs them
+//! all, or one by name; `EXPERIMENTS.md` at the workspace root records
 //! paper-vs-measured values.
 //!
 //! | paper artefact | module |

@@ -26,8 +26,8 @@
 //!
 //! [`validate_exposition`] is the scrape-side half: a linter for the
 //! rendered text (grammar, finite values, monotone cumulative buckets,
-//! exemplar syntax) used by `amoe_bench` and CI so the `/metrics`
-//! endpoint cannot silently rot.
+//! exemplar syntax) run by `amoe-serve scrape --lint`, the tests and
+//! CI so the `/metrics` endpoint cannot silently rot.
 
 use std::collections::BTreeSet;
 use std::fmt::Write as _;

@@ -265,7 +265,7 @@ pub fn set_active_batch(batch_id: u64) {
 /// batch_id`). Returns `true` when this batch now owns the marker and
 /// must eventually call [`release_active_batch`]. The marker is
 /// process-wide, and one process can run several servers whose
-/// batchers compute at once (the test binaries, `load_sweep`); only
+/// batchers compute at once (the test binaries); only
 /// one batch holds the marker at a time, and a losing batch's forward
 /// events simply go untagged (`batch_id` 0) instead of being
 /// mis-attributed to another server's batch.

@@ -19,9 +19,10 @@
 //!   `amoe-serve`, with probe traffic verifying the server stays
 //!   continuously available through every swap.
 //!
-//! The `amoe-online` binary wraps the loop for the CLI; the
-//! `online_sweep` bench (in `amoe-bench`) replays the same stream
-//! against a frozen model to price staleness.
+//! The `amoe-online` binary wraps the loop for the CLI.
+//! `tests/online_loop.rs` replays a drifting stream against a frozen
+//! model to price staleness, and `perfbench`'s `drift-refit` workload
+//! times the loop.
 
 pub mod daemon;
 pub mod export;

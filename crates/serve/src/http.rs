@@ -24,9 +24,7 @@
 //! Scrapes are designed to stay off the score path: rendering takes
 //! the windows lock for one merge pass (the same lock a request holds
 //! for two histogram increments) and never touches the model or the
-//! admission queue's lock beyond a depth read. The `load_sweep`
-//! scrape stage enforces the resulting contract: < 1 % throughput
-//! delta under concurrent 20 Hz scraping.
+//! admission queue's lock beyond a depth read.
 
 use std::io::{self, Read as _, Write as _};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -474,9 +472,8 @@ fn render_vars(shared: &Shared) -> String {
 }
 
 /// Minimal HTTP/1.1 GET over a fresh connection: the in-repo scrape
-/// client used by tests, CI and the `load_sweep` scrape stage (no
-/// external HTTP library in the workspace). Returns the status code
-/// and the body.
+/// client used by tests and `amoe-serve scrape` (no external HTTP
+/// library in the workspace). Returns the status code and the body.
 ///
 /// # Errors
 /// Connection, timeout, and malformed-response errors.

@@ -588,6 +588,9 @@ fn admit_score(
         reply,
         enqueued: t0,
     };
+    // Read before the push: once pushed, the batcher may pop the request
+    // and record its `queue_exit` before this thread runs again.
+    let enqueued_ns = (trace_id != 0).then(trace::now_ns);
     match shared.queue.push(pending, shared.config.overload) {
         Ok(()) => {}
         Err(PushError::Full) => {
@@ -611,8 +614,8 @@ fn admit_score(
     // The queue-depth gauge is published by the queue's depth observer,
     // under the queue lock — not here, where a concurrent pop could
     // already have made the depth stale.
-    if trace_id != 0 {
-        trace::record_instant(trace_id, 0, "enqueued", n_rows_in);
+    if let Some(t) = enqueued_ns {
+        trace::record(trace_id, 0, "enqueued", t, t, n_rows_in);
     }
     Ok(())
 }

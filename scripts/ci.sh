@@ -30,34 +30,21 @@ if [[ -z "${SKIP_CLIPPY:-}" ]]; then
 fi
 
 step "cargo build --release --offline"
-cargo build --release --offline --workspace --benches --bins
+cargo build --release --offline --workspace --bins
 
 step "cargo test -q --offline (workspace)"
 cargo test -q --offline --release --workspace
 
-step "kernel smoke: serving_sweep GEMM micro-bench + quantized stage"
-# serving_sweep's exit code covers the kernel exactness gates, the
-# quantized-score tolerance, and JSONL validation of its own run log
-# (via amoe_bench::obs_check) — see validate_run_log in the binary.
-rm -f target/ci_kernel_smoke.jsonl
-AMOE_OBS=target/ci_kernel_smoke.jsonl AMOE_BENCH_SMOKE=1 \
-  cargo run --release --offline -p amoe-bench --bin serving_sweep
-
-step "telemetry smoke: tiny training run emits valid JSONL"
-AMOE_OBS=target/ci_obs_smoke.jsonl \
-  cargo run --release --offline -p amoe-bench --bin obs_smoke
-
-step "serving smoke: load_sweep drives an amoe-serve server over TCP"
-rm -f target/ci_serve_smoke.jsonl
-AMOE_OBS=target/ci_serve_smoke.jsonl \
-  cargo run --release --offline -p amoe-bench --bin load_sweep -- --smoke
-
-step "binary smoke: amoe-serve serve driven over real TCP"
-# Exercises the standalone binary end to end: demo-export a
-# checkpoint, serve it, drive it with load_sweep's external
-# (closed+open loop) stages over pipelined connections, read the
-# counters off /vars, then drain gracefully.
-cargo build --release --offline -p amoe-serve --bin amoe-serve
+step "binary smoke: amoe-serve serve driven by amoe-online over real TCP"
+# Exercises the standalone binaries end to end: demo-export a
+# checkpoint and serve it; the amoe-online daemon then consumes the
+# drifting session stream, probes the server every tick, refits on its
+# sliding window and hot-swaps the server through two RELOAD cycles.
+# The daemon exits non-zero on any failed in-flight request or if fewer
+# than --min-reloads swaps land. The scrapes afterwards pin the
+# counters on /vars, the /metrics exposition with its freshness gauges
+# (generation counter, model age), and the health endpoints; then the
+# server drains gracefully.
 rm -rf target/ci_serve_demo && mkdir -p target/ci_serve_demo
 ./target/release/amoe-serve demo-export --out target/ci_serve_demo >/dev/null
 # The batching deadline and batcher sharding are gone; their old flags
@@ -90,19 +77,21 @@ if [[ -z "$ADDR" || -z "$OBS_ADDR" ]]; then
   kill "$SERVE_PID" 2>/dev/null || true
   exit 1
 fi
-AMOE_BENCH_SMOKE=1 \
-  cargo run --release --offline -p amoe-bench --bin load_sweep -- --smoke --addr "$ADDR"
-# /vars is one line of JSON: the drive above must have run batches,
-# and no per-shard block may come back.
+./target/release/amoe-online run --addr "$ADDR" \
+  --spec target/ci_serve_demo/model.spec \
+  --seed-ckpt target/ci_serve_demo/model.amoe \
+  --export-dir target/ci_serve_demo/exports \
+  --ticks 6 --refit-every 3 --sessions-per-tick 12 --epochs 1 \
+  --min-reloads 2
+# /vars is one line of JSON: the daemon's probes must have run
+# batches, and no per-shard block may come back.
 VARS="$(./target/release/amoe-serve scrape --obs-addr "$OBS_ADDR" --path /vars)"
 BATCHES="$(grep -o '"batches":[0-9]*' <<<"$VARS" | head -n 1 | cut -d: -f2)"
 [[ "${BATCHES:-0}" -ge 1 ]] || {
-  echo "FAIL: /vars counts ${BATCHES:-no} batches after the load_sweep drive: $VARS" >&2; exit 1; }
+  echo "FAIL: /vars counts ${BATCHES:-no} batches after the amoe-online drive: $VARS" >&2; exit 1; }
 if grep -q '"shards_detail"' <<<"$VARS"; then
   echo "FAIL: /vars still carries a shards_detail block: $VARS" >&2; exit 1
 fi
-
-step "obs smoke: /metrics lints clean, /healthz and /readyz answer"
 # The scrape subcommand is the in-repo Prometheus client: --lint runs
 # the exposition validator (grammar, amoe_* naming, monotone cumulative
 # buckets, exemplar syntax) over the live page, so a malformed
@@ -114,76 +103,17 @@ grep -q '^amoe_build_info{' target/ci_serve_demo/metrics.txt || {
 grep -q '^amoe_serve_window_request_latency_seconds_bucket{' \
   target/ci_serve_demo/metrics.txt || {
   echo "FAIL: /metrics page carries no windowed latency family" >&2; exit 1; }
+grep -q '^amoe_model_generation 2$' target/ci_serve_demo/metrics.txt || {
+  echo "FAIL: /metrics generation gauge did not reach 2 after two reloads" >&2
+  exit 1; }
+grep -q '^amoe_model_age_seconds ' target/ci_serve_demo/metrics.txt || {
+  echo "FAIL: /metrics page carries no model age gauge" >&2; exit 1; }
 ./target/release/amoe-serve scrape --obs-addr "$OBS_ADDR" --path /healthz \
   | grep -qx ok || { echo "FAIL: /healthz did not answer ok" >&2; exit 1; }
 ./target/release/amoe-serve scrape --obs-addr "$OBS_ADDR" --path /readyz \
   | grep -qx ready || { echo "FAIL: /readyz did not answer ready" >&2; exit 1; }
 ./target/release/amoe-serve shutdown --addr "$ADDR"
 wait "$SERVE_PID"
-
-step "online-loop smoke: continuous train→reload under drift"
-# A server boots from a demo-export checkpoint; the amoe-online
-# daemon consumes the drifting session stream, refits on its sliding
-# window and hot-swaps the server through two RELOAD cycles. The daemon
-# itself exits non-zero on any failed in-flight request or if fewer
-# than --min-reloads swaps land; the scrape afterwards pins the
-# freshness gauges (generation counter, model age) on /metrics.
-cargo build --release --offline -p amoe-online --bin amoe-online
-rm -rf target/ci_online_demo && mkdir -p target/ci_online_demo
-./target/release/amoe-serve demo-export --out target/ci_online_demo >/dev/null
-./target/release/amoe-serve serve \
-  --ckpt target/ci_online_demo/model.amoe --spec target/ci_online_demo/model.spec \
-  --addr 127.0.0.1:0 --obs-addr 127.0.0.1:0 \
-  > target/ci_online_demo/addr.txt &
-ONLINE_SERVE_PID=$!
-OADDR=""
-OOBS=""
-for _ in $(seq 100); do
-  OADDR="$(sed -n 1p target/ci_online_demo/addr.txt 2>/dev/null || true)"
-  OOBS="$(sed -n '2s/^obs //p' target/ci_online_demo/addr.txt 2>/dev/null || true)"
-  [[ -n "$OADDR" && -n "$OOBS" ]] && break
-  sleep 0.1
-done
-if [[ -z "$OADDR" || -z "$OOBS" ]]; then
-  echo "FAIL: amoe-serve did not print its bound addresses" >&2
-  kill "$ONLINE_SERVE_PID" 2>/dev/null || true
-  exit 1
-fi
-./target/release/amoe-online run --addr "$OADDR" \
-  --spec target/ci_online_demo/model.spec \
-  --seed-ckpt target/ci_online_demo/model.amoe \
-  --export-dir target/ci_online_demo/exports \
-  --ticks 6 --refit-every 3 --sessions-per-tick 12 --epochs 1 \
-  --min-reloads 2
-./target/release/amoe-serve scrape --obs-addr "$OOBS" --lint \
-  > target/ci_online_demo/metrics.txt
-grep -q '^amoe_model_generation 2$' target/ci_online_demo/metrics.txt || {
-  echo "FAIL: /metrics generation gauge did not reach 2 after two reloads" >&2
-  exit 1; }
-grep -q '^amoe_model_age_seconds ' target/ci_online_demo/metrics.txt || {
-  echo "FAIL: /metrics page carries no model age gauge" >&2; exit 1; }
-./target/release/amoe-serve shutdown --addr "$OADDR"
-wait "$ONLINE_SERVE_PID"
-
-step "staleness smoke: online_sweep frozen-vs-fresh with validated JSONL"
-# The bench fails on its own if any swap drops a request, if fewer than
-# one refit/RELOAD cycle completes, or if the continuously refreshed
-# model does not beat the frozen seed under drift; with AMOE_OBS set it
-# re-validates its online_window_row/online_swap_row/online_summary
-# records against the obs_check schema.
-rm -f target/ci_online_sweep.jsonl
-AMOE_OBS=target/ci_online_sweep.jsonl AMOE_BENCH_SMOKE=1 \
-  cargo run --release --offline -p amoe-bench --bin online_sweep -- --smoke
-
-step "trace smoke: end-to-end request tracing emits valid Chrome JSON"
-# trace_smoke starts a live server with AMOE_TRACE set, drives traced
-# traffic, and validates both export paths (GET /trace and the
-# drain-time file) against the Chrome trace-event contract —
-# schema, finite numbers, monotone per-thread timestamps — via
-# amoe_bench::obs_check::validate_chrome_trace.
-rm -f target/ci_trace_smoke.json
-AMOE_TRACE=target/ci_trace_smoke.json \
-  cargo run --release --offline -p amoe-bench --bin trace_smoke
 
 step "noalloc guard: disabled telemetry and tracing allocate nothing"
 # Unoptimised on purpose: the counting allocator must not be optimised

@@ -1,7 +1,7 @@
 //! Thread-count determinism: the parallel runtime must be an
 //! implementation detail, invisible in the numbers. Same seed + same
 //! data ⇒ bit-identical serving logits and an identical `EvalReport`
-//! for `AMOE_THREADS` ∈ {1, 2, 8}.
+//! for `AMOE_THREADS` ∈ {1, 2, 4, 8}.
 //!
 //! The guarantee comes from the pool's reduction discipline — workers
 //! write disjoint output regions and merges happen in task order — so
@@ -17,7 +17,7 @@ use adv_hsc_moe::online::SessionStream;
 use adv_hsc_moe::tensor::matmul::{self, reference};
 use adv_hsc_moe::tensor::{pool, Rng};
 
-const THREAD_SWEEP: [usize; 3] = [1, 2, 8];
+const THREAD_SWEEP: [usize; 4] = [1, 2, 4, 8];
 
 #[test]
 fn eval_report_and_serving_logits_identical_across_thread_counts() {
@@ -33,11 +33,27 @@ fn eval_report_and_serving_logits_identical_across_thread_counts() {
         ..TrainConfig::default()
     });
 
+    // A wide untrained model (N=32, K=2) on a 128-row batch: four
+    // times the experts of the trained one, so each thread budget
+    // splits a longer expert fan-out across its lanes.
+    let wide = MoeModel::new(
+        &d.meta,
+        MoeConfig {
+            n_experts: 32,
+            top_k: 2,
+            ..MoeConfig::default()
+        },
+        OptimConfig::default(),
+    );
+    let wide_batch = Batch::from_split(&d.test, &(0..128.min(d.test.len())).collect::<Vec<_>>());
+
     let mut reports = Vec::new();
     let mut all_logits = Vec::new();
+    let mut all_wide_logits = Vec::new();
     let mut all_scores = Vec::new();
     for &threads in &THREAD_SWEEP {
         pool::set_threads(threads);
+        all_wide_logits.push(ServingMoe::new(&wide).predict_logits(&wide_batch));
         // Fresh model per thread count: training itself goes through the
         // (parallel) matmul kernels, so this also covers the claim that
         // identical seeds give identical *trained weights*.
@@ -82,6 +98,10 @@ fn eval_report_and_serving_logits_identical_across_thread_counts() {
         assert_eq!(
             all_logits[i], all_logits[0],
             "serving logits diverged at {threads} threads"
+        );
+        assert_eq!(
+            all_wide_logits[i], all_wide_logits[0],
+            "N=32 serving logits diverged at {threads} threads"
         );
     }
 }

@@ -56,7 +56,7 @@ fn assert_all_flavours_exact(rng: &mut Rng, m: usize, k: usize, n: usize, label:
 
 #[test]
 fn blocked_kernels_match_oracle_on_random_shapes() {
-    // Dims up to 24 straddle PACK_FLOP_THRESHOLD (2^13), so cases land
+    // Dims up to 24 straddle PACK_FLOP_THRESHOLD (2^12), so cases land
     // on both the packed blocked path and the naive fallback.
     Checker::new("blocked_kernels_match_oracle")
         .cases(64)
@@ -92,6 +92,12 @@ fn blocked_kernels_match_oracle_on_adversarial_shapes() {
         // Flat-but-wide and tall-but-thin extremes.
         (2, 7, 200),
         (200, 7, 2),
+        // Serving-shaped and cache-pressure shapes: odd k and n off the
+        // tile edges, a cube exactly KC deep, and a panel 2·KC deep.
+        (64, 96, 128),
+        (120, 33, 17),
+        (256, 256, 256),
+        (384, 512, 64),
     ];
     for &(m, k, n) in shapes {
         assert_all_flavours_exact(&mut rng, m, k, n, "adversarial");

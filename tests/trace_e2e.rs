@@ -5,7 +5,8 @@
 //!   enqueued → queue_exit → batch_assembled → reply_written, plus the
 //!   compute-side gate/expert/scatter events of its batch) with
 //!   causally monotone timestamps, and the `/trace` export must
-//!   round-trip through the same Chrome-trace validator CI uses;
+//!   round-trip through the same Chrome-trace validator CI uses, as
+//!   must the file `Server::join` writes to the `AMOE_TRACE` path;
 //! - windowed stage quantiles must agree with an exact-sort oracle
 //!   within the log-bucket error bound `2^(1/4)`;
 //! - scores must stay **bit-identical** with tracing on at any sample
@@ -14,6 +15,7 @@
 //! The trace ring, its enable gate and the sample rate are process
 //! globals, so every test that touches them runs under one mutex.
 
+use std::path::Path;
 use std::sync::Mutex;
 use std::time::Duration;
 
@@ -173,6 +175,38 @@ fn traced_request_emits_full_stage_chain() {
     server.join();
     trace::set_enabled(false);
     trace::reset();
+}
+
+/// `Server::join` exports the trace ring to the `AMOE_TRACE` path once
+/// every request is answered, and the file passes the same validator.
+#[test]
+fn join_writes_a_valid_trace_file_at_drain() {
+    let _guard = TRACE_STATE.lock().unwrap_or_else(|e| e.into_inner());
+    let path = Path::new(env!("CARGO_TARGET_TMPDIR"))
+        .join(format!("amoe_trace_drain_{}.json", std::process::id()));
+    let _ = std::fs::remove_file(&path);
+    trace::set_trace_path(Some(&path)); // also enables tracing
+    trace::set_sample(1);
+    trace::reset();
+
+    let (d, model) = trained_model(903, 5);
+    let server = Server::start("127.0.0.1:0", model, d.meta.clone(), ServeConfig::default())
+        .expect("server start");
+    let mut client = Client::connect(server.local_addr()).expect("connect");
+    let rows = feature_rows(&d, 0..8);
+    for _ in 0..3 {
+        client.score(&rows).expect("score");
+    }
+    client.shutdown().expect("shutdown");
+    server.join();
+    trace::set_trace_path(None);
+    trace::set_enabled(false);
+    trace::reset();
+
+    let body = std::fs::read_to_string(&path).expect("join wrote no trace file");
+    let n = validate_chrome_trace(&body).expect("chrome trace contract");
+    assert!(n > 0, "drain-time trace file holds no events");
+    let _ = std::fs::remove_file(&path);
 }
 
 /// Windowed p50/p95/p99 agree with an exact-sort oracle within the
