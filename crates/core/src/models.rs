@@ -387,7 +387,7 @@ impl MoeModel {
         let params = &self.params;
         let x_ref = &x_val;
         let fwds: Vec<ExpertFwd> = {
-            let _span = amoe_obs::Span::enter("train.expert_fwd");
+            let _stage = amoe_obs::StageScope::enter("train.expert_fwd");
             pool::map_tasks(n_experts, |e| {
                 let tape = Tape::new();
                 let ids = experts[e].param_ids();
@@ -502,7 +502,7 @@ impl MoeModel {
         let slots = &fwd_slots;
         let d_outs_ref = &d_outs;
         let backs: Vec<ExpertGrad> = {
-            let _span = amoe_obs::Span::enter("train.expert_bwd");
+            let _stage = amoe_obs::StageScope::enter("train.expert_bwd");
             pool::map_tasks(n_experts, |e| {
                 let f = slots[e]
                     .lock()

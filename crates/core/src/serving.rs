@@ -33,34 +33,34 @@
 //! which experts fire for which example — is identical to the oracle;
 //! only the tower arithmetic is approximate, and the end-to-end score
 //! error stays within [`QUANT_SCORE_TOLERANCE`] (asserted by
-//! `tests/kernel_oracle.rs` and the bench quant stages). Training and
+//! `tests/kernel_oracle.rs` and `tests/serving_parity.rs`). Training and
 //! the default f32 serving path never touch the quantized types.
 //! [`ServingModel`] is the owned bundle `amoe-serve` holds: it
 //! quantizes once at load/reload, not per batch.
 //!
 //! # Telemetry
 //!
-//! Per-phase wall times (gate, expert dispatch, scatter) always reach
-//! the returned [`Stats`] and additionally feed the `serving.gate` /
-//! `serving.experts` / `serving.scatter` histograms plus one
-//! `serving_predict` JSONL event per call whenever `AMOE_OBS` is set.
-//! The gate/expert boundary is a clock read inside the fused region's
-//! mid splice, so the two phases stay separately attributed even
-//! though they share a region.
-//!
-//! When request tracing is active ([`amoe_obs::trace`]) and the caller
-//! (the `amoe-serve` batcher) has marked an active batch, the forward
-//! path additionally records `gate` / per-expert `expert` / `scatter`
-//! trace events tagged with that batch id — observation only, never
-//! touching the data path, so scores stay bit-identical with tracing
-//! on.
+//! The three phases (gate, expert dispatch, scatter) are timed by
+//! [`amoe_obs::Stage`] from four clock readings per call: gate start,
+//! gate end (inside the fused region's mid splice, so the two phases
+//! stay separately attributed although they share a region), experts
+//! end, which is also scatter start, and scatter end. Each phase's
+//! one duration reaches the returned [`Stats`], the `serving.gate` /
+//! `serving.experts` / `serving.scatter` histograms when `AMOE_OBS` is
+//! set, and — when request tracing is active ([`amoe_obs::trace`]) and
+//! the caller (the `amoe-serve` batcher) has claimed an active batch —
+//! the `gate` and `scatter` trace events tagged with that batch id.
+//! `AMOE_OBS` also gets one `serving_predict` JSONL event per call. A
+//! traced batch additionally records one `expert` event per expert
+//! task. All of it is observation only, never touching the data path,
+//! so scores stay bit-identical with telemetry on.
 
 use std::sync::Mutex;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use amoe_dataset::Batch;
 use amoe_nn::{Activation, Mlp, ParamSet};
-use amoe_obs::trace;
+use amoe_obs::{trace, Stage};
 use amoe_tensor::quant::{matmul_nt_q, QuantMatrix};
 use amoe_tensor::{ops, pool, topk, Matrix};
 
@@ -72,8 +72,14 @@ use crate::models::MoeModel;
 /// weights). Derivation: each quantized product is off by at most
 /// `0.5 * scale_j * ‖a_i‖₁` per output unit (see [`amoe_tensor::quant`]),
 /// errors compound once per tower layer, and the sigmoid is
-/// 1/4-Lipschitz. Tests and the bench quant stages assert against this
-/// constant, so it is a contract, not a guess.
+/// 1/4-Lipschitz. The tests
+/// `quantized_serving_predict_within_tolerance_across_thread_counts`
+/// (`tests/kernel_oracle.rs`),
+/// `parity_quantized_serving_within_documented_tolerance`
+/// (`tests/serving_parity.rs`) and
+/// `quantized_server_scores_within_tolerance_of_f32`
+/// (`tests/serve_loopback.rs`) assert against this constant, so it is
+/// a contract, not a guess.
 pub const QUANT_SCORE_TOLERANCE: f32 = 5e-2;
 
 /// One gate-phase block: `(top-K indices, masked-softmax weights)` for
@@ -95,7 +101,9 @@ pub struct Stats {
     /// `min(pool budget, n_experts)`. A 64-thread budget dispatching 8
     /// experts still runs 8 lanes, and that is the number reported here.
     pub threads: usize,
-    /// Wall time encoding inputs and computing gate logits.
+    /// Wall time encoding inputs, computing gate logits and cutting
+    /// each row's top-K with its masked softmax (the phase ends in the
+    /// fused region's mid splice).
     pub gate_time: Duration,
     /// Wall time of the parallel per-expert gather + MLP forwards.
     pub expert_time: Duration,
@@ -319,9 +327,8 @@ impl<'m> ServingMoe<'m> {
     }
 
     /// [`ServingMoe::predict_many`] plus the [`Stats`] of the single
-    /// coalesced forward, so callers (the serve batcher shards) can
-    /// attribute gate/expert/scatter time per batch without a second
-    /// instrumentation pass.
+    /// coalesced forward, so callers can attribute gate/expert/scatter
+    /// time per batch without a second instrumentation pass.
     ///
     /// # Panics
     /// Panics if `parts` is empty (batches are never empty by
@@ -370,7 +377,9 @@ impl<'m> ServingMoe<'m> {
         // any id plumbed through the call chain.
         let tb = trace::active_batch();
 
-        let gate_start = Instant::now();
+        let gate = Stage::start()
+            .metric("serving.gate")
+            .trace("gate", 0, tb, b as u64);
         // Dense input once; gating from the SC embedding. The matmuls run
         // their own row-block regions before the fused region opens.
         let x = model.encoder_input_infer(batch);
@@ -394,7 +403,7 @@ impl<'m> ServingMoe<'m> {
             (0..n_experts).map(|_| Mutex::new(None)).collect();
         let outputs: Vec<Mutex<Option<ExpertOut>>> =
             (0..n_experts).map(|_| Mutex::new(None)).collect();
-        let mut gate_end = gate_start;
+        let mut gate_lap = None;
 
         // One pool wake covers both parallel phases: per-row gating
         // tasks, the serial routing-table splice on the caller, then
@@ -419,7 +428,7 @@ impl<'m> ServingMoe<'m> {
                 *gate_blocks[blk].lock().unwrap() = cut;
             },
             || {
-                gate_end = Instant::now();
+                gate_lap = Some(gate.end());
                 // Routing tables spliced in global row order: their
                 // order defines the deterministic scatter below.
                 let mut rows: Vec<Vec<usize>> = vec![Vec::new(); n_experts];
@@ -458,53 +467,31 @@ impl<'m> ServingMoe<'m> {
                 }
             },
         );
-        stats.gate_time = gate_end.duration_since(gate_start);
-        stats.expert_time = gate_end.elapsed();
-        if tb != 0 {
-            trace::record(
-                0,
-                tb,
-                "gate",
-                trace::instant_ns(gate_start),
-                trace::instant_ns(gate_end),
-                b as u64,
-            );
-        }
-        if amoe_obs::enabled() {
-            amoe_obs::histogram_record("serving.gate", stats.gate_time.as_nanos() as f64);
-            amoe_obs::histogram_record("serving.experts", stats.expert_time.as_nanos() as f64);
-        }
+        let (gate_end, gate_time) = gate_lap.expect("the mid splice runs exactly once");
+        let (experts_end, expert_time) = Stage::at(gate_end).metric("serving.experts").end();
 
         // Serial scatter in expert order: every thread count accumulates
         // each `out[r]` in the same order, so logits are bit-identical.
-        let scatter_start = Instant::now();
-        let (out, scatter_time) = amoe_obs::timed("serving.scatter", || {
-            let mut out = vec![0f32; b];
-            for (e_idx, slot) in outputs.iter().enumerate() {
-                let (rows, coeffs, ye) = slot
-                    .lock()
-                    .unwrap()
-                    .take()
-                    .expect("output slot filled by the expert phase");
-                stats.dispatch[e_idx] = rows.len();
-                let Some(ye) = ye else { continue };
-                for ((&r, &w), row) in rows.iter().zip(&coeffs).zip(0..ye.rows()) {
-                    out[r] += w * ye[(row, 0)];
-                }
+        let scatter = Stage::at(experts_end)
+            .metric("serving.scatter")
+            .trace("scatter", 0, tb, b as u64);
+        let mut out = vec![0f32; b];
+        for (e_idx, slot) in outputs.iter().enumerate() {
+            let (rows, coeffs, ye) = slot
+                .lock()
+                .unwrap()
+                .take()
+                .expect("output slot filled by the expert phase");
+            stats.dispatch[e_idx] = rows.len();
+            let Some(ye) = ye else { continue };
+            for ((&r, &w), row) in rows.iter().zip(&coeffs).zip(0..ye.rows()) {
+                out[r] += w * ye[(row, 0)];
             }
-            out
-        });
-        stats.scatter_time = scatter_time;
-        if tb != 0 {
-            trace::record(
-                0,
-                tb,
-                "scatter",
-                trace::instant_ns(scatter_start),
-                trace::now_ns(),
-                b as u64,
-            );
         }
+        let (_, scatter_time) = scatter.end();
+        stats.gate_time = gate_time;
+        stats.expert_time = expert_time;
+        stats.scatter_time = scatter_time;
         if amoe_obs::enabled() {
             stats.emit_event();
         }

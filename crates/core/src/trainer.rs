@@ -101,30 +101,30 @@ impl Trainer {
         let mut batcher = Batcher::new(train, self.config.batch_size, self.config.seed);
         let mut last = StepStats::default();
         for epoch in 0..epochs {
-            let ((), epoch_time) = amoe_obs::timed("trainer.epoch", || {
-                let mut sum = StepStats::default();
-                let mut examples = 0usize;
-                // next_batch returns None exactly once per epoch boundary.
-                while let Some(idx) = batcher.next_batch() {
-                    let batch = Batch::from_split(train, idx);
-                    let w = batch.len() as f32;
-                    let s = model.train_step(&batch);
-                    sum.loss += s.loss * w;
-                    sum.ce += s.ce * w;
-                    sum.hsc += s.hsc * w;
-                    sum.adv += s.adv * w;
-                    sum.load_balance += s.load_balance * w;
-                    examples += batch.len();
-                }
-                let inv = 1.0 / examples.max(1) as f32;
-                last = StepStats {
-                    loss: sum.loss * inv,
-                    ce: sum.ce * inv,
-                    hsc: sum.hsc * inv,
-                    adv: sum.adv * inv,
-                    load_balance: sum.load_balance * inv,
-                };
-            });
+            let epoch_stage = amoe_obs::Stage::start().metric("trainer.epoch");
+            let mut sum = StepStats::default();
+            let mut examples = 0usize;
+            // next_batch returns None exactly once per epoch boundary.
+            while let Some(idx) = batcher.next_batch() {
+                let batch = Batch::from_split(train, idx);
+                let w = batch.len() as f32;
+                let s = model.train_step(&batch);
+                sum.loss += s.loss * w;
+                sum.ce += s.ce * w;
+                sum.hsc += s.hsc * w;
+                sum.adv += s.adv * w;
+                sum.load_balance += s.load_balance * w;
+                examples += batch.len();
+            }
+            let inv = 1.0 / examples.max(1) as f32;
+            last = StepStats {
+                loss: sum.loss * inv,
+                ce: sum.ce * inv,
+                hsc: sum.hsc * inv,
+                adv: sum.adv * inv,
+                load_balance: sum.load_balance * inv,
+            };
+            let (_, epoch_time) = epoch_stage.end();
             if self.config.verbose || amoe_obs::enabled() {
                 self.report_epoch(model, epoch, epochs, &last, epoch_time);
             }
@@ -171,7 +171,7 @@ impl Trainer {
     /// identical to the serial sweep for every `AMOE_THREADS` value.
     #[must_use]
     pub fn score_split(&self, model: &dyn Ranker, split: &Split) -> Vec<f32> {
-        let _span = amoe_obs::Span::enter("trainer.score_split");
+        let _stage = amoe_obs::StageScope::enter("trainer.score_split");
         let bs = self.config.eval_batch_size.max(1);
         let n_batches = split.len().div_ceil(bs);
         let per_batch = pool::map_tasks(n_batches, |bi| {

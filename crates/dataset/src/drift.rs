@@ -376,7 +376,7 @@ impl DriftWorld {
     #[must_use]
     pub fn window(&self, tick: u64, n_sessions: usize) -> SessionWindow {
         assert!(n_sessions > 0, "DriftWorld::window: n_sessions must be > 0");
-        let _span = amoe_obs::Span::enter("dataset.window");
+        let _stage = amoe_obs::StageScope::enter("dataset.window");
         let mut root = Rng::seed_from(self.config.seed);
         let mut rng = root.fork(WINDOW_STREAM_BASE ^ tick.wrapping_mul(0x9E37_79B9_7F4A_7C15));
 

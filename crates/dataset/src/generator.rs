@@ -45,7 +45,7 @@ pub(crate) fn shop_weights(n_shops: usize) -> Vec<f64> {
 /// [`GeneratorConfig::validate`]).
 #[must_use]
 pub fn generate(config: &GeneratorConfig) -> Dataset {
-    let _span = amoe_obs::Span::enter("dataset.generate");
+    let _stage = amoe_obs::StageScope::enter("dataset.generate");
     config.validate();
     let mut root = Rng::seed_from(config.seed);
     let mut world_rng = root.fork(1);

@@ -271,8 +271,7 @@ impl Renderer {
     }
 
     /// Renders every family of a registry [`Snapshot`]: counters,
-    /// gauges, lifetime histograms, and windowed histograms (already
-    /// folded over their live window).
+    /// gauges and lifetime histograms.
     pub fn snapshot(&mut self, snap: &Snapshot) {
         for (name, v) in &snap.counters {
             self.counter(name, *v);
@@ -283,18 +282,6 @@ impl Renderer {
         for (name, h) in &snap.histograms {
             self.histogram(name, h, None);
         }
-        for (name, h) in &snap.windows {
-            self.histogram(name, h, None);
-        }
-    }
-
-    /// The families rendered so far. Callers mixing native and
-    /// registry sources use this to skip registry families they have
-    /// already rendered authoritatively (duplicate series in one
-    /// family would make real Prometheus servers reject the scrape).
-    #[must_use]
-    pub fn families(&self) -> BTreeSet<String> {
-        self.typed.clone()
     }
 
     /// Closes the page with the OpenMetrics `# EOF` terminator.
@@ -704,12 +691,6 @@ mod tests {
                 h
             })]
             .into(),
-            windows: [("serve.win_us".to_string(), {
-                let mut h = Histogram::new();
-                h.record(40.0);
-                h
-            })]
-            .into(),
         };
         let mut r = Renderer::new();
         r.snapshot(&snap);
@@ -719,7 +700,6 @@ mod tests {
             "amoe_serve_requests_total",
             "amoe_serve_queue_depth",
             "amoe_serve_request_latency_seconds_sum",
-            "amoe_serve_win_seconds_count",
         ] {
             assert!(page.contains(family), "missing {family} in:\n{page}");
         }

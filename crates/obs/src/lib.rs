@@ -3,28 +3,29 @@
 //! Unified telemetry for the Adv & HSC-MoE stack.
 //!
 //! The workspace builds offline with no external crates, so this crate
-//! carries its own minimal versions of the three observability
-//! primitives the ROADMAP's perf work needs:
+//! carries its own minimal versions of the observability primitives
+//! the ROADMAP's perf work needs:
 //!
 //! * a **metrics registry** ([`registry`]) of named counters, gauges and
 //!   log-bucketed histograms with quantile readout;
-//! * **scoped span timers** ([`span`]) — nestable, thread-aware wall
-//!   clocks that feed `span.<path>` histograms and replace hand-rolled
-//!   `Instant` bookkeeping in hot paths;
+//! * one **stage timer** ([`stage`]) — reads the clock once per stage
+//!   boundary and fans that reading out to the caller's own duration,
+//!   a named histogram and a trace event, so every sink reports the
+//!   same time for one stage;
 //! * a **structured JSONL sink** ([`sink`], [`json`]) emitting one JSON
 //!   object per event (training epochs, serving calls, bench rows, run
 //!   manifests) to the file named by the `AMOE_OBS` environment
 //!   variable;
 //! * **sliding-window histograms** ([`window`]) — rotating segments
-//!   over the last N seconds, feeding the serving stack's live
-//!   p50/p95/p99 readout (`/vars`, `/metrics`);
+//!   over the last N seconds, which the serving stack owns for its
+//!   live p50/p95/p99 readout (`/vars`, `/metrics`);
 //! * a **request trace ring** ([`trace`]) — lock-sharded bounded
 //!   buffer of per-request stage events, exportable as Chrome
 //!   trace-event JSON (`AMOE_TRACE=path`, sampled via
 //!   `AMOE_TRACE_SAMPLE=1/N`), independent of the `AMOE_OBS` gate;
 //! * a **Prometheus text exposition layer** ([`expose`]) — renders
-//!   registry snapshots and windowed histograms (with OpenMetrics
-//!   exemplars) under the `amoe_*` naming convention, plus the
+//!   registry snapshots and the server's windowed histograms (with
+//!   OpenMetrics exemplars) under the `amoe_*` naming convention, plus the
 //!   `validate_exposition` linter that CI runs against live scrapes.
 //!
 //! # Cost model
@@ -32,7 +33,7 @@
 //! Telemetry must be ≈ free when off. Every recording entry point
 //! checks [`enabled`] first — a single relaxed atomic load — and
 //! returns before allocating, locking, or touching thread-locals.
-//! Span/metric names are `&'static str` so the disabled path performs
+//! Stage/metric names are `&'static str` so the disabled path performs
 //! **zero heap allocations** (asserted by the `obs_noalloc`
 //! integration test).
 //!
@@ -55,16 +56,13 @@ pub mod expose;
 pub mod json;
 pub mod registry;
 pub mod sink;
-pub mod span;
+pub mod stage;
 pub mod trace;
 pub mod window;
 
-pub use registry::{
-    counter_add, counter_value, gauge_set, gauge_value, histogram_record, snapshot, window_record,
-    Snapshot,
-};
+pub use registry::{counter_add, gauge_set, histogram_record, snapshot, Snapshot};
 pub use sink::{emit, emit_metrics_snapshot, Event};
-pub use span::{timed, Span};
+pub use stage::{Stage, StageScope};
 pub use window::{Exemplar, WindowedHistogram};
 
 use std::sync::atomic::{AtomicU8, Ordering};

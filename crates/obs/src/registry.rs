@@ -10,7 +10,7 @@
 //! two, which bounds the relative quantile error at
 //! `2^(1/SUB_BUCKETS) − 1 ≈ 19%` per readout while keeping memory and
 //! record cost constant. This is the standard shape for latency
-//! distributions (HDR-histogram style), where spans range from
+//! distributions (HDR-histogram style), where stages range from
 //! sub-microsecond pool regions to multi-second epochs.
 
 use std::collections::BTreeMap;
@@ -22,7 +22,7 @@ pub const SUB_BUCKETS: usize = 4;
 /// A log-bucketed histogram of non-negative samples.
 ///
 /// Bucket 0 holds values in `[0, 1)`; bucket `i ≥ 1` holds values in
-/// `[2^((i−1)/SUB), 2^(i/SUB))` with `SUB =` [`SUB_BUCKETS`]. For span
+/// `[2^((i−1)/SUB), 2^(i/SUB))` with `SUB =` [`SUB_BUCKETS`]. For stage
 /// timers samples are nanoseconds, so bucket 0 is "under 1 ns" and the
 /// scheme covers any realistic duration.
 #[derive(Clone, Debug, Default)]
@@ -204,7 +204,6 @@ struct Inner {
     counters: BTreeMap<&'static str, u64>,
     gauges: BTreeMap<&'static str, f64>,
     histograms: BTreeMap<&'static str, Histogram>,
-    windows: BTreeMap<&'static str, crate::window::WindowedHistogram>,
 }
 
 static REGISTRY: Mutex<Option<Inner>> = Mutex::new(None);
@@ -246,52 +245,6 @@ pub fn histogram_record(name: &'static str, v: f64) {
     with_inner(|r| r.histograms.entry(name).or_default().record(v));
 }
 
-/// Records `v` into the named **sliding-window** histogram (default
-/// window: [`crate::window::DEFAULT_WINDOW`] over
-/// [`crate::window::DEFAULT_SLOTS`] segments). No-op when telemetry is
-/// off. Unlike [`histogram_record`], readouts via [`window_merged`] /
-/// [`snapshot`] cover only the last window, not the process lifetime.
-pub fn window_record(name: &'static str, v: f64) {
-    if !crate::enabled() {
-        return;
-    }
-    crate::expose::debug_check_name(name);
-    with_inner(|r| {
-        r.windows
-            .entry(name)
-            .or_insert_with(crate::window::WindowedHistogram::with_defaults)
-            .record(v);
-    });
-}
-
-/// Folds the named windowed histogram's live segments into a plain
-/// [`Histogram`] (`None` when never recorded). Works while disabled.
-#[must_use]
-pub fn window_merged(name: &str) -> Option<Histogram> {
-    with_inner(|r| {
-        // BTreeMap<&'static str, _> is keyed by str content, so a
-        // borrowed lookup works for any &str.
-        r.windows.get_mut(name).map(|w| w.merged())
-    })
-}
-
-/// Reads one counter's current value (`0` when never recorded). Works
-/// even while telemetry is disabled, so a run can be inspected after
-/// `set_enabled(false)`. Intended for tests and embedders (e.g. the
-/// serving stack's overload accounting); hot paths should record, not
-/// read.
-#[must_use]
-pub fn counter_value(name: &str) -> u64 {
-    with_inner(|r| r.counters.get(name).copied().unwrap_or(0))
-}
-
-/// Reads one gauge's current value (`None` when never set). Same
-/// contract as [`counter_value`].
-#[must_use]
-pub fn gauge_value(name: &str) -> Option<f64> {
-    with_inner(|r| r.gauges.get(name).copied())
-}
-
 /// A point-in-time copy of every metric.
 #[derive(Clone, Debug, Default)]
 pub struct Snapshot {
@@ -301,8 +254,6 @@ pub struct Snapshot {
     pub gauges: BTreeMap<String, f64>,
     /// Histogram copies by name.
     pub histograms: BTreeMap<String, Histogram>,
-    /// Windowed histograms by name, folded over their live window.
-    pub windows: BTreeMap<String, Histogram>,
 }
 
 /// Copies the current registry contents (works even while disabled, so
@@ -324,11 +275,6 @@ pub fn snapshot() -> Snapshot {
             .histograms
             .iter()
             .map(|(k, v)| ((*k).to_string(), v.clone()))
-            .collect(),
-        windows: r
-            .windows
-            .iter_mut()
-            .map(|(k, v)| ((*k).to_string(), v.merged()))
             .collect(),
     })
 }
@@ -524,22 +470,6 @@ mod tests {
     }
 
     #[test]
-    fn windowed_family_round_trip() {
-        let _guard = crate::test_lock();
-        crate::set_enabled(true);
-        reset();
-        window_record("test.win", 10.0);
-        window_record("test.win", 20.0);
-        let merged = window_merged("test.win").expect("window exists");
-        let snap = snapshot();
-        crate::set_enabled(false);
-        assert_eq!(merged.count(), 2);
-        assert_eq!(snap.windows.get("test.win").map(Histogram::count), Some(2));
-        assert_eq!(window_merged("test.never").map(|h| h.count()), None);
-        reset();
-    }
-
-    #[test]
     fn registry_round_trip() {
         let _guard = crate::test_lock();
         crate::set_enabled(true);
@@ -553,11 +483,6 @@ mod tests {
         crate::set_enabled(false);
         assert_eq!(snap.counters.get("test.counter"), Some(&5));
         assert_eq!(snap.gauges.get("test.gauge"), Some(&1.25));
-        // Point readers agree with the snapshot (and work while off).
-        assert_eq!(counter_value("test.counter"), 5);
-        assert_eq!(counter_value("test.never"), 0);
-        assert_eq!(gauge_value("test.gauge"), Some(1.25));
-        assert_eq!(gauge_value("test.never"), None);
         assert!(!snap.gauges.contains_key("test.nan_gauge"));
         assert_eq!(
             snap.histograms.get("test.hist").map(Histogram::count),

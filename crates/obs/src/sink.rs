@@ -245,10 +245,9 @@ pub fn emit(event: &Event) {
 }
 
 /// Emits a `metrics_snapshot` event summarising every registry metric:
-/// counters and gauges verbatim, histograms (and windowed histograms,
-/// folded over their live window) as
-/// `<name>.count/.mean/.p50/.p90/.max` (nanosecond-valued for span
-/// histograms). Call at the end of a run so per-phase span timings
+/// counters and gauges verbatim, histograms as
+/// `<name>.count/.mean/.p50/.p90/.max` (nanosecond-valued for stage
+/// histograms). Call at the end of a run so per-phase stage timings
 /// land in the JSONL next to the per-event records.
 pub fn emit_metrics_snapshot() {
     if !crate::enabled() {
@@ -262,7 +261,7 @@ pub fn emit_metrics_snapshot() {
     for (name, v) in &snap.gauges {
         event.fields.push((leak_name(name), FieldValue::F64(*v)));
     }
-    for (name, h) in snap.histograms.iter().chain(snap.windows.iter()) {
+    for (name, h) in &snap.histograms {
         let stats = [
             ("count", h.count() as f64),
             ("mean", h.mean()),

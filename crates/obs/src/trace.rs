@@ -88,9 +88,8 @@ static SAMPLE: AtomicU64 = AtomicU64::new(1);
 /// Monotone allocator for server-assigned trace ids.
 static NEXT_ID: AtomicU64 = AtomicU64::new(1);
 /// The batch currently in compute (`0` = none). Owned by whichever
-/// batcher wins [`try_claim_active_batch`] (or by a single-owner
-/// embedder via [`set_active_batch`]); read by the forward path and
-/// the pool.
+/// batcher wins [`try_claim_active_batch`]; read by the forward path
+/// and the pool.
 static ACTIVE_BATCH: AtomicU64 = AtomicU64::new(0);
 /// Export path from `AMOE_TRACE` (or [`set_trace_path`]).
 static DUMP_PATH: Mutex<Option<PathBuf>> = Mutex::new(None);
@@ -180,7 +179,12 @@ pub fn enabled() -> bool {
 
 /// Forces tracing on or off, overriding the environment. Intended for
 /// tests and embedders; production code should set `AMOE_TRACE`.
+/// Turning tracing on fixes the trace anchor, so every `Instant` read
+/// afterwards converts to its exact offset ([`instant_ns`]).
 pub fn set_enabled(on: bool) {
+    if on {
+        anchor();
+    }
     STATE.store(if on { 2 } else { 1 }, Ordering::Relaxed);
 }
 
@@ -248,21 +252,10 @@ pub fn next_trace_id() -> Option<u64> {
     (n == 1 || id.is_multiple_of(n)).then_some(id)
 }
 
-/// Marks `batch_id` as the batch currently in compute (`0` = none), so
-/// the gate/expert/scatter forward path and the worker pool can tag
-/// their events without plumbing an id through every signature. Only
-/// sound when a single thread owns the compute pipeline (benches,
-/// tests); a server's batcher must use [`try_claim_active_batch`] /
-/// [`release_active_batch`] instead.
-pub fn set_active_batch(batch_id: u64) {
-    if !enabled() {
-        return;
-    }
-    ACTIVE_BATCH.store(batch_id, Ordering::Relaxed);
-}
-
 /// Attempts to claim the compute marker for `batch_id` (CAS `0 →
-/// batch_id`). Returns `true` when this batch now owns the marker and
+/// batch_id`), so the gate/expert/scatter forward path and the worker
+/// pool can tag their events without plumbing an id through every
+/// signature. Returns `true` when this batch now owns the marker and
 /// must eventually call [`release_active_batch`]. The marker is
 /// process-wide, and one process can run several servers whose
 /// batchers compute at once (the test binaries); only
@@ -446,7 +439,7 @@ mod tests {
         record(7, 1, "gate", 10, 20, 0);
         assert!(events().is_empty());
         assert_eq!(next_trace_id(), None);
-        set_active_batch(9);
+        assert!(!try_claim_active_batch(9));
         assert_eq!(active_batch(), 0);
     }
 

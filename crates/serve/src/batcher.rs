@@ -8,7 +8,7 @@
 //! batches still grow, because requests pile up while the previous
 //! batch computes. The collected requests are coalesced with
 //! [`amoe_dataset::Batch::concat`] into **one**
-//! `ServingMoe::predict_many_with_stats` call, and the score vector is
+//! `ServingMoe::predict_many` call, and the score vector is
 //! scattered back to each request's reply lane: the writer thread of
 //! the connection it came in on. The forward itself is parallelised by
 //! [`amoe_tensor::pool`], the server's only source of parallelism.
@@ -29,9 +29,8 @@ use std::sync::mpsc;
 use std::sync::Arc;
 use std::time::Instant;
 
-use amoe_core::serving;
 use amoe_dataset::Batch;
-use amoe_obs::trace;
+use amoe_obs::{trace, Stage};
 
 use crate::protocol::Response;
 use crate::server::Shared;
@@ -104,7 +103,10 @@ pub(crate) fn run(shared: &Arc<Shared>) {
         // Batch ids are allocated per assembled batch (≥ 1; 0 stays
         // "no batch" in trace events and the active-batch marker).
         let batch_id = shared.stats.next_batch_id();
-        let assembled_at = Instant::now();
+        // The compute stage opens at batch assembly, which is also
+        // where every member's queue wait ends.
+        let compute = Stage::start();
+        let assembled_at = compute.started();
         let traced = pending.iter().any(|p| p.trace_id != 0);
         if traced {
             let t = trace::instant_ns(assembled_at);
@@ -127,12 +129,13 @@ pub(crate) fn run(shared: &Arc<Shared>) {
         // one can hold the marker, and a losing batch's forward events
         // go untagged rather than mis-attributed.
         let claimed = traced && trace::try_claim_active_batch(batch_id);
-        let (scores, compute) = model.serving().predict_many_with_stats(&parts);
+        let scores = model.serving().predict_many(&parts);
         if claimed {
             trace::release_active_batch(batch_id);
         }
+        let (_, compute_time) = compute.end();
+        let compute_us = compute_time.as_micros() as u64;
 
-        let now = Instant::now();
         shared.stats.batches.fetch_add(1, Ordering::Relaxed);
         {
             // Always-on windowed stage accounting: per-request queue
@@ -146,13 +149,11 @@ pub(crate) fn run(shared: &Arc<Shared>) {
                 w.queue_wait_us.record_traced(wait_us, p.trace_id);
             }
             let compute_trace = pending.iter().map(|p| p.trace_id).find(|&t| t != 0);
-            w.compute_us.record_traced(
-                now.duration_since(assembled_at).as_micros() as f64,
-                compute_trace.unwrap_or(0),
-            );
+            w.compute_us
+                .record_traced(compute_us as f64, compute_trace.unwrap_or(0));
         }
         if amoe_obs::enabled() {
-            record_batch_telemetry(shared, &pending, rows, assembled_at, &compute);
+            record_batch_telemetry(shared, &pending, rows, assembled_at, compute_us);
         }
         for (p, s) in pending.into_iter().zip(scores) {
             // A reply lane that hung up (client disconnect) makes send
@@ -178,13 +179,14 @@ fn note_queue_exit(p: &Pending) {
 
 /// Emits the `AMOE_OBS` batch record. Queue waits run from admission
 /// to `assembled_at`, the same interval as the windowed `queue_wait_us`,
-/// so they never include the batch's compute.
+/// so they never include the batch's compute; `compute_us` is the
+/// reading the compute window took.
 fn record_batch_telemetry(
     shared: &Arc<Shared>,
     pending: &[Pending],
     rows: usize,
     assembled_at: Instant,
-    compute: &serving::Stats,
+    compute_us: u64,
 ) {
     let mut max_wait_us = 0u64;
     for p in pending {
@@ -194,18 +196,12 @@ fn record_batch_telemetry(
     }
     amoe_obs::histogram_record("serve.batch_rows", rows as f64);
     amoe_obs::histogram_record("serve.batch_requests", pending.len() as f64);
-    // The queue-depth gauge is published by the queue's depth
-    // observer, under the queue lock — reading `len()` here could go
-    // stale against concurrent pushes.
-    amoe_obs::counter_add("serve.batches", 1);
     amoe_obs::emit(
         &amoe_obs::Event::new("serve_batch")
             .u64("requests", pending.len() as u64)
             .u64("rows", rows as u64)
             .u64("queue_wait_us_max", max_wait_us)
             .u64("queue_depth", shared.queue.len() as u64)
-            .u64("gate_ns", compute.gate_time.as_nanos() as u64)
-            .u64("expert_ns", compute.expert_time.as_nanos() as u64)
-            .u64("scatter_ns", compute.scatter_time.as_nanos() as u64),
+            .u64("compute_us", compute_us),
     );
 }

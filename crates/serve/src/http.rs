@@ -7,7 +7,7 @@
 //! | `/metrics` | Prometheus text exposition of everything the server  |
 //! |            | knows: build info, uptime, native counters, windowed |
 //! |            | stage histograms with OpenMetrics exemplars, plus    |
-//! |            | the `AMOE_OBS` registry (deduplicated by family)     |
+//! |            | the `AMOE_OBS` registry                              |
 //! | `/healthz` | liveness — 200 until the process exits               |
 //! | `/readyz`  | readiness — 200 while accepting work, 503 from the   |
 //! |            | moment `SHUTDOWN` drain begins                       |
@@ -33,7 +33,7 @@ use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::Duration;
 
-use amoe_obs::expose::{prom_name, Renderer};
+use amoe_obs::expose::Renderer;
 use amoe_obs::trace;
 
 use crate::protocol;
@@ -305,9 +305,7 @@ fn write_response(
 
 /// Renders the `/metrics` page: build info and uptime, the server's
 /// native always-on counters and windowed stage histograms (with
-/// exemplars), then the `AMOE_OBS` registry snapshot for every
-/// family not already rendered natively (the native series are
-/// authoritative; duplicate series would poison real scrapers).
+/// exemplars), then the `AMOE_OBS` registry snapshot.
 pub(crate) fn render_metrics(shared: &Shared) -> String {
     let mut r = Renderer::new();
     let stats = &shared.stats;
@@ -371,30 +369,10 @@ pub(crate) fn render_metrics(shared: &Shared) -> String {
         }
     }
 
-    // The AMOE_OBS registry (pool.*, span.*, serving.*, lifetime
-    // serve.* histograms…), minus families rendered natively above.
-    let native = r.families();
-    let snap = amoe_obs::snapshot();
-    for (name, v) in &snap.counters {
-        if !native.contains(&prom_name(name, true).family) {
-            r.counter(name, *v);
-        }
-    }
-    for (name, v) in &snap.gauges {
-        if !native.contains(&prom_name(name, false).family) {
-            r.gauge(name, *v);
-        }
-    }
-    for (name, h) in &snap.histograms {
-        if !native.contains(&prom_name(name, false).family) {
-            r.histogram(name, h, None);
-        }
-    }
-    for (name, h) in &snap.windows {
-        if !native.contains(&prom_name(name, false).family) {
-            r.histogram(name, h, None);
-        }
-    }
+    // The AMOE_OBS registry (pool.*, serving.*, trainer.*, lifetime
+    // serve.* histograms…). It records no series the server counts
+    // natively, so the two sources never share a family.
+    r.snapshot(&amoe_obs::snapshot());
     r.finish()
 }
 

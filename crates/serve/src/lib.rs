@@ -40,15 +40,27 @@
 //! * **Graceful drain**: `SHUTDOWN` closes the queue, answers every
 //!   admitted request, then exits.
 //!
-//! All stages are instrumented through `amoe-obs` (queue-depth gauge,
-//! batch-size / queue-wait / latency histograms, `serve_request` and
-//! `serve_batch` JSONL events) when `AMOE_OBS` is set.
+//! # Telemetry
 //!
-//! Independent of `AMOE_OBS`, the server keeps **always-on
-//! sliding-window stage histograms** (queue wait, compute, reply
-//! write, end-to-end latency, queue depth) reported as p50/p95/p99,
-//! and supports **request-scoped tracing** (`AMOE_TRACE=path`, sampled
-//! via `AMOE_TRACE_SAMPLE=1/N`) exportable as Chrome trace-event JSON.
+//! Each timed stage — a request's admission, a batch's compute, a
+//! reply's write, and inside the forward the gate, expert and scatter
+//! phases and every pool region — runs on one [`amoe_obs::Stage`]: the
+//! clock is read once per stage boundary, and that one reading feeds
+//! every sink, so the windows, the histograms and the trace events
+//! report the same duration for a stage. Adjacent stages share a
+//! boundary: batch assembly both ends each member's queue wait and
+//! opens the compute stage, and the reply-write end reading also ends
+//! the request's latency.
+//!
+//! The server keeps **always-on sliding-window stage histograms**
+//! (queue wait, compute, reply write, end-to-end latency, queue depth)
+//! reported as p50/p95/p99, and its request, batch, overload and reload
+//! counters natively. When `AMOE_OBS` is set it adds batch-size,
+//! queue-wait and latency histograms and the `serve_request` /
+//! `serve_batch` JSONL events; it records no registry copy of a series
+//! it already counts. It supports **request-scoped tracing**
+//! (`AMOE_TRACE=path`, sampled via `AMOE_TRACE_SAMPLE=1/N`), exportable
+//! as Chrome trace-event JSON.
 //! The HTTP listener ([`http`], [`ServeConfig::obs_addr`]) is the one
 //! read-only admin plane: `/vars` and `/metrics` carry the counters and
 //! windows, `/trace` the trace ring (also written to the `AMOE_TRACE`

@@ -18,7 +18,7 @@ use amoe_dataset::{Batch, DatasetMeta};
 use amoe_nn::ParamSet;
 use amoe_obs::registry::Histogram;
 use amoe_obs::trace;
-use amoe_obs::WindowedHistogram;
+use amoe_obs::{Stage, WindowedHistogram};
 use amoe_tensor::Matrix;
 
 use crate::batcher::{self, Pending, ScoreDone, WriterMsg};
@@ -278,9 +278,6 @@ impl Server {
                     .unwrap()
                     .queue_depth
                     .record(depth as f64);
-                if amoe_obs::enabled() {
-                    amoe_obs::gauge_set("serve.queue_depth", depth as f64);
-                }
             });
         }
         let shared = Arc::new(Shared {
@@ -570,16 +567,9 @@ fn admit_score(
             });
         }
     };
-    if trace_id != 0 {
-        trace::record(
-            trace_id,
-            0,
-            "admitted",
-            trace::instant_ns(t0),
-            trace::now_ns(),
-            n_rows_in,
-        );
-    }
+    Stage::at(t0)
+        .trace("admitted", trace_id, 0, n_rows_in)
+        .end();
 
     let pending = Pending {
         batch,
@@ -595,9 +585,6 @@ fn admit_score(
         Ok(()) => {}
         Err(PushError::Full) => {
             shared.stats.overloaded.fetch_add(1, Ordering::Relaxed);
-            if amoe_obs::enabled() {
-                amoe_obs::counter_add("serve.overloaded", 1);
-            }
             return Err(ScoreReject {
                 overloaded: true,
                 message: "admission queue full".into(),
@@ -611,9 +598,6 @@ fn admit_score(
             });
         }
     }
-    // The queue-depth gauge is published by the queue's depth observer,
-    // under the queue lock — not here, where a concurrent pop could
-    // already have made the depth stale.
     if let Some(t) = enqueued_ns {
         trace::record(trace_id, 0, "enqueued", t, t, n_rows_in);
     }
@@ -629,7 +613,10 @@ fn write_score_reply(
 ) -> io::Result<()> {
     shared.stats.ok.fetch_add(1, Ordering::Relaxed);
     let n_rows = done.scores.len();
-    let write_t0 = Instant::now();
+    // An untraced request leaves no event: its batch id alone would
+    // arm the stage's trace sink.
+    let batch_id = if done.trace_id == 0 { 0 } else { done.batch_id };
+    let write = Stage::start().trace("reply_written", done.trace_id, batch_id, n_rows as u64);
     let result = reply(
         stream,
         &Response::Scores {
@@ -637,30 +624,21 @@ fn write_score_reply(
             scores: done.scores,
         },
     );
-    let reply_us = write_t0.elapsed().as_micros() as f64;
-    let latency_us = done.enqueued.elapsed().as_micros() as u64;
+    // The reply-write end reading also ends the request's latency.
+    let (written_at, reply_time) = write.end();
+    let latency_us = written_at.duration_since(done.enqueued).as_micros() as u64;
     {
         // Always-on windowed stage accounting behind the `/vars`
         // quantiles and the /metrics window families: a couple of
         // histogram increments per request. Traced requests double as
         // exemplar candidates.
         let mut w = shared.stats.windows.lock().unwrap();
-        w.reply_write_us.record_traced(reply_us, done.trace_id);
+        w.reply_write_us
+            .record_traced(reply_time.as_micros() as f64, done.trace_id);
         w.request_latency_us
             .record_traced(latency_us as f64, done.trace_id);
     }
-    if done.trace_id != 0 {
-        trace::record(
-            done.trace_id,
-            done.batch_id,
-            "reply_written",
-            trace::instant_ns(write_t0),
-            trace::now_ns(),
-            n_rows as u64,
-        );
-    }
     if amoe_obs::enabled() {
-        amoe_obs::counter_add("serve.requests", 1);
         amoe_obs::histogram_record("serve.request_latency_us", latency_us as f64);
         amoe_obs::emit(
             &amoe_obs::Event::new("serve_request")
@@ -695,8 +673,6 @@ fn reload_response(shared: &Arc<Shared>, path: &str) -> Response {
             let generation = shared.model_generation.fetch_add(1, Ordering::Relaxed) + 1;
             *shared.model_swapped.lock().unwrap() = Instant::now();
             if amoe_obs::enabled() {
-                amoe_obs::counter_add("serve.reloads", 1);
-                amoe_obs::gauge_set("serve.model_generation", generation as f64);
                 amoe_obs::emit(
                     &amoe_obs::Event::new("serve_reload")
                         .str("path", path)

@@ -254,6 +254,54 @@ fn metrics_exemplar_trace_id_round_trips_to_trace_export() {
     trace::set_enabled(false);
 }
 
+/// With the `AMOE_OBS` registry on, `/metrics` renders the registry
+/// next to the native series without a clash: the page lints clean,
+/// the one requests counter is the native received count that `/vars`
+/// reports, and the registry adds no second model-generation gauge.
+#[test]
+fn metrics_with_registry_on_carry_one_series_per_fact() {
+    amoe_obs::set_enabled(true);
+    let d = generate(&GeneratorConfig::tiny(41));
+    let server = start_server(&d, ServeConfig::default());
+    let addr = server.local_addr();
+    let obs = server.obs_addr().expect("obs listener is configured");
+
+    let dir = std::path::Path::new("target/obs_http");
+    std::fs::create_dir_all(dir).expect("mkdir");
+    let ckpt = dir.join("registry_on.amoe");
+    trained_model(&d).params().save(&ckpt).expect("save ckpt");
+    let rows = feature_rows(&d, 4);
+    let mut client = Client::connect(addr).expect("connect");
+    for _ in 0..3 {
+        client.score(&rows).expect("score");
+    }
+    client.reload(&ckpt.to_string_lossy()).expect("reload");
+
+    let (status, page) = http_get(obs, "/metrics", GET_TIMEOUT).expect("metrics");
+    let (_, vars) = http_get(obs, "/vars", GET_TIMEOUT).expect("vars");
+    client.shutdown().expect("shutdown");
+    server.join();
+    amoe_obs::set_enabled(false);
+
+    assert_eq!(status, 200);
+    amoe_obs::expose::validate_exposition(&page)
+        .unwrap_or_else(|e| panic!("/metrics fails lint: {e}"));
+    let requests_total: Vec<&str> = page
+        .lines()
+        .filter_map(|l| l.strip_prefix("amoe_serve_requests_total "))
+        .collect();
+    let vars = amoe_obs::json::parse(&vars).expect("/vars parses");
+    let received = vars
+        .get("requests")
+        .and_then(Value::as_f64)
+        .expect("/vars requests");
+    assert_eq!(requests_total, [received.to_string()]);
+    assert!(
+        !page.contains("amoe_serve_model_generation"),
+        "the registry shadows the native generation gauge"
+    );
+}
+
 /// Raw-socket robustness: garbage gets 400 then a closed connection,
 /// oversized headers get 431, unknown paths 404, non-GET 405 — and
 /// none of it disturbs the serving path.

@@ -74,18 +74,21 @@
 //! running `pool.regions` / `pool.tasks` / `pool.workers_started` /
 //! `pool.region_reuse` counters — the reuse counter is the direct
 //! replacement for PR-2's spawn-centric `pool.spawn_ns` question:
-//! steady-state, every region should be a reuse. With telemetry off
-//! the instrumentation is a single relaxed atomic load per region.
-//! Independently, when request tracing is active and the serving
-//! batcher has marked an active batch ([`amoe_obs::trace`]), each
-//! region records one trace event under its histogram name, tagged
-//! with that batch id.
+//! steady-state, every region should be a reuse. Independently, when
+//! request tracing is active and the serving batcher has claimed an
+//! active batch ([`amoe_obs::trace`]), each region records one trace
+//! event under its histogram name, tagged with that batch id. The
+//! region histogram and trace event come from one [`amoe_obs::Stage`],
+//! so they report the same duration; with telemetry and tracing off
+//! the instrumentation is three clock reads and a few relaxed atomic
+//! loads per region, and never allocates.
 
 use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
-use std::time::Instant;
+
+use amoe_obs::Stage;
 
 /// Thread-count override; 0 means "not set, consult the environment".
 static THREAD_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
@@ -476,20 +479,22 @@ fn drive_region(
     workers: usize,
 ) {
     debug_assert!(workers >= 2, "drive_region: serial paths stay inline");
-    let _region_span = amoe_obs::Span::enter(name);
-    // When the serving batcher marked an active traced batch, the
-    // region shows up in the request trace under its own name — a
-    // single check + two clock reads, nothing when tracing is off.
-    let trace_batch = amoe_obs::trace::active_batch();
-    let trace_t0 = (trace_batch != 0).then(amoe_obs::trace::now_ns);
+    // One reading opens both the region and its wait for the region
+    // slot. When the serving batcher claimed an active traced batch,
+    // the region also shows up in the request trace under its name.
+    let region = Stage::start().metric(name).trace(
+        name,
+        0,
+        amoe_obs::trace::active_batch(),
+        (n1 + n2) as u64,
+    );
     amoe_obs::counter_add("pool.regions", 1);
     amoe_obs::counter_add("pool.tasks", (n1 + n2) as u64);
     let shared = shared();
-    let queue_start = amoe_obs::enabled().then(Instant::now);
     let _region_slot = lock(&shared.region_lock);
-    if let Some(t) = queue_start {
-        amoe_obs::histogram_record("pool.queue_wait_ns", t.elapsed().as_nanos() as f64);
-    }
+    Stage::at(region.started())
+        .metric("pool.queue_wait_ns")
+        .end();
     ensure_workers(shared, workers - 1);
 
     // SAFETY: `RegionGuard` below quiesces all workers before this
@@ -527,16 +532,7 @@ fn drive_region(
         }
     }
     drop(_quiesce);
-    if let Some(t0) = trace_t0 {
-        amoe_obs::trace::record(
-            0,
-            trace_batch,
-            name,
-            t0,
-            amoe_obs::trace::now_ns(),
-            (n1 + n2) as u64,
-        );
-    }
+    region.end();
     if job.panicked.load(Ordering::SeqCst) {
         panic!("pool: worker panicked in parallel region");
     }

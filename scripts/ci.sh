@@ -44,7 +44,9 @@ step "binary smoke: amoe-serve serve driven by amoe-online over real TCP"
 # than --min-reloads swaps land. The scrapes afterwards pin the
 # counters on /vars, the /metrics exposition with its freshness gauges
 # (generation counter, model age), and the health endpoints; then the
-# server drains gracefully.
+# server drains gracefully. The server runs with the AMOE_OBS registry
+# on, so the linted /metrics page also renders the registry families
+# (pool.*, serving.*, serve.* histograms) next to the native series.
 rm -rf target/ci_serve_demo && mkdir -p target/ci_serve_demo
 ./target/release/amoe-serve demo-export --out target/ci_serve_demo >/dev/null
 # The batching deadline and batcher sharding are gone; their old flags
@@ -59,7 +61,7 @@ for BAD_FLAG in "--max-wait-us 1" "--shards 2"; do
   grep -q -- "unknown argument ${BAD_FLAG% *}" <<<"$BAD_FLAG_OUT" || {
     echo "FAIL: amoe-serve serve did not name the unknown flag: $BAD_FLAG_OUT" >&2; exit 1; }
 done
-./target/release/amoe-serve serve \
+AMOE_OBS=target/ci_serve_demo/obs.jsonl ./target/release/amoe-serve serve \
   --ckpt target/ci_serve_demo/model.amoe --spec target/ci_serve_demo/model.spec \
   --addr 127.0.0.1:0 --obs-addr 127.0.0.1:0 \
   > target/ci_serve_demo/addr.txt &
@@ -114,6 +116,11 @@ grep -q '^amoe_model_age_seconds ' target/ci_serve_demo/metrics.txt || {
   | grep -qx ready || { echo "FAIL: /readyz did not answer ready" >&2; exit 1; }
 ./target/release/amoe-serve shutdown --addr "$ADDR"
 wait "$SERVE_PID"
+# Each batch's JSONL record carries its compute stage, the same reading
+# the /vars compute window takes.
+grep -q '"event":"serve_batch".*"compute_us":' target/ci_serve_demo/obs.jsonl || {
+  echo "FAIL: the AMOE_OBS log holds no serve_batch record with compute_us" >&2
+  exit 1; }
 
 step "noalloc guard: disabled telemetry and tracing allocate nothing"
 # Unoptimised on purpose: the counting allocator must not be optimised

@@ -53,22 +53,9 @@ fn disabled_telemetry_allocates_nothing() {
         adv_hsc_moe::obs::counter_add("noalloc.counter", 1);
         adv_hsc_moe::obs::gauge_set("noalloc.gauge", 1.0);
         adv_hsc_moe::obs::histogram_record("noalloc.hist", 1.0);
-        let _span = adv_hsc_moe::obs::Span::enter("noalloc.span");
+        let _scope = adv_hsc_moe::obs::StageScope::enter("noalloc.scope");
     });
     assert_eq!(n, 0, "disabled obs primitives allocated {n} times");
-
-    // timed() may only pay for the closure it runs.
-    let ((), n) = alloc_count(|| {
-        let (v, _dt) = adv_hsc_moe::obs::timed("noalloc.timed", || 2 + 2);
-        assert_eq!(v, 4);
-    });
-    assert_eq!(n, 0, "disabled timed() allocated {n} times");
-
-    // Span::current_path must be allocation-free when telemetry is off
-    // (it returns the empty string without walking the stack).
-    let (path, n) = alloc_count(adv_hsc_moe::obs::Span::current_path);
-    assert_eq!(path, "");
-    assert_eq!(n, 0, "disabled Span::current_path allocated {n} times");
 
     // Trace entry points: same contract as the metrics gate — when
     // tracing is off, recording, id allocation and the active-batch
@@ -78,10 +65,24 @@ fn disabled_telemetry_allocates_nothing() {
         adv_hsc_moe::obs::trace::record(1, 1, "noalloc.stage", 0, 10, 0);
         adv_hsc_moe::obs::trace::record_instant(1, 1, "noalloc.stage", 0);
         assert_eq!(adv_hsc_moe::obs::trace::next_trace_id(), None);
-        adv_hsc_moe::obs::trace::set_active_batch(7);
+        assert!(!adv_hsc_moe::obs::trace::try_claim_active_batch(7));
+        adv_hsc_moe::obs::trace::release_active_batch(7);
         assert_eq!(adv_hsc_moe::obs::trace::active_batch(), 0);
     });
     assert_eq!(n, 0, "disabled trace entry points allocated {n} times");
+
+    // The stage timer with both gates off: its two clock readings and
+    // nothing else, even with a histogram and a trace tag attached.
+    let ((), n) = alloc_count(|| {
+        let (boundary, _) = adv_hsc_moe::obs::Stage::start()
+            .metric("noalloc.stage")
+            .trace("noalloc", 1, 1, 0)
+            .end();
+        let (_, _) = adv_hsc_moe::obs::Stage::at(boundary)
+            .metric("noalloc.next_stage")
+            .end();
+    });
+    assert_eq!(n, 0, "disabled stage timer allocated {n} times");
 
     // Serving hot path: the predict-call allocation count with
     // telemetry off must be exactly reproducible — if the disabled

@@ -7,7 +7,7 @@
 //! test takes `obs_lock()` to serialise against the others.
 
 use std::sync::{Mutex, MutexGuard, PoisonError};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use adv_hsc_moe::dataset::{generate, Batch, GeneratorConfig};
 use adv_hsc_moe::moe::config::TowerConfig;
@@ -15,6 +15,7 @@ use adv_hsc_moe::moe::ranker::OptimConfig;
 use adv_hsc_moe::moe::serving::ServingMoe;
 use adv_hsc_moe::moe::{MoeConfig, MoeModel, Ranker, TrainConfig, Trainer};
 use adv_hsc_moe::obs::json::{parse, Value};
+use adv_hsc_moe::obs::trace;
 use adv_hsc_moe::online::daemon::feature_row;
 use adv_hsc_moe::serve::{Client, FeatureRow, ServeConfig, Server};
 
@@ -228,9 +229,9 @@ fn gate_telemetry_drains_per_epoch() {
 
 /// A `serve_batch` record's `queue_wait_us_max` runs from admission to
 /// batch assembly, like the `/vars` queue-wait window, so it never
-/// includes the batch's compute: wait plus the batch's gate, expert and
-/// scatter time fit inside the client's round trip. The towers are
-/// wide so that compute, counted twice, would overflow it.
+/// includes the batch's compute: wait plus the batch's `compute_us`
+/// fit inside the client's round trip. The towers are wide so that
+/// compute, counted twice, would overflow it.
 #[test]
 fn serve_batch_queue_wait_excludes_compute() {
     let _guard = obs_lock();
@@ -276,10 +277,55 @@ fn serve_batch_queue_wait_excludes_compute() {
     for (b, &rt) in batches.iter().zip(&round_trips_us) {
         let field = |k: &str| b.get(k).and_then(Value::as_f64).expect(k) as u64;
         let wait = field("queue_wait_us_max");
-        let compute = (field("gate_ns") + field("expert_ns") + field("scatter_ns")) / 1000;
+        let compute = field("compute_us");
         assert!(
             wait + compute <= rt,
             "queue wait {wait} us + compute {compute} us exceeds the {rt} us round trip"
         );
+    }
+}
+
+/// One traced forward with `AMOE_OBS` on: each phase is timed from one
+/// pair of clock readings, so `Stats`, the `serving.*` histograms and
+/// the `gate` / `scatter` trace events agree to the nanosecond, and the
+/// expert phase is exactly the gap between the gate's end and the
+/// scatter's start.
+#[test]
+fn traced_forward_reports_one_duration_per_phase_to_every_sink() {
+    const BATCH_ID: u64 = 4242;
+    let _guard = obs_lock();
+    let (d, model, _trainer) = tiny_setup();
+    let batch = Batch::from_split(&d.test, &(0..32).collect::<Vec<_>>());
+    adv_hsc_moe::obs::set_enabled(true);
+    adv_hsc_moe::obs::registry::reset();
+    trace::set_enabled(true);
+    trace::reset();
+    assert!(trace::try_claim_active_batch(BATCH_ID));
+    let (_logits, stats) = ServingMoe::new(&model).predict_logits_with_stats(&batch);
+    trace::release_active_batch(BATCH_ID);
+    let events = trace::events();
+    let snap = adv_hsc_moe::obs::snapshot();
+    trace::set_enabled(false);
+    adv_hsc_moe::obs::set_enabled(false);
+
+    let event = |stage: &str| {
+        *events
+            .iter()
+            .find(|e| e.batch_id == BATCH_ID && e.stage == stage)
+            .unwrap_or_else(|| panic!("no {stage} event for the claimed batch"))
+    };
+    let ns = |d: Duration| d.as_nanos() as u64;
+    let (gate, scatter) = (event("gate"), event("scatter"));
+    assert_eq!(gate.end_ns - gate.start_ns, ns(stats.gate_time));
+    assert_eq!(scatter.end_ns - scatter.start_ns, ns(stats.scatter_time));
+    assert_eq!(scatter.start_ns - gate.end_ns, ns(stats.expert_time));
+    for (metric, phase) in [
+        ("serving.gate", stats.gate_time),
+        ("serving.experts", stats.expert_time),
+        ("serving.scatter", stats.scatter_time),
+    ] {
+        let h = snap.histograms.get(metric).expect(metric);
+        assert_eq!(h.count(), 1, "{metric} samples");
+        assert_eq!(h.sum(), phase.as_nanos() as f64, "{metric} sum");
     }
 }
