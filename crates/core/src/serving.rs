@@ -24,19 +24,9 @@
 //! sweeping `N` at fixed `K`; `tests/determinism.rs` holds the logits
 //! bit-identical across thread counts at `N` = 8 and 32.
 //!
-//! # Quantized expert weights (opt-in)
-//!
-//! [`QuantizedExperts`] snapshots every expert tower's weights as int8
-//! with one f32 scale per output unit ([`amoe_tensor::quant`]), and
-//! [`ServingMoe::with_quantized`] swaps the expert forwards onto the
-//! dequant-on-the-fly kernel. The **gate stays f32**, so routing —
-//! which experts fire for which example — is identical to the oracle;
-//! only the tower arithmetic is approximate, and the end-to-end score
-//! error stays within [`QUANT_SCORE_TOLERANCE`] (asserted by
-//! `tests/kernel_oracle.rs` and `tests/serving_parity.rs`). Training and
-//! the default f32 serving path never touch the quantized types.
-//! [`ServingModel`] is the owned bundle `amoe-serve` holds: it
-//! quantizes once at load/reload, not per batch.
+//! Each expert tower runs [`amoe_nn::Mlp::infer`] on the model's own
+//! f32 weights, the ones training updates, so loading or swapping a
+//! checkpoint builds nothing serving-specific.
 //!
 //! # Telemetry
 //!
@@ -59,28 +49,10 @@ use std::sync::Mutex;
 use std::time::Duration;
 
 use amoe_dataset::Batch;
-use amoe_nn::{Activation, Mlp, ParamSet};
 use amoe_obs::{trace, Stage};
-use amoe_tensor::quant::{matmul_nt_q, QuantMatrix};
 use amoe_tensor::{ops, pool, topk, Matrix};
 
 use crate::models::MoeModel;
-
-/// Documented bound on `|quantized score - f32 score|` for sigmoid
-/// outputs of [`ServingMoe::predict`] with int8 expert weights, for the
-/// model scales exercised in this repo (towers ≤ 512 wide, trained
-/// weights). Derivation: each quantized product is off by at most
-/// `0.5 * scale_j * ‖a_i‖₁` per output unit (see [`amoe_tensor::quant`]),
-/// errors compound once per tower layer, and the sigmoid is
-/// 1/4-Lipschitz. The tests
-/// `quantized_serving_predict_within_tolerance_across_thread_counts`
-/// (`tests/kernel_oracle.rs`),
-/// `parity_quantized_serving_within_documented_tolerance`
-/// (`tests/serving_parity.rs`) and
-/// `quantized_server_scores_within_tolerance_of_f32`
-/// (`tests/serve_loopback.rs`) assert against this constant, so it is
-/// a contract, not a guess.
-pub const QUANT_SCORE_TOLERANCE: f32 = 5e-2;
 
 /// One gate-phase block: `(top-K indices, masked-softmax weights)` for
 /// each row of a contiguous row block.
@@ -111,8 +83,6 @@ pub struct Stats {
     pub scatter_time: Duration,
     /// Examples routed to each expert (length `N`; sums to ≈ `K·examples`).
     pub dispatch: Vec<usize>,
-    /// Whether the expert forwards ran on int8 quantized weights.
-    pub quantized: bool,
 }
 
 impl Stats {
@@ -158,7 +128,6 @@ impl Stats {
             .u64("total_ns", self.total_time().as_nanos() as u64)
             .f64("examples_per_sec", self.examples_per_sec())
             .u64("active_experts", self.active_experts() as u64)
-            .u64("quantized", u64::from(self.quantized))
             .u64_array("dispatch", self.dispatch.iter().map(|&d| d as u64))
     }
 
@@ -169,123 +138,19 @@ impl Stats {
     }
 }
 
-/// One expert tower's weights snapshotted as int8: per layer the
-/// quantized weight (stored `out x in` so the `nt` kernel walks codes
-/// contiguously) and the f32 bias, plus the tower's activation.
-struct QuantTower {
-    layers: Vec<(QuantMatrix, Option<Matrix>)>,
-    activation: Activation,
-}
-
-impl QuantTower {
-    fn from_mlp(ps: &ParamSet, mlp: &Mlp) -> QuantTower {
-        let layers = mlp
-            .layers()
-            .iter()
-            .map(|l| {
-                let qw = QuantMatrix::from_transposed(ps.value(l.weight()));
-                let bias = l.bias().map(|b| ps.value(b).clone());
-                (qw, bias)
-            })
-            .collect();
-        QuantTower {
-            layers,
-            activation: mlp.activation(),
-        }
-    }
-
-    /// Tape-free forward mirroring [`Mlp::infer`], with the f32 matmul
-    /// swapped for the dequant-on-the-fly kernel. Biases and the
-    /// activation stay f32.
-    fn infer(&self, x: &Matrix) -> Matrix {
-        let mut h: Option<Matrix> = None;
-        let last = self.layers.len() - 1;
-        for (i, (qw, bias)) in self.layers.iter().enumerate() {
-            let mut y = matmul_nt_q(h.as_ref().unwrap_or(x), qw);
-            if let Some(b) = bias {
-                y = ops::add_row_broadcast(&y, b);
-            }
-            if i < last {
-                y = self.activation.apply_matrix(&y);
-            }
-            h = Some(y);
-        }
-        h.expect("Mlp has at least one layer")
-    }
-}
-
-/// Int8 snapshots of every expert tower of a model (the gate is *not*
-/// quantized — routing must match the f32 oracle exactly).
-///
-/// Build once after training or checkpoint load and reuse across
-/// requests: quantization walks every expert weight, so it belongs at
-/// load time, not on the per-batch hot path.
-pub struct QuantizedExperts {
-    towers: Vec<QuantTower>,
-}
-
-impl QuantizedExperts {
-    /// Quantizes all expert towers of `model`.
-    #[must_use]
-    pub fn from_model(model: &MoeModel) -> QuantizedExperts {
-        let ps = model.params();
-        QuantizedExperts {
-            towers: model
-                .experts()
-                .iter()
-                .map(|mlp| QuantTower::from_mlp(ps, mlp))
-                .collect(),
-        }
-    }
-
-    /// Total heap bytes of the int8 codes + scales (the bench's memory
-    /// story versus 4 bytes/weight for f32).
-    #[must_use]
-    pub fn bytes(&self) -> usize {
-        self.towers
-            .iter()
-            .flat_map(|t| t.layers.iter())
-            .map(|(qw, bias)| qw.bytes() + bias.as_ref().map_or(0, |b| b.rows() * b.cols() * 4))
-            .sum()
-    }
-}
-
 /// A frozen, inference-only view of a trained [`MoeModel`].
 ///
 /// Borrows the model; build it after training (weights are read through
 /// the model's parameter set on every call, so no state is copied).
-/// Optionally carries a [`QuantizedExperts`] snapshot, in which case the
-/// expert forwards run on int8 weights (gate and scatter unchanged).
 pub struct ServingMoe<'m> {
     model: &'m MoeModel,
-    quant: Option<&'m QuantizedExperts>,
 }
 
 impl<'m> ServingMoe<'m> {
-    /// Wraps a trained model (f32 oracle path).
+    /// Wraps a trained model.
     #[must_use]
     pub fn new(model: &'m MoeModel) -> Self {
-        ServingMoe { model, quant: None }
-    }
-
-    /// Wraps a trained model with pre-quantized expert weights; expert
-    /// forwards use the int8 kernel, everything else is unchanged.
-    ///
-    /// # Panics
-    /// Panics if the snapshot's expert count differs from the model's.
-    #[must_use]
-    pub fn with_quantized(model: &'m MoeModel, quant: &'m QuantizedExperts) -> Self {
-        assert_eq!(
-            quant.towers.len(),
-            model.experts().len(),
-            "with_quantized: snapshot has {} towers, model has {} experts",
-            quant.towers.len(),
-            model.experts().len()
-        );
-        ServingMoe {
-            model,
-            quant: Some(quant),
-        }
+        ServingMoe { model }
     }
 
     /// Predicted purchase probabilities, computing only the top-K experts
@@ -366,7 +231,6 @@ impl<'m> ServingMoe<'m> {
             examples: b,
             threads: pool::effective_workers(n_experts),
             dispatch: vec![0; n_experts],
-            quantized: self.quant.is_some(),
             ..Stats::default()
         };
         if b == 0 {
@@ -454,13 +318,8 @@ impl<'m> ServingMoe<'m> {
                     .unwrap()
                     .take()
                     .expect("routing slot filled by the mid splice");
-                let ye = (!rows.is_empty()).then(|| {
-                    let xe = x.gather_rows(&rows);
-                    match self.quant {
-                        Some(q) => q.towers[e_idx].infer(&xe),
-                        None => model.experts()[e_idx].infer(params, &xe),
-                    }
-                });
+                let ye = (!rows.is_empty())
+                    .then(|| model.experts()[e_idx].infer(params, &x.gather_rows(&rows)));
                 *outputs[e_idx].lock().unwrap() = Some((rows, coeffs, ye));
                 if let Some(t0) = trace_t0 {
                     trace::record(0, tb, "expert", t0, trace::now_ns(), e_idx as u64);
@@ -496,46 +355,6 @@ impl<'m> ServingMoe<'m> {
             stats.emit_event();
         }
         (out, stats)
-    }
-}
-
-/// An owned model bundle for long-running servers: the trained model
-/// plus (when enabled) its int8 expert snapshot, quantized exactly once
-/// at construction. `amoe-serve` holds one behind an `Arc` and swaps it
-/// atomically on checkpoint reload.
-pub struct ServingModel {
-    model: MoeModel,
-    quant: Option<QuantizedExperts>,
-}
-
-impl ServingModel {
-    /// Bundles `model`, quantizing its expert towers when `quantized`
-    /// is set.
-    #[must_use]
-    pub fn new(model: MoeModel, quantized: bool) -> ServingModel {
-        let quant = quantized.then(|| QuantizedExperts::from_model(&model));
-        ServingModel { model, quant }
-    }
-
-    /// The wrapped model.
-    #[must_use]
-    pub fn model(&self) -> &MoeModel {
-        &self.model
-    }
-
-    /// True when expert forwards run on int8 weights.
-    #[must_use]
-    pub fn is_quantized(&self) -> bool {
-        self.quant.is_some()
-    }
-
-    /// A serving view over this bundle (quantized iff the bundle is).
-    #[must_use]
-    pub fn serving(&self) -> ServingMoe<'_> {
-        match &self.quant {
-            Some(q) => ServingMoe::with_quantized(&self.model, q),
-            None => ServingMoe::new(&self.model),
-        }
     }
 }
 
@@ -624,90 +443,6 @@ mod tests {
         let (with_stats, stats) = serving.predict_many_with_stats(&[&a, &b]);
         assert_eq!(plain, with_stats);
         assert_eq!(stats.examples, 19);
-    }
-
-    #[test]
-    fn quantized_serving_stays_within_documented_tolerance() {
-        let (d, m) = trained_model();
-        let batch = Batch::from_split(&d.test, &(0..50).collect::<Vec<_>>());
-        let oracle = ServingMoe::new(&m).predict(&batch);
-        let quant = QuantizedExperts::from_model(&m);
-        let (scores, stats) =
-            ServingMoe::with_quantized(&m, &quant).predict_logits_with_stats(&batch);
-        assert!(stats.quantized, "stats must flag the quantized path");
-        let probs = ops::sigmoid(&Matrix::from_vec(batch.len(), 1, scores)).into_vec();
-        for (i, (a, b)) in oracle.iter().zip(&probs).enumerate() {
-            assert_close_rel(
-                *a,
-                *b,
-                0.0,
-                QUANT_SCORE_TOLERANCE,
-                &format!("score {i} f32 vs quantized"),
-            );
-        }
-    }
-
-    #[test]
-    fn quantized_snapshot_shrinks_expert_weights() {
-        let (_, m) = trained_model();
-        let quant = QuantizedExperts::from_model(&m);
-        let f32_bytes: usize = m
-            .experts()
-            .iter()
-            .flat_map(|e| e.layers())
-            .map(|l| {
-                let w = m.params().value(l.weight());
-                let b = l.bias().map_or(0, |b| {
-                    let b = m.params().value(b);
-                    b.rows() * b.cols() * 4
-                });
-                w.rows() * w.cols() * 4 + b
-            })
-            .sum();
-        // Biases stay f32, so the bound is looser than 4x, but the
-        // snapshot must be well under half the f32 footprint.
-        assert!(
-            quant.bytes() * 2 < f32_bytes,
-            "quantized {} bytes vs f32 {f32_bytes} bytes",
-            quant.bytes()
-        );
-    }
-
-    #[test]
-    fn serving_model_bundle_round_trips_both_modes() {
-        let (d, m) = trained_model();
-        let batch = Batch::from_split(&d.test, &(0..30).collect::<Vec<_>>());
-        let oracle = ServingMoe::new(&m).predict(&batch);
-
-        let plain = ServingModel::new(m, false);
-        assert!(!plain.is_quantized());
-        assert_eq!(
-            plain.serving().predict(&batch),
-            oracle,
-            "f32 bundle drifted"
-        );
-
-        let quantized = ServingModel::new(
-            MoeModel::from_params(
-                &d.meta,
-                plain.model().config().clone(),
-                OptimConfig::default(),
-                plain.model().params(),
-            )
-            .expect("params round-trip within the same model"),
-            true,
-        );
-        assert!(quantized.is_quantized());
-        let scores = quantized.serving().predict(&batch);
-        for (i, (a, b)) in oracle.iter().zip(&scores).enumerate() {
-            assert_close_rel(
-                *a,
-                *b,
-                0.0,
-                QUANT_SCORE_TOLERANCE,
-                &format!("bundle score {i}"),
-            );
-        }
     }
 
     #[test]

@@ -28,10 +28,9 @@ impl Activation {
         }
     }
 
-    /// Tape-free application for serving paths (the quantized expert
-    /// forward in `amoe_core` re-applies activations outside `Mlp`).
+    /// Tape-free application, used by [`Mlp::infer`].
     #[must_use]
-    pub fn apply_matrix(self, x: &Matrix) -> Matrix {
+    fn apply_matrix(self, x: &Matrix) -> Matrix {
         match self {
             Activation::Relu => ops::relu(x),
             Activation::Tanh => ops::map(x, f32::tanh),
@@ -242,13 +241,6 @@ impl Mlp {
     #[must_use]
     pub fn layers(&self) -> &[Linear] {
         &self.layers
-    }
-
-    /// The hidden-layer activation (applied after every layer but the
-    /// last).
-    #[must_use]
-    pub fn activation(&self) -> Activation {
-        self.activation
     }
 
     /// Every parameter handle of this MLP (weights and biases, layer

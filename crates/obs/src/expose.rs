@@ -641,7 +641,7 @@ mod tests {
         r.gauge("serve.queue_depth", 3.0);
         r.gauge_with(
             "amoe_build_info",
-            &[("version", "0.1.0"), ("quantized", "false")],
+            &[("version", "0.1.0"), ("threads", "2")],
             1.0,
         );
         r.histogram(
@@ -657,7 +657,7 @@ mod tests {
         // 2 counters + 2 gauges + (3 buckets + Inf + sum + count).
         assert_eq!(samples, 10);
         assert!(page.contains("amoe_serve_batches_total 40"));
-        assert!(page.contains("amoe_build_info{version=\"0.1.0\",quantized=\"false\"} 1"));
+        assert!(page.contains("amoe_build_info{version=\"0.1.0\",threads=\"2\"} 1"));
         assert!(page.contains("# TYPE amoe_serve_window_request_latency_seconds histogram"));
         assert!(page.contains("trace_id=\"77\""));
         assert!(page.ends_with("# EOF\n"));

@@ -121,7 +121,6 @@ fn run(args: &[String]) -> Result<(), String> {
     config.refit_every = refit_every;
     config.refit_epochs = epochs;
     config.model = spec.config.clone();
-    config.quantized = spec.serve_quantized;
     config.seed_checkpoint = seed_ckpt;
     config.serve_addr = if offline { None } else { addr };
     config.probe_rows = probe_rows;

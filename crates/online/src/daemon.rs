@@ -66,8 +66,6 @@ pub struct OnlineConfig {
     pub serve_addr: Option<String>,
     /// Rows per probe request sent each tick (0 disables probing).
     pub probe_rows: usize,
-    /// Serve the exported checkpoints quantized (spec hint).
-    pub quantized: bool,
 }
 
 impl OnlineConfig {
@@ -93,7 +91,6 @@ impl OnlineConfig {
             seed_checkpoint: None,
             serve_addr: None,
             probe_rows: 32,
-            quantized: false,
         }
     }
 }
@@ -192,7 +189,7 @@ impl OnlineLoop {
         let spec = ModelSpec {
             meta,
             config: config.model.clone(),
-            serve_quantized: config.quantized,
+            serve_quantized: false,
         };
         let store = CheckpointStore::new(&config.export_dir, spec)
             .map_err(|e| format!("export dir {}: {e}", config.export_dir.display()))?;

@@ -29,6 +29,7 @@ use std::sync::mpsc;
 use std::sync::Arc;
 use std::time::Instant;
 
+use amoe_core::serving::ServingMoe;
 use amoe_dataset::Batch;
 use amoe_obs::{trace, Stage};
 
@@ -118,8 +119,8 @@ pub(crate) fn run(shared: &Arc<Shared>) {
         }
 
         // Clone the Arc under the lock, predict outside it: a RELOAD
-        // can swap the serving bundle while this batch still runs on
-        // the old weights (the Arc keeps them alive).
+        // can swap the model while this batch still runs on the old
+        // weights (the Arc keeps them alive).
         let model = Arc::clone(&shared.model.lock().unwrap());
         let parts: Vec<&Batch> = pending.iter().map(|p| &p.batch).collect();
         // Tag the forward path (gate/expert/scatter, pool regions) with
@@ -129,7 +130,7 @@ pub(crate) fn run(shared: &Arc<Shared>) {
         // one can hold the marker, and a losing batch's forward events
         // go untagged rather than mis-attributed.
         let claimed = traced && trace::try_claim_active_batch(batch_id);
-        let scores = model.serving().predict_many(&parts);
+        let scores = ServingMoe::new(&model).predict_many(&parts);
         if claimed {
             trace::release_active_batch(batch_id);
         }

@@ -7,13 +7,12 @@
 //!
 //! amoe-serve serve --ckpt FILE --spec FILE [--addr HOST:PORT]
 //!                  [--obs-addr HOST:PORT] [--max-batch-rows N]
-//!                  [--queue-cap N] [--block-ms N] [--quantized]
+//!                  [--queue-cap N] [--block-ms N]
 //!     Serve the checkpoint over TCP. Prints the bound address on
 //!     stdout, then blocks until a SHUTDOWN request. Any other argument
 //!     is an error. One batcher drains one `--queue-cap`-deep admission
 //!     queue; `AMOE_THREADS` sizes the pool that runs its forwards.
-//!     `--quantized` (or `serve_quantized=true` in the spec) serves
-//!     int8 expert weights; see DESIGN.md for the error contract.
+//!     `--queue-cap` and `--max-batch-rows` must be positive.
 //!     `--obs-addr` starts the HTTP observability listener (GET
 //!     /metrics /healthz /readyz /vars /trace) on a second port,
 //!     printed as an `obs HOST:PORT` line after the protocol address.
@@ -78,16 +77,15 @@ fn opt(args: &[String], key: &str) -> Result<Option<String>, String> {
     Ok(found)
 }
 
-/// Rejects any argument that is neither one of `valued` (skipping the
-/// value after it) nor one of `switches`, naming the first offender.
-fn check_flags(args: &[String], valued: &[&str], switches: &[&str]) -> Result<(), String> {
+/// Rejects any argument that is not one of `valued` (skipping the
+/// value after it), naming the first offender.
+fn check_flags(args: &[String], valued: &[&str]) -> Result<(), String> {
     let mut it = args.iter().map(String::as_str);
     while let Some(a) = it.next() {
-        if valued.contains(&a) {
-            it.next();
-        } else if !switches.contains(&a) {
+        if !valued.contains(&a) {
             return Err(format!("unknown argument {a}"));
         }
+        it.next();
     }
     Ok(())
 }
@@ -155,7 +153,6 @@ fn serve(args: &[String]) -> Result<(), String> {
             "--queue-cap",
             "--block-ms",
         ],
-        &["--quantized"],
     )
     .map_err(|e| format!("serve: {e}"))?;
     let ckpt = opt(args, "--ckpt")?.ok_or("serve: --ckpt FILE is required")?;
@@ -173,11 +170,9 @@ fn serve(args: &[String]) -> Result<(), String> {
         config.overload = OverloadPolicy::Block(Duration::from_millis(v));
     }
     config.obs_addr = opt(args, "--obs-addr")?;
+    config.validate().map_err(|e| format!("serve: {e}"))?;
 
     let spec = ModelSpec::load(&spec_path).map_err(|e| format!("load {spec_path}: {e}"))?;
-    // Either side may opt in: the operator's flag or the checkpoint's
-    // deployment hint.
-    config.quantized = args.iter().any(|a| a == "--quantized") || spec.serve_quantized;
     let params = ParamSet::load(&ckpt).map_err(|e| format!("load {ckpt}: {e}"))?;
     let model = MoeModel::from_params(
         &spec.meta,
@@ -240,6 +235,7 @@ mod tests {
             ("--ckpt m --spec s --deadline-us 1", "--deadline-us"),
             ("--ckpt m --spec s --shards 2", "--shards"),
             ("--ckpt m --spec s --quantised", "--quantised"),
+            ("--ckpt m --spec s --quantized", "--quantized"),
             ("--ckpt m stray --spec s", "stray"),
         ] {
             let err = serve(&args(line)).unwrap_err();
@@ -253,8 +249,20 @@ mod tests {
         // the (missing) spec file.
         let line = "--ckpt missing.amoe --spec missing.spec --addr 127.0.0.1:0 \
                     --obs-addr 127.0.0.1:0 --queue-cap 8 \
-                    --max-batch-rows 64 --block-ms 5 --quantized";
+                    --max-batch-rows 64 --block-ms 5";
         let err = serve(&args(line)).unwrap_err();
         assert!(err.starts_with("load missing.spec"), "{err}");
+    }
+
+    #[test]
+    fn serve_refuses_a_zero_capacity_before_loading_anything() {
+        for (flag, field) in [
+            ("--queue-cap", "queue_cap"),
+            ("--max-batch-rows", "max_batch_rows"),
+        ] {
+            let line = format!("--ckpt missing.amoe --spec missing.spec {flag} 0");
+            let err = serve(&args(&line)).unwrap_err();
+            assert_eq!(err, format!("serve: {field} must be positive"));
+        }
     }
 }

@@ -20,6 +20,13 @@ pub enum OverloadPolicy {
     Block(Duration),
 }
 
+/// Length of the sliding window behind the p50/p95/p99 readout
+/// ([`crate::Server::window_stats`], `/vars`, the `/metrics` window
+/// families: latency, queue wait, compute, reply write, queue depth).
+/// Always on — windowed accounting is a handful of histogram
+/// increments per request, independent of `AMOE_OBS`.
+pub const STATS_WINDOW: Duration = Duration::from_secs(60);
+
 /// Micro-batcher and admission-control configuration.
 #[derive(Clone, Debug)]
 pub struct ServeConfig {
@@ -34,19 +41,6 @@ pub struct ServeConfig {
     /// tests can fill the queue deterministically. `None` in
     /// production.
     pub batcher_delay: Option<Duration>,
-    /// Serve with int8-quantized expert weights
-    /// ([`amoe_core::serving::QuantizedExperts`]). Opt-in: scores drift
-    /// from the f32 oracle by up to
-    /// [`amoe_core::serving::QUANT_SCORE_TOLERANCE`]; routing is
-    /// unaffected (the gate stays f32). Applies to the initial load and
-    /// every `RELOAD`.
-    pub quantized: bool,
-    /// Length of the sliding window behind the p50/p95/p99 readout
-    /// ([`crate::Server::window_stats`], `/vars`, the `/metrics` window
-    /// families: latency, queue wait, compute, reply write, queue
-    /// depth). Always on — windowed accounting is a handful of
-    /// histogram increments per request, independent of `AMOE_OBS`.
-    pub stats_window: Duration,
     /// Bind address for the HTTP observability listener (`/metrics`,
     /// `/healthz`, `/readyz`, `/vars`, `/trace`) — a **separate** port
     /// from the score protocol, so scrapes never compete with the
@@ -63,22 +57,24 @@ impl Default for ServeConfig {
             queue_cap: 128,
             overload: OverloadPolicy::Reject,
             batcher_delay: None,
-            quantized: false,
-            stats_window: Duration::from_secs(60),
             obs_addr: None,
         }
     }
 }
 
 impl ServeConfig {
-    /// Panics on nonsensical settings (zero capacities).
-    pub fn validate(&self) {
-        assert!(self.max_batch_rows > 0, "max_batch_rows must be positive");
-        assert!(self.queue_cap > 0, "queue_cap must be positive");
-        assert!(
-            self.stats_window > Duration::ZERO,
-            "stats_window must be positive"
-        );
+    /// Rejects nonsensical settings (zero capacities).
+    ///
+    /// # Errors
+    /// Names the first field that is zero.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.max_batch_rows == 0 {
+            return Err("max_batch_rows must be positive".into());
+        }
+        if self.queue_cap == 0 {
+            return Err("queue_cap must be positive".into());
+        }
+        Ok(())
     }
 }
 
@@ -96,10 +92,10 @@ pub struct ModelSpec {
     /// Architecture configuration (loss weights ride along so a
     /// fine-tune resuming from the spec reproduces training behaviour).
     pub config: MoeConfig,
-    /// Deployment hint: serve this checkpoint with int8 expert weights.
-    /// The server ORs it with its own `--quantized` flag; older specs
-    /// without the key parse as `false`, and older parsers skip the key
-    /// (unknown keys are ignored on both sides).
+    /// Ignored. Serving runs one precision (f32); the field stays only
+    /// so existing struct literals still build. [`ModelSpec::to_text`]
+    /// does not write it, and an older spec's `serve_quantized=` line
+    /// is skipped like any unknown key, so this always reads `false`.
     pub serve_quantized: bool,
 }
 
@@ -131,7 +127,6 @@ impl ModelSpec {
             ("adversarial", c.adversarial),
             ("hsc", c.hsc),
             ("noisy_gating", c.noisy_gating),
-            ("serve_quantized", self.serve_quantized),
         ] {
             let _ = writeln!(s, "{k}={v}");
         }
@@ -160,7 +155,6 @@ impl ModelSpec {
             n_numeric: 0,
         };
         let mut config = MoeConfig::default();
-        let mut serve_quantized = false;
         let mut seen_sc = false;
         for (lineno, raw) in text.lines().enumerate() {
             let line = raw.trim();
@@ -190,7 +184,6 @@ impl ModelSpec {
                 "adversarial" => config.adversarial = parse_bool(key, value)?,
                 "hsc" => config.hsc = parse_bool(key, value)?,
                 "noisy_gating" => config.noisy_gating = parse_bool(key, value)?,
-                "serve_quantized" => serve_quantized = parse_bool(key, value)?,
                 "lambda1" => config.lambda1 = parse_f32(key, value)?,
                 "lambda2" => config.lambda2 = parse_f32(key, value)?,
                 "load_balance" => config.load_balance = parse_f32(key, value)?,
@@ -216,7 +209,7 @@ impl ModelSpec {
         Ok(ModelSpec {
             meta,
             config,
-            serve_quantized,
+            serve_quantized: false,
         })
     }
 
@@ -322,7 +315,7 @@ mod tests {
                 seed: 999,
                 ..MoeConfig::default()
             },
-            serve_quantized: true,
+            serve_quantized: false,
         }
     }
 
@@ -339,19 +332,15 @@ mod tests {
         assert_eq!(parsed.config.hsc, spec.config.hsc);
         assert_eq!(parsed.config.noisy_gating, spec.config.noisy_gating);
         assert_eq!(parsed.config.seed, spec.config.seed);
-        assert_eq!(parsed.serve_quantized, spec.serve_quantized);
     }
 
     #[test]
-    fn spec_without_quantized_key_defaults_to_f32() {
-        let text = sample_spec()
-            .to_text()
-            .lines()
-            .filter(|l| !l.starts_with("serve_quantized"))
-            .collect::<Vec<_>>()
-            .join("\n");
-        let parsed = ModelSpec::from_text(&text).expect("parse");
-        assert!(!parsed.serve_quantized);
+    fn spec_text_ignores_the_precision_field() {
+        let hinted = ModelSpec {
+            serve_quantized: true,
+            ..sample_spec()
+        };
+        assert_eq!(hinted.to_text(), sample_spec().to_text());
     }
 
     #[test]
@@ -368,8 +357,13 @@ mod tests {
 
     #[test]
     fn spec_ignores_unknown_keys() {
-        let mut text = sample_spec().to_text();
-        text.push_str("future_knob=42\n");
-        assert!(ModelSpec::from_text(&text).is_ok());
+        // `serve_quantized` is an older exporter's int8 hint: such a
+        // spec loads, and the server serves it in f32 like any other.
+        for extra in ["future_knob=42\n", "serve_quantized=true\n"] {
+            let mut text = sample_spec().to_text();
+            text.push_str(extra);
+            let parsed = ModelSpec::from_text(&text).expect("parse");
+            assert_eq!(parsed.to_text(), sample_spec().to_text(), "{extra:?}");
+        }
     }
 }

@@ -313,14 +313,12 @@ pub(crate) fn render_metrics(shared: &Shared) -> String {
     let version = env!("CARGO_PKG_VERSION");
     let protocol_version = protocol::VERSION.to_string();
     let threads = amoe_tensor::pool::threads().to_string();
-    let quantized = shared.config.quantized.to_string();
     r.gauge_with(
         "amoe_build_info",
         &[
             ("version", version),
             ("protocol", &protocol_version),
             ("threads", &threads),
-            ("quantized", &quantized),
         ],
         1.0,
     );
@@ -394,7 +392,6 @@ fn render_vars(shared: &Shared) -> String {
     write_str(&mut s, env!("CARGO_PKG_VERSION"));
     let _ = write!(s, ",\"protocol\":{}", protocol::VERSION);
     let _ = write!(s, ",\"threads\":{}", amoe_tensor::pool::threads());
-    let _ = write!(s, ",\"quantized\":{}", shared.config.quantized);
     let ready = !shared.shutdown.load(Ordering::SeqCst);
     let _ = write!(s, ",\"ready\":{ready}");
     s.push_str(",\"uptime_secs\":");

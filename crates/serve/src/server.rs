@@ -12,7 +12,6 @@ use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
 use amoe_core::ranker::OptimConfig;
-use amoe_core::serving::ServingModel;
 use amoe_core::{MoeConfig, MoeModel};
 use amoe_dataset::{Batch, DatasetMeta};
 use amoe_nn::ParamSet;
@@ -22,7 +21,7 @@ use amoe_obs::{Stage, WindowedHistogram};
 use amoe_tensor::Matrix;
 
 use crate::batcher::{self, Pending, ScoreDone, WriterMsg};
-use crate::config::ServeConfig;
+use crate::config::{ServeConfig, STATS_WINDOW};
 use crate::protocol::{self, FeatureRow, Request, Response};
 use crate::queue::{PushError, RequestQueue};
 
@@ -195,11 +194,10 @@ impl ServerStats {
 
 /// State shared by the accept loop, handler threads and the batcher.
 pub(crate) struct Shared {
-    /// The serving bundle (model + optional int8 expert snapshot,
-    /// quantized once at load). Handlers swap the `Arc` on RELOAD; the
-    /// batcher clones it per batch, so in-flight batches finish on
-    /// the model they started with.
-    pub model: Mutex<Arc<ServingModel>>,
+    /// The live model. Handlers swap the `Arc` on RELOAD; the batcher
+    /// clones it per batch, so in-flight batches finish on the model
+    /// they started with.
+    pub model: Mutex<Arc<MoeModel>>,
     /// Schema the server validates incoming ids against.
     pub meta: DatasetMeta,
     /// Architecture used to rebuild models on RELOAD.
@@ -254,17 +252,20 @@ impl Server {
     /// training encoder for each variant).
     ///
     /// # Errors
-    /// Fails on bind or thread-spawn errors.
+    /// Fails on a config [`ServeConfig::validate`] rejects
+    /// (`InvalidInput`), and on bind or thread-spawn errors.
     pub fn start(
         addr: impl ToSocketAddrs,
         model: MoeModel,
         meta: DatasetMeta,
         config: ServeConfig,
     ) -> io::Result<Server> {
-        config.validate();
+        config
+            .validate()
+            .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e))?;
         let listener = TcpListener::bind(addr)?;
         let local = listener.local_addr()?;
-        let stats = Arc::new(ServerStats::new(config.stats_window));
+        let stats = Arc::new(ServerStats::new(STATS_WINDOW));
         let mut queue = RequestQueue::new(config.queue_cap);
         {
             // Depth accounting runs inside the queue lock, so the
@@ -282,7 +283,7 @@ impl Server {
         }
         let shared = Arc::new(Shared {
             model_config: model.config().clone(),
-            model: Mutex::new(Arc::new(ServingModel::new(model, config.quantized))),
+            model: Mutex::new(Arc::new(model)),
             meta,
             queue,
             config,
@@ -665,10 +666,7 @@ fn reload_response(shared: &Arc<Shared>, path: &str) -> Response {
         });
     match swapped {
         Ok(new_model) => {
-            // Quantization policy survives the swap: the bundle is
-            // rebuilt with the server's configured mode.
-            *shared.model.lock().unwrap() =
-                Arc::new(ServingModel::new(new_model, shared.config.quantized));
+            *shared.model.lock().unwrap() = Arc::new(new_model);
             shared.stats.reloads.fetch_add(1, Ordering::Relaxed);
             let generation = shared.model_generation.fetch_add(1, Ordering::Relaxed) + 1;
             *shared.model_swapped.lock().unwrap() = Instant::now();

@@ -34,7 +34,6 @@ pub mod matmul;
 pub mod matrix;
 pub mod ops;
 pub mod pool;
-pub mod quant;
 pub mod reduce;
 pub mod rng;
 pub mod topk;

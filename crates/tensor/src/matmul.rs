@@ -198,7 +198,7 @@ pub mod reference {
 
 /// True when a product of this shape should use the parallel path.
 #[inline]
-pub(crate) fn parallel_worthwhile(m: usize, k: usize, n: usize) -> bool {
+fn parallel_worthwhile(m: usize, k: usize, n: usize) -> bool {
     m > 1 && m.saturating_mul(k).saturating_mul(n) >= PAR_FLOP_THRESHOLD && pool::threads() > 1
 }
 
@@ -206,7 +206,7 @@ pub(crate) fn parallel_worthwhile(m: usize, k: usize, n: usize) -> bool {
 /// micro-kernel. Very flat products (`m < MR`) never fill a tile and
 /// would pay the full `B` pack for one or two output rows.
 #[inline]
-pub(crate) fn pack_worthwhile(m: usize, k: usize, n: usize) -> bool {
+fn pack_worthwhile(m: usize, k: usize, n: usize) -> bool {
     m >= MR && m.saturating_mul(k).saturating_mul(n) >= PACK_FLOP_THRESHOLD
 }
 
@@ -242,7 +242,7 @@ fn check_nt(a: &Matrix, b: &Matrix) {
 
 /// How the `A` operand's effective `m x k` view maps onto its storage.
 #[derive(Clone, Copy)]
-pub(crate) enum AOrient<'a> {
+enum AOrient<'a> {
     /// Stored `m x k` row-major: `a_eff[i][p] = a[i][p]`.
     RowMajor(&'a Matrix),
     /// Stored `k x m` (used transposed): `a_eff[i][p] = a[p][i]`.
@@ -256,9 +256,9 @@ pub(crate) enum AOrient<'a> {
 /// strip, `NR` contiguous column values per `p` step, zero-padded past
 /// column `n`. Block `p0` starts at `p0 * n_strips * NR` because the
 /// heights of all preceding blocks sum to `p0`.
-pub(crate) struct PackedB {
-    pub(crate) data: Vec<f32>,
-    pub(crate) n_strips: usize,
+struct PackedB {
+    data: Vec<f32>,
+    n_strips: usize,
 }
 
 /// Packs `B` stored `k x n` row-major (the `nn` / `tn` flavours).
@@ -385,7 +385,7 @@ fn microkernel(apanel: &[f32], bstrip: &[f32], acc: &mut [[f32; NR]; MR]) {
 /// "Instruction sets" in the module docs). Only [`Kernel::detect`] can
 /// select the AVX2 copy, so holding one proves this CPU runs AVX2.
 #[derive(Clone, Copy, Debug)]
-pub(crate) struct Kernel {
+struct Kernel {
     avx2: bool,
 }
 
@@ -397,7 +397,7 @@ impl Kernel {
     /// The widest copy this CPU runs. `is_x86_feature_detected!`
     /// caches its CPUID probe in a static, so after the first product
     /// this is one atomic load.
-    pub(crate) fn detect() -> Kernel {
+    fn detect() -> Kernel {
         #[cfg(target_arch = "x86_64")]
         let avx2 = std::arch::is_x86_feature_detected!("avx2");
         #[cfg(not(target_arch = "x86_64"))]
@@ -525,7 +525,7 @@ fn gemm_packed(
 /// Shared driver: picks packed/naive, serial/parallel and the kernel
 /// copy per product. All paths produce identical bits (see module
 /// docs), so the dispatch is invisible in the numbers.
-pub(crate) fn run_gemm(
+fn run_gemm(
     a: AOrient<'_>,
     packed: impl Fn() -> PackedB,
     naive: impl Fn(usize, &mut [f32]) + Sync,

@@ -49,10 +49,10 @@ step "binary smoke: amoe-serve serve driven by amoe-online over real TCP"
 # (pool.*, serving.*, serve.* histograms) next to the native series.
 rm -rf target/ci_serve_demo && mkdir -p target/ci_serve_demo
 ./target/release/amoe-serve demo-export --out target/ci_serve_demo >/dev/null
-# The batching deadline and batcher sharding are gone; their old flags
-# must fail loudly, by name, rather than start a server that ignores
-# them.
-for BAD_FLAG in "--max-wait-us 1" "--shards 2"; do
+# The batching deadline, batcher sharding and int8 serving are gone;
+# their old flags must fail loudly, by name, rather than start a server
+# that ignores them.
+for BAD_FLAG in "--max-wait-us 1" "--shards 2" "--quantized"; do
   # shellcheck disable=SC2086 # the flag and its value are two words
   BAD_FLAG_OUT="$(timeout 10 ./target/release/amoe-serve serve \
     --ckpt target/ci_serve_demo/model.amoe --spec target/ci_serve_demo/model.spec \

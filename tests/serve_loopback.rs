@@ -1,7 +1,6 @@
 //! End-to-end tests of the `amoe-serve` service over loopback TCP:
 //! batched scores must be **bit-identical** to direct in-process
-//! `ServingMoe::predict` at every pool width (and within
-//! `QUANT_SCORE_TOLERANCE` of it on int8 experts), overload must
+//! `ServingMoe::predict` at every pool width, overload must
 //! surface as `OVERLOADED`, a hot-swap under load must not fail a
 //! single in-flight request, `SHUTDOWN` must drain every admitted
 //! request before the server exits, and lying frames or hellos of
@@ -21,7 +20,7 @@ use std::time::Duration;
 use adv_hsc_moe::dataset::{generate, Batch, Dataset, GeneratorConfig};
 use adv_hsc_moe::moe::config::TowerConfig;
 use adv_hsc_moe::moe::ranker::{OptimConfig, Ranker};
-use adv_hsc_moe::moe::serving::{QuantizedExperts, ServingMoe, QUANT_SCORE_TOLERANCE};
+use adv_hsc_moe::moe::serving::ServingMoe;
 use adv_hsc_moe::moe::{MoeConfig, MoeModel};
 use adv_hsc_moe::online::daemon::feature_row;
 use adv_hsc_moe::serve::protocol::{self, Request, Response};
@@ -119,43 +118,6 @@ fn scores_over_tcp_are_bit_identical_to_direct_predict() {
         server.join();
     }
     pool::clear_threads_override();
-}
-
-/// A server started with `quantized: true` scores over TCP on the int8
-/// expert path: bit-identical to the local int8 `ServingMoe` on the
-/// same weights, and within `QUANT_SCORE_TOLERANCE` of the f32 one.
-#[test]
-fn quantized_server_scores_within_tolerance_of_f32() {
-    let (d, model) = trained_model(909, 8);
-    let span = 0..32;
-    let batch = Batch::from_split(&d.test, &span.clone().collect::<Vec<_>>());
-    let f32_scores = ServingMoe::new(&model).predict(&batch);
-    let quant = QuantizedExperts::from_model(&model);
-    let int8_scores = ServingMoe::with_quantized(&model, &quant).predict(&batch);
-    assert_ne!(int8_scores, f32_scores, "int8 and f32 paths must differ");
-
-    let server = Server::start(
-        "127.0.0.1:0",
-        model,
-        d.meta.clone(),
-        ServeConfig {
-            quantized: true,
-            ..ServeConfig::default()
-        },
-    )
-    .expect("server start");
-    let mut client = Client::connect(server.local_addr()).expect("connect");
-    let served = client.score(&feature_rows(&d, span)).expect("score");
-    assert_eq!(served, int8_scores, "server did not score on int8 experts");
-    for (i, (s, f)) in served.iter().zip(&f32_scores).enumerate() {
-        assert!(
-            (s - f).abs() <= QUANT_SCORE_TOLERANCE,
-            "row {i}: served {s} is {} from f32 {f}, over {QUANT_SCORE_TOLERANCE}",
-            (s - f).abs()
-        );
-    }
-    client.shutdown().expect("shutdown");
-    server.join();
 }
 
 /// A full queue with a throttled batcher rejects with `OVERLOADED`
