@@ -10,9 +10,11 @@
 //! global state.
 
 use adv_hsc_moe::dataset::{generate, Batch, DriftConfig, DriftWorld, GeneratorConfig, Split};
+use adv_hsc_moe::moe::finetune::FineTuner;
 use adv_hsc_moe::moe::ranker::{OptimConfig, Ranker};
 use adv_hsc_moe::moe::serving::ServingMoe;
-use adv_hsc_moe::moe::{MoeConfig, MoeModel, TrainConfig, Trainer};
+use adv_hsc_moe::moe::{GateInput, MoeConfig, MoeModel, TrainConfig, Trainer};
+use adv_hsc_moe::nn::ParamSet;
 use adv_hsc_moe::online::SessionStream;
 use adv_hsc_moe::tensor::matmul::{self, reference};
 use adv_hsc_moe::tensor::{pool, Rng};
@@ -113,7 +115,9 @@ fn train_step_losses_identical_across_thread_counts() {
     // for every thread budget, step by step.
     let d = generate(&GeneratorConfig::tiny(49));
     let batch = Batch::from_split(&d.train, &(0..96.min(d.train.len())).collect::<Vec<_>>());
-    let sweep = |threads: usize| -> Vec<[f32; 5]> {
+    // Losses can match while a gradient differs, so the sweep also
+    // compares the trained parameters' fingerprint.
+    let sweep = |threads: usize| -> (Vec<[f32; 5]>, u64) {
         pool::set_threads(threads);
         let mut model = MoeModel::new(
             &d.meta,
@@ -124,23 +128,114 @@ fn train_step_losses_identical_across_thread_counts() {
             },
             OptimConfig::default(),
         );
-        (0..6)
+        let losses = (0..6)
             .map(|_| {
                 let s = model.train_step(&batch);
                 [s.loss, s.ce, s.hsc, s.adv, s.load_balance]
             })
-            .collect()
+            .collect();
+        (losses, param_hash(model.params()))
     };
     let reference = sweep(1);
-    assert!(reference.iter().flatten().all(|v| v.is_finite()));
+    assert!(reference.0.iter().flatten().all(|v| v.is_finite()));
     for threads in [2usize, 4, 8] {
         assert_eq!(
             sweep(threads),
             reference,
-            "train_step losses diverged at {threads} threads"
+            "train_step losses or parameters diverged at {threads} threads"
         );
     }
     pool::clear_threads_override();
+}
+
+/// FNV-1a (64-bit) over every parameter's f32 bits, in registration
+/// order, eaten the way [`split_hash`] eats a field.
+fn param_hash(params: &ParamSet) -> u64 {
+    let mut h = 0xCBF2_9CE4_8422_2325u64;
+    for (_, m) in params.iter() {
+        for &v in m.as_slice() {
+            for byte in u64::from(v.to_bits()).to_le_bytes() {
+                h = (h ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01B3);
+            }
+        }
+    }
+    h
+}
+
+#[test]
+fn trained_parameters_match_pinned_fingerprints() {
+    // The constants were taken from the training step that ran every
+    // expert tower on every row. Any change to the step — which rows a
+    // tower sees, the order gradients merge in, the RNG draw order —
+    // moves them, so a rewrite of the step must keep every parameter
+    // bit for bit. The cases cover both regularisers, a model with
+    // neither, every idle expert adversarial, the widest gate input,
+    // and a 3-row batch at K = 1 where some experts get no rows.
+    let d = generate(&GeneratorConfig::tiny(49));
+    let batch = |rows: usize| Batch::from_split(&d.train, &(0..rows).collect::<Vec<_>>());
+    let trained = |config: MoeConfig, rows: usize| {
+        let batch = batch(rows);
+        let mut model = MoeModel::new(&d.meta, config, OptimConfig::default());
+        for _ in 0..6 {
+            model.train_step(&batch);
+        }
+        param_hash(model.params())
+    };
+    let narrow = |config: MoeConfig| MoeConfig {
+        n_experts: 8,
+        top_k: 2,
+        ..config
+    };
+    let hashes = [
+        trained(narrow(MoeConfig::adv_hsc_moe()), 96),
+        trained(MoeConfig::moe(), 96),
+        trained(
+            MoeConfig {
+                n_adversarial: 6,
+                ..narrow(MoeConfig::adv_moe())
+            },
+            96,
+        ),
+        trained(
+            MoeConfig {
+                gate_input: GateInput::All,
+                ..narrow(MoeConfig::adv_hsc_moe())
+            },
+            96,
+        ),
+        trained(
+            MoeConfig {
+                top_k: 1,
+                ..MoeConfig::adv_hsc_moe()
+            },
+            3,
+        ),
+    ];
+    // One fine-tuning step on two experts: the frozen parameters'
+    // gradients are zeroed before the update, so this pins the tuned
+    // towers' gradients on their own.
+    let mut model = MoeModel::new(
+        &d.meta,
+        narrow(MoeConfig::adv_hsc_moe()),
+        OptimConfig::default(),
+    );
+    FineTuner::for_experts(&model, &[1, 5], 1e-2).step(&mut model, &batch(96));
+    let finetuned = param_hash(model.params());
+    assert_eq!(
+        hashes,
+        [
+            0x5A6E_038F_3487_8192,
+            0xF1BF_F959_857E_5894,
+            0x81F8_B13B_70B1_C5E5,
+            0xA8EC_6451_2166_D8B0,
+            0x32F1_DC01_D502_4B71,
+        ],
+        "trained parameters moved"
+    );
+    assert_eq!(
+        finetuned, 0x6DDC_7FCF_A65E_C07E,
+        "fine-tuned parameters moved"
+    );
 }
 
 #[test]
