@@ -176,12 +176,14 @@ impl MoeModel {
         &mut self.params
     }
 
+    /// The dense evaluation forward: every expert on every row, no
+    /// gating noise (training runs the sparse split-graph step of
+    /// [`MoeModel::accumulate_gradients`] instead).
     fn forward<'t>(
         &self,
         tape: &'t Tape,
         bound: &amoe_nn::Bound<'t>,
         batch: &Batch,
-        noise_rng: Option<&mut Rng>,
     ) -> MoeForward<'t> {
         let x = self.encoder.input(tape, bound, batch);
         let gate_in = self
@@ -189,7 +191,7 @@ impl MoeModel {
             .gate_input(tape, bound, batch, self.config.gate_input);
         let gate = self
             .inference_gate
-            .forward(tape, bound, gate_in, self.config.top_k, noise_rng);
+            .forward(tape, bound, gate_in, self.config.top_k, None);
         let outs: Vec<Var<'t>> = self.experts.iter().map(|e| e.forward(bound, x)).collect();
         let expert_matrix = Var::concat_cols(&outs);
         let logit = (gate.probs * expert_matrix).row_sum();
@@ -254,14 +256,14 @@ impl MoeModel {
         self.inference_gate.logits_infer(&self.params, gate_input)
     }
 
-    /// Raw ensemble logits (pre-sigmoid) through the dense training
-    /// graph — every expert computed, evaluation mode (no gating noise).
-    /// The reference the sparse serving path is tested against.
+    /// Raw ensemble logits (pre-sigmoid) through the dense evaluation
+    /// graph — every expert computed, no gating noise. The reference
+    /// the sparse serving path is tested against.
     #[must_use]
     pub fn predict_logits_dense(&self, batch: &Batch) -> Vec<f32> {
         let tape = Tape::new();
         let bound = self.params.bind(&tape);
-        let fwd = self.forward(&tape, &bound, batch, None);
+        let fwd = self.forward(&tape, &bound, batch);
         fwd.logit.value().into_vec()
     }
 
@@ -271,7 +273,7 @@ impl MoeModel {
     pub fn expert_logits(&self, batch: &Batch) -> (Matrix, Matrix) {
         let tape = Tape::new();
         let bound = self.params.bind(&tape);
-        let fwd = self.forward(&tape, &bound, batch, None);
+        let fwd = self.forward(&tape, &bound, batch);
         (fwd.expert_matrix.value(), fwd.gate.topk_mask)
     }
 }
@@ -295,7 +297,7 @@ impl Ranker for MoeModel {
     fn predict(&self, batch: &Batch) -> Vec<f32> {
         let tape = Tape::new();
         let bound = self.params.bind(&tape);
-        let fwd = self.forward(&tape, &bound, batch, None);
+        let fwd = self.forward(&tape, &bound, batch);
         ops::sigmoid(&fwd.logit.value()).into_vec()
     }
 
@@ -311,21 +313,67 @@ impl Ranker for MoeModel {
     }
 }
 
+/// Which batch rows each expert trains on, as one flat CSR: expert
+/// `e` gets `rows[offsets[e]..offsets[e + 1]]`, ascending.
+struct ExpertRoutes {
+    offsets: Vec<usize>,
+    rows: Vec<usize>,
+}
+
+impl ExpertRoutes {
+    /// Routes row `r` to expert `e` iff the top-K mask or the
+    /// adversarial mask is set at `(r, e)`: every other row has gate
+    /// probability 0 and mask entries 0, so its cotangent is ±0.
+    fn new(topk_mask: &Matrix, adv_mask: Option<&Matrix>) -> Self {
+        let (b, n) = topk_mask.shape();
+        let routed = |r: usize, e: usize| {
+            topk_mask[(r, e)] != 0.0 || adv_mask.is_some_and(|m| m[(r, e)] != 0.0)
+        };
+        let mut offsets = vec![0; n + 1];
+        for r in 0..b {
+            for e in 0..n {
+                if routed(r, e) {
+                    offsets[e + 1] += 1;
+                }
+            }
+        }
+        for e in 0..n {
+            offsets[e + 1] += offsets[e];
+        }
+        let mut cursor = offsets[..n].to_vec();
+        let mut rows = vec![0; offsets[n]];
+        for r in 0..b {
+            for e in 0..n {
+                if routed(r, e) {
+                    rows[cursor[e]] = r;
+                    cursor[e] += 1;
+                }
+            }
+        }
+        ExpertRoutes { offsets, rows }
+    }
+
+    fn rows(&self, e: usize) -> &[usize] {
+        &self.rows[self.offsets[e]..self.offsets[e + 1]]
+    }
+}
+
 /// One expert's forward tape, built in parallel and revisited for the
 /// seeded backward pass. Carries raw node ids instead of `Var`s so it
 /// can cross threads (`Tape` is `Send`; `Var` is not).
 struct ExpertFwd {
     tape: Tape,
-    /// Leaf holding the shared input `X`.
+    /// Leaf holding the expert's rows of the shared input `X`.
     x_id: usize,
-    /// The tower's `B x 1` output logits.
+    /// The tower's output logits, one per routed row.
     out_id: usize,
     /// `(parameter, leaf id)` for every tower weight on this tape.
     leaves: Vec<(ParamId, usize)>,
 }
 
-/// One expert's backward result: cotangent of the shared input plus the
-/// tower's parameter gradients, merged serially in expert order.
+/// One expert's backward result: cotangent of its rows of the shared
+/// input plus the tower's parameter gradients, merged serially in
+/// expert order.
 struct ExpertGrad {
     d_x: Matrix,
     param_grads: Vec<(ParamId, Matrix)>,
@@ -337,6 +385,16 @@ impl MoeModel {
     /// by [`Ranker::train_step`] and by [`crate::finetune::FineTuner`],
     /// which filters the gradients before stepping its own optimizer.
     ///
+    /// # Sparsity
+    ///
+    /// Each expert tower runs forward and backward only on the rows
+    /// routed to it: its top-K rows plus, under AdvLoss, the rows that
+    /// sampled it as a disagreeing expert. Every other row has gate
+    /// probability 0 and mask entries 0, so its cotangent is ±0; the
+    /// GEMM chains and the `col_sum` / `row_sum` reductions add in row
+    /// order from 0.0, so dropping those ±0 terms leaves every sum, and
+    /// so every gradient, bit for bit what the dense step computed.
+    ///
     /// # Parallelism
     ///
     /// The computation graph is split at its natural seams so the
@@ -345,17 +403,20 @@ impl MoeModel {
     ///
     /// 1. a shared-prefix tape builds the encoder outputs (`X`, the
     ///    gate input, the TC embedding) serially;
-    /// 2. each expert forward runs on its **own tape** (bound to just
-    ///    that tower's weights, fed the value of `X` as a leaf) — one
-    ///    pool task per expert;
-    /// 3. a gate/loss tape consumes the expert outputs as leaves,
-    ///    builds the gate and all loss terms, and back-propagates —
-    ///    serial, and bit-identical to the former single-tape loss
-    ///    because the floating-point op sequence is unchanged;
-    /// 4. each expert tape back-propagates from its output's cotangent
-    ///    — one pool task per expert;
-    /// 5. gradients merge serially **in expert order** (never in
-    ///    completion order), and one multi-seed sweep pushes the `X` /
+    /// 2. a gate/loss tape runs the gate forward, then the adversarial
+    ///    mask is sampled (the RNG draw order is gating noise, then
+    ///    mask), and the two masks route each expert its rows;
+    /// 3. each expert forward runs on its **own tape** (bound to just
+    ///    that tower's weights, fed its rows of `X` as a leaf) — one
+    ///    pool task per expert, none for an expert with no rows; its
+    ///    outputs are scattered into a `B x 1` zero column;
+    /// 4. the gate/loss tape consumes those columns as leaves, builds
+    ///    all loss terms, and back-propagates — serial;
+    /// 5. each expert tape back-propagates from its rows of its
+    ///    column's cotangent — one pool task per routed expert;
+    /// 6. gradients merge serially **in expert order** (never in
+    ///    completion order): each expert's `X` cotangent rows are
+    ///    scatter-added, and one multi-seed sweep pushes the `X` /
     ///    gate-input / TC cotangents through the shared-prefix tape.
     ///
     /// Every cross-thread write lands in a per-expert slot and every
@@ -382,41 +443,7 @@ impl MoeModel {
         let gate_in_val = gate_in.value();
         let tc_val = tc_emb.map(|v| v.value());
 
-        // Stage 2: per-expert forward tapes, one pool task per expert.
-        let experts = &self.experts;
-        let params = &self.params;
-        let x_ref = &x_val;
-        let fwds: Vec<ExpertFwd> = {
-            let _stage = amoe_obs::StageScope::enter("train.expert_fwd");
-            pool::map_tasks(n_experts, |e| {
-                let tape = Tape::new();
-                let ids = experts[e].param_ids();
-                let bound = params.bind_subset(&tape, &ids);
-                let x_leaf = tape.leaf(x_ref.clone());
-                let out = experts[e].forward(&bound, x_leaf);
-                let leaves = ids.iter().map(|&pid| (pid, bound.leaf_id(pid))).collect();
-                ExpertFwd {
-                    x_id: x_leaf.id(),
-                    out_id: out.id(),
-                    leaves,
-                    tape,
-                }
-            })
-        };
-        // Take-once slots so the backward tasks can reclaim their tape
-        // across the pool boundary (`Tape` is `Send` but not `Sync`).
-        let mut out_vals = Vec::with_capacity(n_experts);
-        let fwd_slots: Vec<Mutex<Option<ExpertFwd>>> = fwds
-            .into_iter()
-            .map(|f| {
-                out_vals.push(f.tape.value(f.out_id));
-                Mutex::new(Some(f))
-            })
-            .collect();
-
-        // Stage 3: gate + loss tape, serial. The RNG draw order (gating
-        // noise first, adversarial mask second) matches the former
-        // single-tape implementation, so sampled values are unchanged.
+        // Stage 2: gate forward, then the adversarial mask, then routing.
         let loss_tape = Tape::new();
         let mut head_ids = self.inference_gate.param_ids();
         if let Some(cg) = &self.constraint_gate {
@@ -433,19 +460,62 @@ impl MoeModel {
             self.config.top_k,
             noise,
         );
-        let out_leaves: Vec<Var<'_>> = out_vals.into_iter().map(|v| loss_tape.leaf(v)).collect();
+        let adv_mask = self.config.adversarial.then(|| {
+            sample_adversarial_mask(&gate.topk_mask, self.config.n_adversarial, &mut step_rng)
+        });
+        let routes = ExpertRoutes::new(&gate.topk_mask, adv_mask.as_ref());
+
+        // Stage 3: per-expert forward tapes on the routed rows, one pool
+        // task per expert that has any.
+        let experts = &self.experts;
+        let params = &self.params;
+        let x_ref = &x_val;
+        let fwds: Vec<Option<ExpertFwd>> = {
+            let _stage = amoe_obs::StageScope::enter("train.expert_fwd");
+            pool::map_tasks(n_experts, |e| {
+                let rows = routes.rows(e);
+                if rows.is_empty() {
+                    return None;
+                }
+                let tape = Tape::new();
+                let ids = experts[e].param_ids();
+                let bound = params.bind_subset(&tape, &ids);
+                let x_leaf = tape.leaf(x_ref.gather_rows(rows));
+                let out = experts[e].forward(&bound, x_leaf);
+                let leaves = ids.iter().map(|&pid| (pid, bound.leaf_id(pid))).collect();
+                Some(ExpertFwd {
+                    x_id: x_leaf.id(),
+                    out_id: out.id(),
+                    leaves,
+                    tape,
+                })
+            })
+        };
+        let out_leaves: Vec<Var<'_>> = fwds
+            .iter()
+            .enumerate()
+            .map(|(e, f)| {
+                let mut col = Matrix::zeros(b, 1);
+                if let Some(f) = f {
+                    let out = f.tape.value(f.out_id);
+                    for (&r, &v) in routes.rows(e).iter().zip(out.as_slice()) {
+                        col[(r, 0)] = v;
+                    }
+                }
+                loss_tape.leaf(col)
+            })
+            .collect();
+
+        // Stage 4: the rest of the gate + loss tape, serial.
         let expert_matrix = Var::concat_cols(&out_leaves);
         let logit = (gate.probs * expert_matrix).row_sum();
         let tc_leaf = tc_val.map(|v| loss_tape.leaf(v));
+        // The constraint gate is a target, not a router: only its clean
+        // logits enter the loss (Eq. 10), so it skips the top-K cut.
         let constraint_logits = self.constraint_gate.as_ref().map(|cg| {
-            cg.forward(
-                &loss_tape,
-                &loss_bound,
-                tc_leaf.expect("HSC implies a TC embedding"),
-                self.config.top_k,
-                None,
-            )
-            .clean_logits
+            tc_leaf
+                .expect("HSC implies a TC embedding")
+                .matmul(loss_bound.var(cg.weight()))
         });
 
         let ce = logit.bce_with_logits(&batch.labels);
@@ -457,13 +527,11 @@ impl MoeModel {
             stats.hsc = amoe_tensor::reduce::mean(&hsc.value());
             per_example = per_example + hsc.scale(self.config.lambda1);
         }
-        if self.config.adversarial {
-            let adv_mask =
-                sample_adversarial_mask(&gate.topk_mask, self.config.n_adversarial, &mut step_rng);
+        if let Some(adv_mask) = &adv_mask {
             let adv = adversarial_loss(
                 expert_matrix,
                 &gate.topk_mask,
-                &adv_mask,
+                adv_mask,
                 self.config.top_k,
                 self.config.n_adversarial,
             );
@@ -488,50 +556,63 @@ impl MoeModel {
         self.params.zero_grads();
         self.params.collect_grads(&loss_bound, &loss_grads);
 
-        // Boundary cotangents: one per expert output, plus the gate
-        // input and (under HSC) the TC embedding.
-        let d_outs: Vec<Matrix> = out_leaves
-            .iter()
-            .map(|&v| loss_grads.get_or_zeros(v, b, 1))
+        // Boundary cotangents: each routed expert's rows of its output
+        // column, plus the gate input and (under HSC) the TC embedding.
+        let fwd_slots: Vec<Mutex<Option<(ExpertFwd, Matrix)>>> = fwds
+            .into_iter()
+            .zip(&out_leaves)
+            .enumerate()
+            .map(|(e, (f, &v))| {
+                Mutex::new(f.map(|f| {
+                    let rows = routes.rows(e);
+                    let d_out = loss_grads
+                        .get(v)
+                        .map_or_else(|| Matrix::zeros(rows.len(), 1), |d| d.gather_rows(rows));
+                    (f, d_out)
+                }))
+            })
             .collect();
         let d_gate_in = loss_grads.get_or_zeros(gate_in_leaf, b, gate_in_leaf.shape().1);
         let d_tc = tc_leaf.map(|v| loss_grads.get_or_zeros(v, b, v.shape().1));
 
-        // Stage 4: per-expert backward, one pool task per expert.
+        // Stage 5: per-expert backward, one pool task per routed expert.
+        // Take-once slots let each task reclaim its tape across the pool
+        // boundary (`Tape` is `Send` but not `Sync`).
         let x_cols = x_val.cols();
         let slots = &fwd_slots;
-        let d_outs_ref = &d_outs;
-        let backs: Vec<ExpertGrad> = {
+        let backs: Vec<Option<ExpertGrad>> = {
             let _stage = amoe_obs::StageScope::enter("train.expert_bwd");
             pool::map_tasks(n_experts, |e| {
-                let f = slots[e]
+                let (f, d_out) = slots[e]
                     .lock()
                     .unwrap_or_else(std::sync::PoisonError::into_inner)
-                    .take()
-                    .expect("expert tape claimed exactly once");
-                let g = f
-                    .tape
-                    .backward_seeded(f.tape.var(f.out_id), d_outs_ref[e].clone());
-                let d_x = g.get_or_zeros(f.tape.var(f.x_id), b, x_cols);
+                    .take()?;
+                let g = f.tape.backward_seeded(f.tape.var(f.out_id), d_out);
+                let d_x = g.get_or_zeros(f.tape.var(f.x_id), routes.rows(e).len(), x_cols);
                 let param_grads = f
                     .leaves
                     .iter()
                     .filter_map(|&(pid, leaf)| g.get(f.tape.var(leaf)).map(|m| (pid, m.clone())))
                     .collect();
-                ExpertGrad { d_x, param_grads }
+                Some(ExpertGrad { d_x, param_grads })
             })
         };
 
-        // Stage 5: deterministic serial merge in expert order.
+        // Stage 6: deterministic serial merge in expert order.
         let mut d_x = Matrix::zeros(b, x_cols);
-        for eg in backs {
-            ops::add_assign(&mut d_x, &eg.d_x);
+        for (e, eg) in backs.into_iter().enumerate() {
+            let Some(eg) = eg else { continue };
+            for (i, &r) in routes.rows(e).iter().enumerate() {
+                for (d, &g) in d_x.row_mut(r).iter_mut().zip(eg.d_x.row(i)) {
+                    *d += g;
+                }
+            }
             for (pid, g) in eg.param_grads {
                 ops::add_assign(self.params.grad_mut(pid), &g);
             }
         }
 
-        // Stage 6: one multi-seed sweep through the shared prefix.
+        // One multi-seed sweep through the shared prefix.
         let mut seeds = vec![(x, d_x), (gate_in, d_gate_in)];
         if let (Some(tc), Some(d)) = (tc_emb, d_tc) {
             seeds.push((tc, d));

@@ -17,9 +17,13 @@
 //! The listener is deliberately minimal: `GET` only, no body reads,
 //! keep-alive with pipelining (requests already buffered are answered
 //! in order), an 8 KiB header cap (431 beyond it), and 400 on anything
-//! that does not parse as an HTTP/1.x request line. Handlers poll the
-//! stop flag on a short read timeout, so [`ObsListener::stop`] wins
-//! even against an idle keep-alive peer.
+//! that does not parse as an HTTP/1.x request line. Because bodies are
+//! never read, a 405 and any head that declares a body
+//! (`Content-Length` > 0 or `Transfer-Encoding`) get their answer and
+//! then the connection is closed: the unread body would otherwise be
+//! parsed as the next request head. Handlers poll the stop flag on a
+//! short read timeout, so [`ObsListener::stop`] wins even against an
+//! idle keep-alive peer.
 //!
 //! Scrapes are designed to stay off the score path: rendering takes
 //! the windows lock for one merge pass (the same lock a request holds
@@ -132,6 +136,9 @@ struct ParsedRequest {
     /// HTTP/1.1 defaults to keep-alive; `Connection: close` (or
     /// HTTP/1.0 without `keep-alive`) turns it off.
     keep_alive: bool,
+    /// The head declares a body (`Content-Length` > 0, or any
+    /// `Transfer-Encoding`) that the listener will not read.
+    has_body: bool,
 }
 
 /// Parses a request head (everything before the `\r\n\r\n`
@@ -158,6 +165,7 @@ fn parse_request(head: &[u8]) -> Result<ParsedRequest, String> {
         other => return Err(format!("unsupported version {other:?}")),
     };
     let mut keep_alive = http11;
+    let mut has_body = false;
     for line in lines {
         if line.is_empty() {
             continue; // trailing empty split before the terminator
@@ -172,12 +180,18 @@ fn parse_request(head: &[u8]) -> Result<ParsedRequest, String> {
             } else if value.eq_ignore_ascii_case("keep-alive") {
                 keep_alive = true;
             }
+        } else if name.eq_ignore_ascii_case("content-length") {
+            // An unparsable length is as untrustworthy as a body.
+            has_body |= value.trim().parse::<u64>() != Ok(0);
+        } else if name.eq_ignore_ascii_case("transfer-encoding") {
+            has_body = true;
         }
     }
     Ok(ParsedRequest {
         method: method.to_string(),
         path: path.to_string(),
         keep_alive,
+        has_body,
     })
 }
 
@@ -235,14 +249,12 @@ fn handle_connection(
             return Ok(());
         };
         let (status, ctype, body) = route(&request, shared);
-        write_response(
-            &mut stream,
-            status,
-            ctype,
-            body.as_bytes(),
-            request.keep_alive,
-        )?;
-        if !request.keep_alive {
+        // Bodies are never read, so the bytes after a body-bearing head
+        // (or a 405, whose body may follow) cannot be trusted as the
+        // next head: answer, then close.
+        let keep_alive = request.keep_alive && !request.has_body && status != 405;
+        write_response(&mut stream, status, ctype, body.as_bytes(), keep_alive)?;
+        if !keep_alive {
             return Ok(());
         }
     }
@@ -526,6 +538,20 @@ mod tests {
             b"",
         ] {
             assert!(parse_request(head).is_err(), "{head:?} should be rejected");
+        }
+    }
+
+    #[test]
+    fn parse_request_flags_declared_bodies() {
+        for (head, has_body) in [
+            (&b"GET / HTTP/1.1"[..], false),
+            (b"GET / HTTP/1.1\r\nContent-Length: 0", false),
+            (b"POST / HTTP/1.1\r\nContent-Length: 5", true),
+            (b"POST / HTTP/1.1\r\ncontent-length: lots", true),
+            (b"POST / HTTP/1.1\r\nTransfer-Encoding: chunked", true),
+        ] {
+            let r = parse_request(head).unwrap();
+            assert_eq!(r.has_body, has_body, "{head:?}");
         }
     }
 

@@ -341,7 +341,7 @@ fn malformed_http_is_rejected_without_harming_the_server() {
     let (status, _) = http_get(obs, "/definitely-not-a-route", GET_TIMEOUT).expect("404 route");
     assert_eq!(status, 404);
 
-    // Non-GET methods are rejected but keep the connection usable.
+    // Non-GET methods are rejected and the connection closed.
     {
         let mut s = TcpStream::connect(obs).expect("connect obs");
         s.write_all(b"POST /metrics HTTP/1.1\r\nConnection: close\r\n\r\n")
@@ -357,5 +357,69 @@ fn malformed_http_is_rejected_without_harming_the_server() {
     let scores = client.score(&rows).expect("score after HTTP abuse");
     assert_eq!(scores.len(), rows.len());
     client.shutdown().expect("shutdown");
+    server.join();
+}
+
+/// The listener never reads request bodies, so a head that declares one
+/// is answered with `Connection: close` and then EOF: the body is never
+/// parsed as the next head, so a valid request pipelined behind it gets
+/// no 400. The same holds for a bodiless 405.
+#[test]
+fn request_with_a_body_is_answered_then_the_connection_closes() {
+    let d = generate(&GeneratorConfig::tiny(41));
+    let server = start_server(&d, ServeConfig::default());
+    let obs = server.obs_addr().expect("obs listener is configured");
+
+    for (request, status) in [
+        (
+            &b"POST /vars HTTP/1.1\r\nContent-Length: 5\r\n\r\nhelloGET /healthz HTTP/1.1\r\n\r\n"
+                [..],
+            405,
+        ),
+        (
+            b"GET /healthz HTTP/1.1\r\nContent-Length: 5\r\n\r\nhelloGET /healthz HTTP/1.1\r\n\r\n",
+            200,
+        ),
+        (
+            b"GET /healthz HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n0\r\n\r\n",
+            200,
+        ),
+        (
+            b"DELETE /vars HTTP/1.1\r\n\r\nGET /healthz HTTP/1.1\r\n\r\n",
+            405,
+        ),
+    ] {
+        let mut s = TcpStream::connect(obs).expect("connect obs");
+        // One write, so the server has read every byte before it closes
+        // (unread bytes would turn its close into an RST).
+        s.write_all(request).expect("write request");
+        let mut reply = String::new();
+        s.read_to_string(&mut reply).expect("read until EOF");
+        assert!(
+            reply.starts_with(&format!("HTTP/1.1 {status} ")),
+            "{request:?} got: {reply:?}"
+        );
+        assert!(
+            reply.contains("\r\nConnection: close\r\n"),
+            "{request:?} got: {reply:?}"
+        );
+        assert_eq!(
+            reply.matches("HTTP/1.1 ").count(),
+            1,
+            "the body was parsed as a request: {reply:?}"
+        );
+    }
+
+    // A bodiless GET still keeps the connection alive for the next one.
+    let mut s = TcpStream::connect(obs).expect("connect obs");
+    s.write_all(b"GET /healthz HTTP/1.1\r\n\r\nGET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n")
+        .expect("write two requests");
+    let mut reply = String::new();
+    s.read_to_string(&mut reply).expect("read until EOF");
+    assert_eq!(reply.matches("HTTP/1.1 200 ").count(), 2, "got: {reply:?}");
+    Client::connect(server.local_addr())
+        .expect("connect")
+        .shutdown()
+        .expect("shutdown");
     server.join();
 }

@@ -129,4 +129,11 @@ step "noalloc guard: disabled telemetry and tracing allocate nothing"
 # Cargo.toml), so this step sets opt-level 0 explicitly.
 cargo test -q --offline --config profile.dev.opt-level=0 --test obs_noalloc
 
+step "pinned training fingerprints at opt-level 0"
+# The root Cargo.toml claims no opt level changes a float result.
+# Tier-1 runs the pinned fingerprints at opt-level 1 and the workspace
+# step above at release; this runs them unoptimised.
+cargo test -q --offline --config profile.dev.opt-level=0 --test determinism \
+  trained_parameters_match_pinned_fingerprints
+
 step "ci green"

@@ -148,18 +148,31 @@ fn train_step_losses_identical_across_thread_counts() {
     pool::clear_threads_override();
 }
 
-/// FNV-1a (64-bit) over every parameter's f32 bits, in registration
-/// order, eaten the way [`split_hash`] eats a field.
-fn param_hash(params: &ParamSet) -> u64 {
-    let mut h = 0xCBF2_9CE4_8422_2325u64;
-    for (_, m) in params.iter() {
-        for &v in m.as_slice() {
-            for byte in u64::from(v.to_bits()).to_le_bytes() {
-                h = (h ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01B3);
-            }
+/// FNV-1a (64-bit) state, fed one `u64` at a time as little-endian
+/// bytes.
+struct Fnv(u64);
+
+impl Fnv {
+    fn new() -> Self {
+        Fnv(0xCBF2_9CE4_8422_2325)
+    }
+
+    fn eat(&mut self, v: u64) {
+        for byte in v.to_le_bytes() {
+            self.0 = (self.0 ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01B3);
         }
     }
-    h
+}
+
+/// FNV-1a over every parameter's f32 bits, in registration order.
+fn param_hash(params: &ParamSet) -> u64 {
+    let mut h = Fnv::new();
+    for (_, m) in params.iter() {
+        for &v in m.as_slice() {
+            h.eat(u64::from(v.to_bits()));
+        }
+    }
+    h.0
 }
 
 #[test]
@@ -384,15 +397,11 @@ fn drift_stream_windows_identical_across_runs_and_thread_counts() {
     );
 }
 
-/// FNV-1a (64-bit) over the session ranges and every field of every
-/// example of a split, with floats as raw bits.
+/// FNV-1a over the session ranges and every field of every example of
+/// a split, with floats as raw bits.
 fn split_hash(split: &Split) -> u64 {
-    let mut h = 0xCBF2_9CE4_8422_2325u64;
-    let mut eat = |v: u64| {
-        for byte in v.to_le_bytes() {
-            h = (h ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01B3);
-        }
-    };
+    let mut h = Fnv::new();
+    let mut eat = |v: u64| h.eat(v);
     for r in &split.sessions {
         eat(r.start as u64);
         eat(r.end as u64);
@@ -414,7 +423,7 @@ fn split_hash(split: &Split) -> u64 {
         eat(u64::from(e.label));
         eat(u64::from(e.raw_sales.to_bits()));
     }
-    h
+    h.0
 }
 
 #[test]
