@@ -390,10 +390,11 @@ impl MoeModel {
     /// Each expert tower runs forward and backward only on the rows
     /// routed to it: its top-K rows plus, under AdvLoss, the rows that
     /// sampled it as a disagreeing expert. Every other row has gate
-    /// probability 0 and mask entries 0, so its cotangent is ±0; the
-    /// GEMM chains and the `col_sum` / `row_sum` reductions add in row
-    /// order from 0.0, so dropping those ±0 terms leaves every sum, and
-    /// so every gradient, bit for bit what the dense step computed.
+    /// probability 0 and mask entries 0, so its cotangent is ±0. The
+    /// weight-gradient GEMM chains, the bias `col_sum` and the merge of
+    /// the `X` cotangents add over rows in ascending order starting from
+    /// +0.0, so dropping those ±0 terms leaves every sum, and so every
+    /// gradient, bit for bit what the dense step computed.
     ///
     /// # Parallelism
     ///
