@@ -8,6 +8,12 @@
 //! freezes the top-K experts and their mixture weights, and yields a
 //! compact standalone scorer ([`CategoryModel`]) that serves that
 //! category without the gate networks or the other `N − K` towers.
+//!
+//! The mixture comes from the same top-K cut as every other MoE score,
+//! [`amoe_tensor::topk::top_k_softmax`], so the retained
+//! [`CategoryModel::expert_indices`] are in ascending order, and the
+//! frozen scorer adds its towers in the serving scatter's order: its
+//! scores equal the full ensemble's bit for bit.
 
 use amoe_dataset::Batch;
 use amoe_tensor::{ops, reduce, topk, Matrix};
@@ -20,7 +26,7 @@ use crate::models::MoeModel;
 pub struct CategoryModel {
     /// The sub-category this model is dedicated to.
     pub sc: usize,
-    /// Indices of the retained experts in the source ensemble.
+    /// Indices of the retained experts in the source ensemble, ascending.
     pub expert_indices: Vec<usize>,
     /// Mixture weight per retained expert (sums to 1).
     pub weights: Vec<f32>,
@@ -39,24 +45,31 @@ struct ExtractedEmbeddings {
     price_bucket: Matrix,
 }
 
+/// Panics unless the model gates on the SC embedding alone: only then
+/// does each sub-category have one gate value, and only then does the
+/// SC table fit the gate's input width.
+fn assert_sc_gate(model: &MoeModel) {
+    assert!(
+        matches!(model.config().gate_input, crate::config::GateInput::Sc),
+        "extraction requires the SC-only gate input (the deployed configuration)"
+    );
+}
+
 /// Extracts a dedicated model for sub-category `sc` from a trained MoE.
 ///
 /// The gate is evaluated once on the SC embedding (its true input in the
-/// deployed configuration); the top-K experts and their masked-softmax
-/// weights become the fixed mixture. Since the paper's gate depends only
-/// on the query's sub-category, this reproduces the ensemble's scoring
-/// for that category *exactly* (up to gate noise, which is off at
-/// serving time).
+/// deployed configuration); its top-K cut ([`topk::top_k_softmax`], the
+/// one every MoE score uses) becomes the fixed mixture. Since the
+/// paper's gate depends only on the query's sub-category, this
+/// reproduces the ensemble's scores for that category bit for bit (gate
+/// noise is off at inference time).
 ///
 /// # Panics
 /// Panics if the model uses a non-SC gate input (no single per-category
 /// gate value exists then) or `sc` is out of vocabulary.
 #[must_use]
 pub fn extract_category_model(model: &MoeModel, sc: usize) -> CategoryModel {
-    assert!(
-        matches!(model.config().gate_input, crate::config::GateInput::Sc),
-        "extraction requires the SC-only gate input (the deployed configuration)"
-    );
+    assert_sc_gate(model);
     let params = model.params();
     let sc_table = params
         .find("emb.sc.table")
@@ -70,15 +83,7 @@ pub fn extract_category_model(model: &MoeModel, sc: usize) -> CategoryModel {
     // Gate distribution for this SC.
     let sc_emb = params.value(sc_table).gather_rows(&[sc]);
     let logits = model.gate_logits_infer(&sc_emb);
-    let k = model.config().top_k;
-    let expert_indices = topk::top_k_indices(logits.row(0), k);
-    let max = logits[(0, expert_indices[0])];
-    let mut weights: Vec<f32> = expert_indices
-        .iter()
-        .map(|&e| (logits[(0, e)] - max).exp())
-        .collect();
-    let wsum: f32 = weights.iter().sum();
-    weights.iter_mut().for_each(|w| *w /= wsum);
+    let (expert_indices, weights) = topk::top_k_softmax(logits.row(0), model.config().top_k);
 
     // Snapshot retained expert towers.
     let layers = expert_indices
@@ -198,17 +203,25 @@ pub fn extraction_fidelity(model: &MoeModel, extracted: &CategoryModel, batch: &
 }
 
 /// Convenience: per-expert usage share across a set of categories —
-/// `reduce::col_mean` of the gate distribution over all SC embeddings.
+/// `reduce::col_mean` of the gate's top-K cut over all SC embeddings.
 /// Useful for auditing which experts a deployment could prune.
+///
+/// # Panics
+/// Panics if the model uses a non-SC gate input, like
+/// [`extract_category_model`].
 #[must_use]
 pub fn expert_usage(model: &MoeModel) -> Vec<f32> {
+    assert_sc_gate(model);
     let params = model.params();
     let sc_table = params.find("emb.sc.table").expect("SC table");
-    let all = params.value(sc_table).clone();
-    let logits = model.gate_logits_infer(&all);
-    let k = model.config().top_k;
-    let masked = topk::mask_non_topk_neg_inf(&logits, k);
-    let probs = ops::softmax_rows(&masked);
+    let logits = model.gate_logits_infer(params.value(sc_table));
+    let mut probs = Matrix::zeros(logits.rows(), logits.cols());
+    for r in 0..logits.rows() {
+        let (idx, w) = topk::top_k_softmax(logits.row(r), model.config().top_k);
+        for (c, w) in idx.into_iter().zip(w) {
+            probs[(r, c)] = w;
+        }
+    }
     reduce::col_mean(&probs).into_vec()
 }
 
@@ -260,7 +273,7 @@ mod tests {
         let extracted = extract_category_model(&m, sc);
         let batch = batch_for_sc(&d, sc).expect("SC occurs in test data");
         let fid = extraction_fidelity(&m, &extracted, &batch);
-        assert!(fid < 1e-5, "extracted model diverges by {fid}");
+        assert_eq!(fid, 0.0, "extracted model diverges by {fid}");
     }
 
     #[test]
@@ -294,6 +307,18 @@ mod tests {
         assert_eq!(usage.len(), m.config().n_experts);
         let total: f32 = usage.iter().sum();
         assert!((total - 1.0).abs() < 1e-4, "usage sums to {total}");
+    }
+
+    #[test]
+    #[should_panic(expected = "requires the SC-only gate input")]
+    fn expert_usage_rejects_non_sc_gate() {
+        let d = generate(&GeneratorConfig::tiny(55));
+        let cfg = MoeConfig {
+            gate_input: crate::config::GateInput::All,
+            ..MoeConfig::default()
+        };
+        let m = MoeModel::new(&d.meta, cfg, OptimConfig::default());
+        let _ = expert_usage(&m);
     }
 
     #[test]

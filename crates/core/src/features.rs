@@ -96,12 +96,6 @@ impl FeatureEncoder {
         self.sc.forward(bound, &batch.sc)
     }
 
-    /// Tape-free sub-category embedding for serving.
-    #[must_use]
-    pub fn sc_embedding_infer(&self, params: &ParamSet, batch: &Batch) -> Matrix {
-        self.sc.infer(params, &batch.sc)
-    }
-
     /// Top-category embedding rows (the constraint gate's input).
     #[must_use]
     pub fn tc_embedding<'t>(&self, bound: &Bound<'t>, batch: &Batch) -> Var<'t> {

@@ -62,12 +62,6 @@ impl NoisyTopKGate {
         }
     }
 
-    /// Number of experts this gate routes over.
-    #[must_use]
-    pub fn n_experts(&self) -> usize {
-        self.n_experts
-    }
-
     /// The gate's weight parameter.
     #[must_use]
     pub fn weight(&self) -> ParamId {

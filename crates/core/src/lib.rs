@@ -43,9 +43,11 @@
 //!
 //! [`serving::ServingMoe`] is the tape-free inference path that computes
 //! only the top-K expert towers per example (expert-major batching), the
-//! property that keeps serving cost constant as `N` grows.
+//! property that keeps serving cost constant as `N` grows. It is the one
+//! inference path for MoE scores: evaluation (`Ranker::predict` for
+//! [`MoeModel`]) runs it too, and it equals the dense tape forward
+//! ([`MoeModel::predict_logits_dense`], the oracle) bit for bit.
 
-pub mod analysis;
 pub mod config;
 pub mod extraction;
 pub mod features;

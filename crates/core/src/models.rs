@@ -13,6 +13,7 @@ use crate::features::FeatureEncoder;
 use crate::gating::{GateOutput, NoisyTopKGate};
 use crate::losses::{adversarial_loss, hsc_loss, load_balance_loss, sample_adversarial_mask};
 use crate::ranker::{GateTelemetry, OptimConfig, Ranker, StepStats};
+use crate::serving::ServingMoe;
 
 /// Builds one expert tower's layer dims from the config.
 fn tower_dims(input_dim: usize, hidden: &[usize]) -> Vec<usize> {
@@ -176,9 +177,11 @@ impl MoeModel {
         &mut self.params
     }
 
-    /// The dense evaluation forward: every expert on every row, no
-    /// gating noise (training runs the sparse split-graph step of
-    /// [`MoeModel::accumulate_gradients`] instead).
+    /// The dense forward: every expert on every row, no gating noise.
+    /// It is the oracle behind [`MoeModel::predict_logits_dense`] and
+    /// feeds the case study's [`MoeModel::expert_logits`]; evaluation
+    /// scores through [`ServingMoe`], and training runs the sparse
+    /// split-graph step of [`MoeModel::accumulate_gradients`].
     fn forward<'t>(
         &self,
         tape: &'t Tape,
@@ -206,27 +209,7 @@ impl MoeModel {
     /// batch — the "inference MoE gate values" clustered in Fig. 6.
     #[must_use]
     pub fn gate_probs_full(&self, batch: &Batch) -> Matrix {
-        let tape = Tape::new();
-        let bound = self.params.bind(&tape);
-        let gate_in = self
-            .encoder
-            .gate_input(&tape, &bound, batch, self.config.gate_input);
-        let logits = gate_in.matmul(bound.var(self.inference_gate.weight()));
-        ops::softmax_rows(&logits.value())
-    }
-
-    /// Top-K masked gate probabilities (the mixture weights actually used).
-    #[must_use]
-    pub fn gate_probs_topk(&self, batch: &Batch) -> Matrix {
-        let tape = Tape::new();
-        let bound = self.params.bind(&tape);
-        let gate_in = self
-            .encoder
-            .gate_input(&tape, &bound, batch, self.config.gate_input);
-        self.inference_gate
-            .forward(&tape, &bound, gate_in, self.config.top_k, None)
-            .probs
-            .value()
+        ops::softmax_rows(&self.gate_logits_infer(&self.gate_input_infer(batch)))
     }
 
     /// The expert towers (read-only, used by the serving path).
@@ -256,9 +239,9 @@ impl MoeModel {
         self.inference_gate.logits_infer(&self.params, gate_input)
     }
 
-    /// Raw ensemble logits (pre-sigmoid) through the dense evaluation
-    /// graph — every expert computed, no gating noise. The reference
-    /// the sparse serving path is tested against.
+    /// Raw ensemble logits (pre-sigmoid) through the dense tape graph —
+    /// every expert computed, no gating noise. The oracle the sparse
+    /// path (serving and evaluation alike) must equal bit for bit.
     #[must_use]
     pub fn predict_logits_dense(&self, batch: &Batch) -> Vec<f32> {
         let tape = Tape::new();
@@ -294,11 +277,11 @@ impl Ranker for MoeModel {
         stats
     }
 
+    /// Scores through the sparse serving path, so evaluation runs the
+    /// code that serves (bit-equal to the dense oracle
+    /// [`MoeModel::predict_logits_dense`] through a sigmoid).
     fn predict(&self, batch: &Batch) -> Vec<f32> {
-        let tape = Tape::new();
-        let bound = self.params.bind(&tape);
-        let fwd = self.forward(&tape, &bound, batch);
-        ops::sigmoid(&fwd.logit.value()).into_vec()
+        ServingMoe::new(self).predict(batch)
     }
 
     fn num_parameters(&self) -> usize {
@@ -1043,14 +1026,15 @@ mod tests {
         let model = MoeModel::new(&d.meta, cfg.clone(), OptimConfig::default());
         let batch = Batch::from_split(&d.train, &(0..10).collect::<Vec<_>>());
         let full = model.gate_probs_full(&batch);
-        let topk = model.gate_probs_topk(&batch);
         assert_eq!(full.shape(), (10, cfg.n_experts));
-        assert_eq!(topk.shape(), (10, cfg.n_experts));
         for r in 0..10 {
             assert!((full.row(r).iter().sum::<f32>() - 1.0).abs() < 1e-5);
-            let nz = topk.row(r).iter().filter(|&&v| v > 0.0).count();
-            assert_eq!(nz, cfg.top_k);
         }
+        // The tape-free probabilities equal the dense tape's, bit for bit.
+        let tape = Tape::new();
+        let bound = model.params.bind(&tape);
+        let clean = model.forward(&tape, &bound, &batch).gate.clean_logits;
+        assert_eq!(full, ops::softmax_rows(&clean.value()));
     }
 
     #[test]

@@ -7,10 +7,21 @@
 //! routed to it, run one batched MLP forward, and scatter the weighted
 //! outputs back. No autograd tape, no per-op value cloning.
 //!
+//! It is the one inference path: evaluation scores through it too
+//! (`Ranker::predict` for [`MoeModel`] calls [`ServingMoe::predict`]),
+//! so every table's AUC comes from the code that serves. Each row's cut
+//! is [`amoe_tensor::topk::top_k_softmax`], which rounds exactly as the
+//! dense tape's masked softmax does, so the logits equal the oracle
+//! [`MoeModel::predict_logits_dense`] (every tower on every row) bit
+//! for bit: the tower GEMMs accumulate each row the same way at any
+//! batch shape, and the scatter adds a row's K weighted outputs in
+//! ascending expert order, the order of the dense row sum, whose other
+//! `N − K` terms are ±0.
+//!
 //! The gate cut and the expert dispatch are both parallel and share one
 //! [`amoe_tensor::pool::fused_region`]: the lanes drain the per-row
-//! top-K + masked-softmax tasks, the caller splices the routing tables
-//! together while the workers hold at the region's internal barrier,
+//! top-K cut tasks, the caller splices the routing tables together
+//! while the workers hold at the region's internal barrier,
 //! and the same lanes then drain the per-expert forwards — one pool
 //! wake for the whole call instead of one per phase. The scatter that
 //! mixes expert outputs back into the ensemble logit runs serially in
@@ -54,8 +65,8 @@ use amoe_tensor::{ops, pool, topk, Matrix};
 
 use crate::models::MoeModel;
 
-/// One gate-phase block: `(top-K indices, masked-softmax weights)` for
-/// each row of a contiguous row block.
+/// One gate-phase block: `(ascending top-K indices, their softmax
+/// weights)` for each row of a contiguous row block.
 type GateBlock = Vec<(Vec<usize>, Vec<f32>)>;
 /// One expert's routing table: the example rows it serves and their
 /// gate coefficients, in example order.
@@ -74,8 +85,8 @@ pub struct Stats {
     /// experts still runs 8 lanes, and that is the number reported here.
     pub threads: usize,
     /// Wall time encoding inputs, computing gate logits and cutting
-    /// each row's top-K with its masked softmax (the phase ends in the
-    /// fused region's mid splice).
+    /// each row's top-K with its softmax (the phase ends in the fused
+    /// region's mid splice).
     pub gate_time: Duration,
     /// Wall time of the parallel per-expert gather + MLP forwards.
     pub expert_time: Duration,
@@ -251,7 +262,7 @@ impl<'m> ServingMoe<'m> {
         let logits = model.gate_logits_infer(&gate_in);
 
         // Per-row-block slots for the gate phase: block `i` holds the
-        // `(top-K indices, masked-softmax weights)` of its contiguous
+        // `(top-K indices, softmax weights)` of its contiguous
         // rows. The partitioning follows the thread budget, but every
         // row's cut is computed independently, so the assembled routing
         // tables are budget-invariant.
@@ -277,19 +288,10 @@ impl<'m> ServingMoe<'m> {
             n_blocks,
             |blk| {
                 let first = blk * rows_per_block;
-                let rows = rows_per_block.min(b - first);
-                let mut cut = Vec::with_capacity(rows);
-                for r in first..first + rows {
-                    let idx = topk::top_k_indices(logits.row(r), cfg.top_k);
-                    // Softmax over the selected logits only (Eq. 6–7).
-                    let max = logits[(r, idx[0])];
-                    let mut exps: Vec<f32> =
-                        idx.iter().map(|&c| (logits[(r, c)] - max).exp()).collect();
-                    let sum: f32 = exps.iter().sum();
-                    exps.iter_mut().for_each(|e| *e /= sum);
-                    cut.push((idx, exps));
-                }
-                *gate_blocks[blk].lock().unwrap() = cut;
+                let last = (first + rows_per_block).min(b);
+                *gate_blocks[blk].lock().unwrap() = (first..last)
+                    .map(|r| topk::top_k_softmax(logits.row(r), cfg.top_k))
+                    .collect();
             },
             || {
                 gate_lap = Some(gate.end());
@@ -364,7 +366,6 @@ mod tests {
     use crate::config::{MoeConfig, TowerConfig};
     use crate::ranker::{OptimConfig, Ranker};
     use amoe_dataset::{generate, GeneratorConfig};
-    use amoe_tensor::check::assert_close_rel;
 
     fn trained_model() -> (amoe_dataset::Dataset, MoeModel) {
         let d = generate(&GeneratorConfig::tiny(41));
@@ -384,21 +385,24 @@ mod tests {
         (d, m)
     }
 
+    /// The oracle's probabilities: the dense tape forward's logits
+    /// through the same sigmoid, as bits.
+    fn dense_probs_bits(m: &MoeModel, batch: &Batch) -> Vec<u32> {
+        let logits = Matrix::from_vec(batch.len(), 1, m.predict_logits_dense(batch));
+        bits(ops::sigmoid(&logits).as_slice())
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|v| v.to_bits()).collect()
+    }
+
     #[test]
     fn sparse_serving_matches_dense_training_path() {
         let (d, m) = trained_model();
         let batch = Batch::from_split(&d.test, &(0..50).collect::<Vec<_>>());
-        let dense = m.predict(&batch);
-        let sparse = ServingMoe::new(&m).predict(&batch);
-        for (i, (a, b)) in dense.iter().zip(&sparse).enumerate() {
-            assert_close_rel(
-                *a,
-                *b,
-                0.0,
-                1e-5,
-                &format!("prediction {i} dense vs sparse"),
-            );
-        }
+        let dense = dense_probs_bits(&m, &batch);
+        assert_eq!(bits(&ServingMoe::new(&m).predict(&batch)), dense);
+        assert_eq!(bits(&m.predict(&batch)), dense, "evaluation scores");
     }
 
     #[test]
@@ -412,23 +416,25 @@ mod tests {
             GateInput::UserTcSc,
             GateInput::All,
         ] {
-            let cfg = MoeConfig {
-                n_experts: 4,
-                top_k: 2,
-                gate_input: which,
-                tower: TowerConfig { hidden: vec![8] },
-                ..MoeConfig::default()
-            };
-            let mut m = MoeModel::new(&d.meta, cfg, OptimConfig::default());
-            let batch = Batch::from_split(&d.train, &(0..64).collect::<Vec<_>>());
-            for _ in 0..4 {
-                m.train_step(&batch);
-            }
-            let probe = Batch::from_split(&d.test, &(0..32).collect::<Vec<_>>());
-            let dense = m.predict(&probe);
-            let sparse = ServingMoe::new(&m).predict(&probe);
-            for (i, (a, b)) in dense.iter().zip(&sparse).enumerate() {
-                assert_close_rel(*a, *b, 0.0, 1e-5, &format!("{which:?} prediction {i}"));
+            for (n_experts, top_k) in [(4, 2), (10, 4), (8, 1), (6, 6)] {
+                let cfg = MoeConfig {
+                    n_experts,
+                    top_k,
+                    gate_input: which,
+                    tower: TowerConfig { hidden: vec![8] },
+                    ..MoeConfig::default()
+                };
+                let mut m = MoeModel::new(&d.meta, cfg, OptimConfig::default());
+                let batch = Batch::from_split(&d.train, &(0..64).collect::<Vec<_>>());
+                for _ in 0..4 {
+                    m.train_step(&batch);
+                }
+                let probe = Batch::from_split(&d.test, &(0..32).collect::<Vec<_>>());
+                assert_eq!(
+                    bits(&ServingMoe::new(&m).predict_logits(&probe)),
+                    bits(&m.predict_logits_dense(&probe)),
+                    "{which:?} N={n_experts} K={top_k}"
+                );
             }
         }
     }

@@ -8,7 +8,6 @@
 //! and sessions without a positive are skipped for NDCG.
 
 pub mod auc;
-pub mod calibration;
 pub mod concentration;
 pub mod feature_importance;
 pub mod logloss;
@@ -16,7 +15,6 @@ pub mod ndcg;
 pub mod silhouette;
 
 pub use auc::{roc_auc, session_auc};
-pub use calibration::expected_calibration_error;
 pub use concentration::{brand_concentration, BrandConcentration};
 pub use feature_importance::feature_importance;
 pub use logloss::log_loss;

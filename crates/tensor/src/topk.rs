@@ -37,11 +37,32 @@ pub fn top_k_indices(row: &[f32], k: usize) -> Vec<usize> {
     idx
 }
 
-/// The `k`-th largest value of `row` (1-indexed: `k = 1` is the max).
+/// The top-`k` cut of one gate row (Eq. 6–7 of the paper): the indices
+/// of the `k` largest values in **ascending** index order, and the
+/// softmax over those values only, one weight per index.
+///
+/// The exps are summed in column order starting from `0.0` and then
+/// scaled by `1 / sum`: exactly what [`crate::ops::softmax_rows`]
+/// computes on the row with every other entry set to `-inf`, so the
+/// weights equal that oracle's nonzero entries bit for bit. Every MoE
+/// score (serving, evaluation, extraction) takes its mixture weights
+/// from here.
+///
+/// # Panics
+/// Same contract as [`top_k_indices`].
 #[must_use]
-pub fn kth_largest(row: &[f32], k: usize) -> f32 {
-    let idx = top_k_indices(row, k);
-    row[idx[k - 1]]
+pub fn top_k_softmax(row: &[f32], k: usize) -> (Vec<usize>, Vec<f32>) {
+    let mut idx = top_k_indices(row, k);
+    let max = row[idx[0]];
+    idx.sort_unstable();
+    let mut weights: Vec<f32> = idx.iter().map(|&c| (row[c] - max).exp()).collect();
+    let mut sum = 0.0;
+    for &e in &weights {
+        sum += e;
+    }
+    let inv = 1.0 / sum;
+    weights.iter_mut().for_each(|w| *w *= inv);
+    (idx, weights)
 }
 
 /// A 0/1 mask matrix with ones at the top-`k` entries of each row of `a`.
@@ -56,19 +77,6 @@ pub fn row_topk_mask(a: &Matrix, k: usize) -> Matrix {
     mask
 }
 
-/// Replaces entries of `a` outside each row's top-`k` with `-inf`
-/// (preparing a masked softmax, Eq. 6 of the paper).
-#[must_use]
-pub fn mask_non_topk_neg_inf(a: &Matrix, k: usize) -> Matrix {
-    let mut out = Matrix::filled(a.rows(), a.cols(), f32::NEG_INFINITY);
-    for r in 0..a.rows() {
-        for &c in &top_k_indices(a.row(r), k) {
-            out[(r, c)] = a[(r, c)];
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -77,8 +85,6 @@ mod tests {
     fn picks_largest_descending() {
         let row = [0.1, 5.0, -2.0, 3.0, 4.0];
         assert_eq!(top_k_indices(&row, 3), vec![1, 4, 3]);
-        assert_eq!(kth_largest(&row, 1), 5.0);
-        assert_eq!(kth_largest(&row, 3), 3.0);
     }
 
     #[test]
@@ -183,12 +189,10 @@ mod tests {
     }
 
     #[test]
-    fn neg_inf_mask_keeps_topk_values() {
-        let a = Matrix::from_rows(&[&[1., 4., 2., 3.]]);
-        let m = mask_non_topk_neg_inf(&a, 2);
-        assert_eq!(m[(0, 1)], 4.0);
-        assert_eq!(m[(0, 3)], 3.0);
-        assert_eq!(m[(0, 0)], f32::NEG_INFINITY);
-        assert_eq!(m[(0, 2)], f32::NEG_INFINITY);
+    fn cut_is_ascending_and_sums_to_one() {
+        let (idx, w) = top_k_softmax(&[1., 4., 2., 3.], 2);
+        assert_eq!(idx, vec![1, 3]);
+        assert!(w[0] > w[1]);
+        assert!((w.iter().sum::<f32>() - 1.0).abs() < 1e-6);
     }
 }

@@ -10,7 +10,7 @@ use std::time::Instant;
 use adv_hsc_moe::dataset::{generate, Batch, GeneratorConfig};
 use adv_hsc_moe::moe::ranker::OptimConfig;
 use adv_hsc_moe::moe::serving::ServingMoe;
-use adv_hsc_moe::moe::{MoeConfig, MoeModel, Ranker, TrainConfig, Trainer};
+use adv_hsc_moe::moe::{MoeConfig, MoeModel, TrainConfig, Trainer};
 
 fn main() {
     let data = generate(&GeneratorConfig {
@@ -46,16 +46,17 @@ fn main() {
         );
         trainer.fit(&mut model, &data.train);
 
-        // Verify the sparse path is numerically identical first.
+        // Verify the sparse path equals the dense one bit for bit first.
         let serving = ServingMoe::new(&model);
-        let dense = model.predict(&batch);
-        let sparse = serving.predict(&batch);
-        let max_diff = dense
-            .iter()
-            .zip(&sparse)
-            .map(|(a, b)| (a - b).abs())
-            .fold(0f32, f32::max);
-        assert!(max_diff < 1e-4, "paths diverge by {max_diff}");
+        let dense = model.predict_logits_dense(&batch);
+        let sparse = serving.predict_logits(&batch);
+        assert!(
+            dense
+                .iter()
+                .zip(&sparse)
+                .all(|(a, b)| a.to_bits() == b.to_bits()),
+            "sparse and dense logits differ"
+        );
 
         let time = |f: &dyn Fn() -> Vec<f32>| -> f64 {
             let reps = 20;
@@ -65,8 +66,8 @@ fn main() {
             }
             t.elapsed().as_secs_f64() * 1000.0 / f64::from(reps)
         };
-        let sparse_ms = time(&|| serving.predict(&batch));
-        let dense_ms = time(&|| model.predict(&batch));
+        let sparse_ms = time(&|| serving.predict_logits(&batch));
+        let dense_ms = time(&|| model.predict_logits_dense(&batch));
         println!(
             "{n:>4}  {sparse_ms:>12.3}  {dense_ms:>12.3}  {:>7.1}x",
             dense_ms / sparse_ms

@@ -6,7 +6,7 @@ use adv_hsc_moe::moe::ranker::OptimConfig;
 use adv_hsc_moe::moe::serving::ServingMoe;
 use adv_hsc_moe::moe::{DnnModel, MmoeModel, MoeConfig, MoeModel, Ranker, TrainConfig, Trainer};
 use adv_hsc_moe::nn::ParamSet;
-use adv_hsc_moe::tensor::check::assert_close_rel;
+use adv_hsc_moe::tensor::{ops, Matrix};
 
 fn small_data(seed: u64) -> adv_hsc_moe::dataset::Dataset {
     generate(&GeneratorConfig {
@@ -126,11 +126,15 @@ fn serving_path_agrees_after_training() {
     let mut model = MoeModel::new(&data.meta, small_cfg(), OptimConfig::default());
     t.fit(&mut model, &data.train);
     let batch = Batch::from_split(&data.test, &(0..100).collect::<Vec<_>>());
-    let dense = model.predict(&batch);
-    let sparse = ServingMoe::new(&model).predict(&batch);
-    for (i, (&a, &b)) in dense.iter().zip(&sparse).enumerate() {
-        assert_close_rel(a, b, 0.0, 1e-5, &format!("example {i} (dense vs serving)"));
-    }
+    let bits = |v: &[f32]| v.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    let dense = ops::sigmoid(&Matrix::from_vec(
+        batch.len(),
+        1,
+        model.predict_logits_dense(&batch),
+    ));
+    let dense = bits(dense.as_slice());
+    assert_eq!(bits(&ServingMoe::new(&model).predict(&batch)), dense);
+    assert_eq!(bits(&model.predict(&batch)), dense, "evaluation scores");
 }
 
 #[test]

@@ -1,15 +1,19 @@
-//! Sparse/dense parity: the tape-free top-K serving path must reproduce
-//! the training-graph dense forward (all experts computed, evaluation
-//! mode) to within 1e-5 for every model variant of the paper — vanilla
-//! MoE, Adv-MoE, HSC-MoE, Adv & HSC-MoE — including the `K = N` edge
-//! case where the "sparse" path runs every expert.
+//! Sparse/dense parity: the tape-free top-K path — the one that serves
+//! and that `Ranker::predict` evaluates through — must reproduce the
+//! training-graph dense forward (all experts computed, evaluation mode)
+//! bit for bit for every model variant of the paper — vanilla MoE,
+//! Adv-MoE, HSC-MoE, Adv & HSC-MoE — including the `K = N` edge case
+//! where the "sparse" path runs every expert. Both sides cut each row's
+//! top-K with the same rounding (`topk::top_k_softmax` equals the tape's
+//! masked `softmax_rows`), add the weighted tower outputs in ascending
+//! expert order, and run row-shape-invariant GEMMs.
 
 use adv_hsc_moe::dataset::{generate, Batch, GeneratorConfig};
 use adv_hsc_moe::moe::config::TowerConfig;
 use adv_hsc_moe::moe::ranker::{OptimConfig, Ranker};
 use adv_hsc_moe::moe::serving::ServingMoe;
 use adv_hsc_moe::moe::{MoeConfig, MoeModel};
-use adv_hsc_moe::tensor::check::assert_close_rel;
+use adv_hsc_moe::tensor::{ops, Matrix};
 
 fn small(cfg: MoeConfig) -> MoeConfig {
     MoeConfig {
@@ -22,8 +26,12 @@ fn small(cfg: MoeConfig) -> MoeConfig {
     }
 }
 
+fn bits(v: &[f32]) -> Vec<u32> {
+    v.iter().map(|v| v.to_bits()).collect()
+}
+
 /// Trains briefly (so weights are away from init) and asserts the two
-/// paths agree on raw logits.
+/// paths agree on raw logits, bit for bit.
 fn assert_parity(cfg: MoeConfig, label: &str) {
     let d = generate(&GeneratorConfig::tiny(43));
     let mut model = MoeModel::new(&d.meta, cfg, OptimConfig::default());
@@ -34,16 +42,11 @@ fn assert_parity(cfg: MoeConfig, label: &str) {
     let batch = Batch::from_split(&d.test, &(0..64).collect::<Vec<_>>());
     let dense = model.predict_logits_dense(&batch);
     let sparse = ServingMoe::new(&model).predict_logits(&batch);
-    assert_eq!(dense.len(), sparse.len());
-    for (i, (&a, &b)) in dense.iter().zip(&sparse).enumerate() {
-        assert_close_rel(
-            a,
-            b,
-            0.0,
-            1e-5,
-            &format!("{label}: logit {i} (dense vs sparse)"),
-        );
-    }
+    assert_eq!(
+        bits(&dense),
+        bits(&sparse),
+        "{label}: dense vs sparse logits"
+    );
 }
 
 #[test]
@@ -104,15 +107,12 @@ fn parity_probabilities_too() {
         model.train_step(&train_batch);
     }
     let batch = Batch::from_split(&d.test, &(0..50).collect::<Vec<_>>());
-    let dense = model.predict(&batch);
-    let sparse = ServingMoe::new(&model).predict(&batch);
-    for (i, (&a, &b)) in dense.iter().zip(&sparse).enumerate() {
-        assert_close_rel(
-            a,
-            b,
-            0.0,
-            1e-5,
-            &format!("probability {i} (dense vs sparse)"),
-        );
-    }
+    let dense = ops::sigmoid(&Matrix::from_vec(
+        batch.len(),
+        1,
+        model.predict_logits_dense(&batch),
+    ));
+    let dense = bits(dense.as_slice());
+    assert_eq!(bits(&ServingMoe::new(&model).predict(&batch)), dense);
+    assert_eq!(bits(&model.predict(&batch)), dense, "evaluation scores");
 }

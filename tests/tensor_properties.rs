@@ -7,7 +7,7 @@
 use adv_hsc_moe::autograd::Tape;
 use adv_hsc_moe::moe::losses::{adversarial_loss, sample_adversarial_mask};
 use adv_hsc_moe::tensor::check::{self, ensure, Checker};
-use adv_hsc_moe::tensor::{matmul, ops, reduce, topk};
+use adv_hsc_moe::tensor::{matmul, ops, reduce, topk, Matrix};
 
 #[test]
 fn add_commutes() {
@@ -130,6 +130,43 @@ fn topk_mask_selects_maxima() {
             ensure(
                 selected_min >= unselected_max,
                 format!("row {row}: kept {selected_min} < dropped {unselected_max}"),
+            )?;
+        }
+        Ok(())
+    });
+}
+
+#[test]
+fn top_k_softmax_is_masked_softmax_rows_bit_for_bit() {
+    // Every MoE score takes its mixture weights from `top_k_softmax`;
+    // its oracle is the dense tape's cut: `softmax_rows` on the row with
+    // every entry outside the top-k set to -inf.
+    Checker::new("top_k_softmax_is_masked_softmax_rows").run(|rng| {
+        let len = 1 + rng.below(64);
+        let mut row = check::matrix(rng, 1, len, 8.0);
+        if rng.bernoulli(0.5) {
+            // Quantise hard to force ties in the cut.
+            row = ops::map(&row, f32::round);
+        }
+        for k in 1..=len {
+            let mut masked = Matrix::filled(1, len, f32::NEG_INFINITY);
+            for c in topk::top_k_indices(row.row(0), k) {
+                masked[(0, c)] = row[(0, c)];
+            }
+            let oracle = ops::softmax_rows(&masked);
+            let (idx, w) = topk::top_k_softmax(row.row(0), k);
+            ensure(
+                idx.windows(2).all(|p| p[0] < p[1]),
+                format!("k={k}: indices {idx:?} not ascending"),
+            )?;
+            let mut cut = vec![0f32; len];
+            for (c, v) in idx.into_iter().zip(w) {
+                cut[c] = v;
+            }
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            ensure(
+                bits(&cut) == bits(oracle.row(0)),
+                format!("k={k}: cut {cut:?} vs masked softmax {:?}", oracle.row(0)),
             )?;
         }
         Ok(())
