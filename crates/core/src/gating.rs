@@ -122,6 +122,53 @@ impl NoisyTopKGate {
     }
 }
 
+/// Which batch rows each expert runs on, as one flat CSR: expert `e`
+/// gets `rows[offsets[e]..offsets[e + 1]]`, ascending. Training routes
+/// the top-K ∪ adversarial rows through it, serving the top-K rows.
+pub(crate) struct ExpertRoutes {
+    offsets: Vec<usize>,
+    rows: Vec<usize>,
+}
+
+impl ExpertRoutes {
+    /// Routes row `r` to expert `e` iff the top-K mask or the
+    /// adversarial mask is set at `(r, e)`: every other row has gate
+    /// probability 0 and mask entries 0, so its contribution is ±0.
+    pub(crate) fn new(topk_mask: &Matrix, adv_mask: Option<&Matrix>) -> Self {
+        let (b, n) = topk_mask.shape();
+        let routed = |r: usize, e: usize| {
+            topk_mask[(r, e)] != 0.0 || adv_mask.is_some_and(|m| m[(r, e)] != 0.0)
+        };
+        let mut offsets = vec![0; n + 1];
+        for r in 0..b {
+            for e in 0..n {
+                if routed(r, e) {
+                    offsets[e + 1] += 1;
+                }
+            }
+        }
+        for e in 0..n {
+            offsets[e + 1] += offsets[e];
+        }
+        let mut cursor = offsets[..n].to_vec();
+        let mut rows = vec![0; offsets[n]];
+        for r in 0..b {
+            for e in 0..n {
+                if routed(r, e) {
+                    rows[cursor[e]] = r;
+                    cursor[e] += 1;
+                }
+            }
+        }
+        ExpertRoutes { offsets, rows }
+    }
+
+    /// The rows routed to expert `e`, ascending.
+    pub(crate) fn rows(&self, e: usize) -> &[usize] {
+        &self.rows[self.offsets[e]..self.offsets[e + 1]]
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -155,6 +202,42 @@ mod tests {
                 assert_eq!(out.topk_mask[(r, c)] > 0.0, p[(r, c)] > 0.0);
             }
         }
+    }
+
+    /// Checks the CSR against the masks it was built from: each expert's
+    /// rows ascend, and `(r, e)` is listed exactly once when either mask
+    /// is set there and not at all otherwise.
+    fn assert_routes_match(routes: &ExpertRoutes, topk: &Matrix, adv: Option<&Matrix>) {
+        let (b, n) = topk.shape();
+        for e in 0..n {
+            let rows = routes.rows(e);
+            assert!(rows.windows(2).all(|w| w[0] < w[1]), "expert {e}: {rows:?}");
+            for r in 0..b {
+                let set = topk[(r, e)] != 0.0 || adv.is_some_and(|m| m[(r, e)] != 0.0);
+                let hits = rows.iter().filter(|&&x| x == r).count();
+                assert_eq!(hits, usize::from(set), "row {r}, expert {e}");
+            }
+        }
+    }
+
+    #[test]
+    fn expert_routes_list_each_masked_row_once_in_order() {
+        let (ps, gate) = setup(false);
+        let x = Rng::seed_from(8).normal_matrix(40, 6, 0.0, 1.0);
+        let tape = Tape::new();
+        let bound = ps.bind(&tape);
+        let topk = gate.forward(&tape, &bound, tape.leaf(x), 3, None).topk_mask;
+        // Serving: the top-K rows alone, K per row.
+        let routes = ExpertRoutes::new(&topk, None);
+        assert_routes_match(&routes, &topk, None);
+        let routed: usize = (0..8).map(|e| routes.rows(e).len()).sum();
+        assert_eq!(routed, 40 * 3);
+        // Training: top-K ∪ two adversarial experts per row.
+        let adv = crate::losses::sample_adversarial_mask(&topk, 2, &mut Rng::seed_from(9));
+        let routes = ExpertRoutes::new(&topk, Some(&adv));
+        assert_routes_match(&routes, &topk, Some(&adv));
+        let routed: usize = (0..8).map(|e| routes.rows(e).len()).sum();
+        assert_eq!(routed, 40 * (3 + 2));
     }
 
     #[test]

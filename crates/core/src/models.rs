@@ -10,7 +10,7 @@ use std::sync::Mutex;
 
 use crate::config::MoeConfig;
 use crate::features::FeatureEncoder;
-use crate::gating::{GateOutput, NoisyTopKGate};
+use crate::gating::{ExpertRoutes, GateOutput, NoisyTopKGate};
 use crate::losses::{adversarial_loss, hsc_loss, load_balance_loss, sample_adversarial_mask};
 use crate::ranker::{GateTelemetry, OptimConfig, Ranker, StepStats};
 use crate::serving::ServingMoe;
@@ -293,51 +293,6 @@ impl Ranker for MoeModel {
             return None;
         }
         Some(std::mem::take(&mut self.gate_telemetry))
-    }
-}
-
-/// Which batch rows each expert trains on, as one flat CSR: expert
-/// `e` gets `rows[offsets[e]..offsets[e + 1]]`, ascending.
-struct ExpertRoutes {
-    offsets: Vec<usize>,
-    rows: Vec<usize>,
-}
-
-impl ExpertRoutes {
-    /// Routes row `r` to expert `e` iff the top-K mask or the
-    /// adversarial mask is set at `(r, e)`: every other row has gate
-    /// probability 0 and mask entries 0, so its cotangent is ±0.
-    fn new(topk_mask: &Matrix, adv_mask: Option<&Matrix>) -> Self {
-        let (b, n) = topk_mask.shape();
-        let routed = |r: usize, e: usize| {
-            topk_mask[(r, e)] != 0.0 || adv_mask.is_some_and(|m| m[(r, e)] != 0.0)
-        };
-        let mut offsets = vec![0; n + 1];
-        for r in 0..b {
-            for e in 0..n {
-                if routed(r, e) {
-                    offsets[e + 1] += 1;
-                }
-            }
-        }
-        for e in 0..n {
-            offsets[e + 1] += offsets[e];
-        }
-        let mut cursor = offsets[..n].to_vec();
-        let mut rows = vec![0; offsets[n]];
-        for r in 0..b {
-            for e in 0..n {
-                if routed(r, e) {
-                    rows[cursor[e]] = r;
-                    cursor[e] += 1;
-                }
-            }
-        }
-        ExpertRoutes { offsets, rows }
-    }
-
-    fn rows(&self, e: usize) -> &[usize] {
-        &self.rows[self.offsets[e]..self.offsets[e + 1]]
     }
 }
 

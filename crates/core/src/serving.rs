@@ -18,18 +18,14 @@
 //! ascending expert order, the order of the dense row sum, whose other
 //! `N − K` terms are ±0.
 //!
-//! The gate cut and the expert dispatch are both parallel and share one
-//! [`amoe_tensor::pool::fused_region`]: the lanes drain the per-row
-//! top-K cut tasks, the caller splices the routing tables together
-//! while the workers hold at the region's internal barrier,
-//! and the same lanes then drain the per-expert forwards — one pool
-//! wake for the whole call instead of one per phase. The scatter that
-//! mixes expert outputs back into the ensemble logit runs serially in
-//! expert order, which keeps the floating-point accumulation order — and
+//! The top-K cut runs serially on the caller and fills a top-K mask and
+//! a masked-probability matrix, the two matrices training's gate gives
+//! it; the rows each expert serves come from the same CSR training
+//! routes with (`ExpertRoutes`). The per-expert forwards are one
+//! [`amoe_tensor::pool::map_tasks`] region. The scatter that mixes
+//! expert outputs back into the ensemble logit runs serially in expert
+//! order, which keeps the floating-point accumulation order — and
 //! therefore the logits — bit-identical for every `AMOE_THREADS` value.
-//! (The row partitioning of the gate phase varies with the thread
-//! budget, but each row's cut is computed independently, so the routing
-//! tables it produces do not.)
 //!
 //! `examples/serving.rs` demonstrates the constant-cost property by
 //! sweeping `N` at fixed `K`; `tests/determinism.rs` holds the logits
@@ -43,37 +39,27 @@
 //!
 //! The three phases (gate, expert dispatch, scatter) are timed by
 //! [`amoe_obs::Stage`] from four clock readings per call: gate start,
-//! gate end (inside the fused region's mid splice, so the two phases
-//! stay separately attributed although they share a region), experts
-//! end, which is also scatter start, and scatter end. Each phase's
-//! one duration reaches the returned [`Stats`], the `serving.gate` /
-//! `serving.experts` / `serving.scatter` histograms when `AMOE_OBS` is
-//! set, and — when request tracing is active ([`amoe_obs::trace`]) and
-//! the caller (the `amoe-serve` batcher) has claimed an active batch —
-//! the `gate` and `scatter` trace events tagged with that batch id.
-//! `AMOE_OBS` also gets one `serving_predict` JSONL event per call. A
-//! traced batch additionally records one `expert` event per expert
-//! task. All of it is observation only, never touching the data path,
-//! so scores stay bit-identical with telemetry on.
+//! gate end, which is also experts start, experts end, which is also
+//! scatter start, and scatter end. Each phase's one duration reaches
+//! the returned [`Stats`], the `serving.gate` / `serving.experts` /
+//! `serving.scatter` histograms when `AMOE_OBS` is set, and — when
+//! request tracing is active ([`amoe_obs::trace`]) and the caller (the
+//! `amoe-serve` batcher) has claimed an active batch — the `gate` and
+//! `scatter` trace events tagged with that batch id. `AMOE_OBS` also
+//! gets one `serving_predict` JSONL event per call. A traced batch
+//! additionally records one `expert` event per expert task, and an
+//! expert phase that runs on more than one lane shows up as a
+//! `pool.region` stage. All of it is observation only, never touching
+//! the data path, so scores stay bit-identical with telemetry on.
 
-use std::sync::Mutex;
 use std::time::Duration;
 
 use amoe_dataset::Batch;
 use amoe_obs::{trace, Stage};
 use amoe_tensor::{ops, pool, topk, Matrix};
 
+use crate::gating::ExpertRoutes;
 use crate::models::MoeModel;
-
-/// One gate-phase block: `(ascending top-K indices, their softmax
-/// weights)` for each row of a contiguous row block.
-type GateBlock = Vec<(Vec<usize>, Vec<f32>)>;
-/// One expert's routing table: the example rows it serves and their
-/// gate coefficients, in example order.
-type Routing = (Vec<usize>, Vec<f32>);
-/// One expert's finished dispatch: its routing table plus the batched
-/// tower output (`None` when no rows routed to it).
-type ExpertOut = (Vec<usize>, Vec<f32>, Option<Matrix>);
 
 /// Lightweight instrumentation of one sparse-serving call.
 #[derive(Clone, Debug, Default)]
@@ -84,9 +70,8 @@ pub struct Stats {
     /// `min(pool budget, n_experts)`. A 64-thread budget dispatching 8
     /// experts still runs 8 lanes, and that is the number reported here.
     pub threads: usize,
-    /// Wall time encoding inputs, computing gate logits and cutting
-    /// each row's top-K with its softmax (the phase ends in the fused
-    /// region's mid splice).
+    /// Wall time encoding inputs, computing gate logits, cutting each
+    /// row's top-K with its softmax and building the routing CSR.
     pub gate_time: Duration,
     /// Wall time of the parallel per-expert gather + MLP forwards.
     pub expert_time: Duration,
@@ -255,81 +240,39 @@ impl<'m> ServingMoe<'m> {
         let gate = Stage::start()
             .metric("serving.gate")
             .trace("gate", 0, tb, b as u64);
-        // Dense input once; gating from the SC embedding. The matmuls run
-        // their own row-block regions before the fused region opens.
+        // Dense input once; gating from the SC embedding.
         let x = model.encoder_input_infer(batch);
         let gate_in = model.gate_input_infer(batch);
         let logits = model.gate_logits_infer(&gate_in);
+        // The serial top-K cut fills the two matrices the tape's
+        // `GateOutput` gives training: the 0/1 top-K mask and the
+        // masked probabilities (zero outside the top K).
+        let mut mask = Matrix::zeros(b, n_experts);
+        let mut probs = Matrix::zeros(b, n_experts);
+        for r in 0..b {
+            let (idx, w) = topk::top_k_softmax(logits.row(r), cfg.top_k);
+            for (&e_idx, &p) in idx.iter().zip(&w) {
+                mask[(r, e_idx)] = 1.0;
+                probs[(r, e_idx)] = p;
+            }
+        }
+        let routes = ExpertRoutes::new(&mask, None);
+        let (gate_end, gate_time) = gate.end();
 
-        // Per-row-block slots for the gate phase: block `i` holds the
-        // `(top-K indices, softmax weights)` of its contiguous
-        // rows. The partitioning follows the thread budget, but every
-        // row's cut is computed independently, so the assembled routing
-        // tables are budget-invariant.
-        let rows_per_block = b.div_ceil(pool::effective_workers(b));
-        let n_blocks = b.div_ceil(rows_per_block);
-        let gate_blocks: Vec<Mutex<GateBlock>> =
-            (0..n_blocks).map(|_| Mutex::new(Vec::new())).collect();
-        // Per-expert routing slots (the mid splice fills, the expert
-        // phase drains) and output slots (the expert phase fills, the
-        // scatter drains). Slot `e` is only ever touched by expert `e`'s
-        // task, so the locks are uncontended.
-        let routing: Vec<Mutex<Option<Routing>>> =
-            (0..n_experts).map(|_| Mutex::new(None)).collect();
-        let outputs: Vec<Mutex<Option<ExpertOut>>> =
-            (0..n_experts).map(|_| Mutex::new(None)).collect();
-        let mut gate_lap = None;
-
-        // One pool wake covers both parallel phases: per-row gating
-        // tasks, the serial routing-table splice on the caller, then
-        // the per-expert gather + batched MLP forwards — the dominant
-        // cost — on the same lanes.
-        pool::fused_region(
-            n_blocks,
-            |blk| {
-                let first = blk * rows_per_block;
-                let last = (first + rows_per_block).min(b);
-                *gate_blocks[blk].lock().unwrap() = (first..last)
-                    .map(|r| topk::top_k_softmax(logits.row(r), cfg.top_k))
-                    .collect();
-            },
-            || {
-                gate_lap = Some(gate.end());
-                // Routing tables spliced in global row order: their
-                // order defines the deterministic scatter below.
-                let mut rows: Vec<Vec<usize>> = vec![Vec::new(); n_experts];
-                let mut coeffs: Vec<Vec<f32>> = vec![Vec::new(); n_experts];
-                for (blk, slot) in gate_blocks.iter().enumerate() {
-                    let first = blk * rows_per_block;
-                    for (j, (idx, w)) in slot.lock().unwrap().iter().enumerate() {
-                        for (pos, &e_idx) in idx.iter().enumerate() {
-                            rows[e_idx].push(first + j);
-                            coeffs[e_idx].push(w[pos]);
-                        }
-                    }
-                }
-                for (e_idx, pair) in rows.into_iter().zip(coeffs).enumerate() {
-                    *routing[e_idx].lock().unwrap() = Some(pair);
-                }
-            },
-            n_experts,
-            |e_idx| {
-                let trace_t0 = (tb != 0).then(trace::now_ns);
-                let (rows, coeffs) = routing[e_idx]
-                    .lock()
-                    .unwrap()
-                    .take()
-                    .expect("routing slot filled by the mid splice");
-                let ye = (!rows.is_empty())
-                    .then(|| model.experts()[e_idx].infer(params, &x.gather_rows(&rows)));
-                *outputs[e_idx].lock().unwrap() = Some((rows, coeffs, ye));
-                if let Some(t0) = trace_t0 {
-                    trace::record(0, tb, "expert", t0, trace::now_ns(), e_idx as u64);
-                }
-            },
-        );
-        let (gate_end, gate_time) = gate_lap.expect("the mid splice runs exactly once");
-        let (experts_end, expert_time) = Stage::at(gate_end).metric("serving.experts").end();
+        // One pool region for the per-expert gather + batched MLP
+        // forwards, the dominant cost; outputs come back in expert order.
+        let experts = Stage::at(gate_end).metric("serving.experts");
+        let outputs: Vec<Option<Matrix>> = pool::map_tasks(n_experts, |e_idx| {
+            let trace_t0 = (tb != 0).then(trace::now_ns);
+            let rows = routes.rows(e_idx);
+            let ye = (!rows.is_empty())
+                .then(|| model.experts()[e_idx].infer(params, &x.gather_rows(rows)));
+            if let Some(t0) = trace_t0 {
+                trace::record(0, tb, "expert", t0, trace::now_ns(), e_idx as u64);
+            }
+            ye
+        });
+        let (experts_end, expert_time) = experts.end();
 
         // Serial scatter in expert order: every thread count accumulates
         // each `out[r]` in the same order, so logits are bit-identical.
@@ -337,16 +280,12 @@ impl<'m> ServingMoe<'m> {
             .metric("serving.scatter")
             .trace("scatter", 0, tb, b as u64);
         let mut out = vec![0f32; b];
-        for (e_idx, slot) in outputs.iter().enumerate() {
-            let (rows, coeffs, ye) = slot
-                .lock()
-                .unwrap()
-                .take()
-                .expect("output slot filled by the expert phase");
+        for (e_idx, ye) in outputs.iter().enumerate() {
+            let rows = routes.rows(e_idx);
             stats.dispatch[e_idx] = rows.len();
             let Some(ye) = ye else { continue };
-            for ((&r, &w), row) in rows.iter().zip(&coeffs).zip(0..ye.rows()) {
-                out[r] += w * ye[(row, 0)];
+            for (i, &r) in rows.iter().enumerate() {
+                out[r] += probs[(r, e_idx)] * ye[(i, 0)];
             }
         }
         let (_, scatter_time) = scatter.end();

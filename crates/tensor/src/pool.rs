@@ -14,9 +14,8 @@
 //!    region is a wake, not a `thread::spawn`. The PR-2 `pool.spawn_ns`
 //!    histograms showed scoped spawn (~10–20 µs per region on Linux)
 //!    dominating small regions; a condvar wake is an order of magnitude
-//!    cheaper, which is what lets training fan out per-expert
-//!    forward/backward work and lets serving fuse its gate and
-//!    expert-dispatch phases into a single region.
+//!    cheaper, which is what lets training and serving fan out
+//!    per-expert work.
 //! 3. **Graceful degradation.** With one configured thread (or one
 //!    task) every helper degenerates to the plain serial loop — same
 //!    code path, zero wakes. Regions started from inside another
@@ -33,13 +32,6 @@
 //! costs balance dynamically; determinism is preserved because each
 //! task writes only its own slot or block, and merges happen in task
 //! order on the caller.
-//!
-//! [`fused_region`] extends the protocol with a second phase: workers
-//! stay attached across an internal barrier while the caller runs a
-//! serial splice (e.g. building routing tables between the gate and
-//! expert-dispatch phases of sparse serving), then both the caller and
-//! the workers drain the second task queue — two parallel phases for
-//! one wake.
 //!
 //! # Thread budget
 //!
@@ -69,7 +61,7 @@
 //!
 //! When [`amoe_obs`] telemetry is enabled (`AMOE_OBS=...`), every
 //! parallel region records its wall time (`pool.region` /
-//! `pool.row_blocks` / `pool.fused` histograms, nanoseconds), the time
+//! `pool.row_blocks` histograms, nanoseconds), the time
 //! spent queueing for the region slot (`pool.queue_wait_ns`), and
 //! running `pool.regions` / `pool.tasks` / `pool.workers_started` /
 //! `pool.region_reuse` counters — the reuse counter is the direct
@@ -249,51 +241,6 @@ where
     run_region("pool.row_blocks", blocks.len(), &task);
 }
 
-/// Runs two dependent parallel phases in **one** region: the lanes
-/// drain phase one (`f1` over `0..n1`), the caller runs the serial
-/// splice `mid` while the workers wait at an internal barrier, then
-/// the lanes drain phase two (`f2` over `0..n2`). One wake for both
-/// phases — the shape of sparse serving's gate → routing-table →
-/// expert-dispatch pipeline.
-///
-/// Determinism follows from the same discipline as the other helpers:
-/// each task writes only its own slot, `mid` runs exactly once on the
-/// caller after *all* of phase one, and phase two starts only after
-/// `mid` returns.
-pub fn fused_region<F1, M, F2>(n1: usize, f1: F1, mid: M, n2: usize, f2: F2)
-where
-    F1: Fn(usize) + Sync,
-    M: FnOnce(),
-    F2: Fn(usize) + Sync,
-{
-    let workers = threads().min(n1.max(n2)).max(1);
-    if workers <= 1 || !outside_region() {
-        for i in 0..n1 {
-            f1(i);
-        }
-        mid();
-        for i in 0..n2 {
-            f2(i);
-        }
-        return;
-    }
-    let mut mid_slot = Some(mid);
-    let mut mid_dyn = || {
-        (mid_slot
-            .take()
-            .expect("pool::fused_region: mid runs exactly once"))();
-    };
-    drive_region(
-        "pool.fused",
-        n1,
-        &f1,
-        Some(&mut mid_dyn),
-        n2,
-        Some(&f2),
-        workers,
-    );
-}
-
 // ---------------------------------------------------------------------------
 // Pool internals
 // ---------------------------------------------------------------------------
@@ -328,46 +275,31 @@ fn outside_region() -> bool {
 /// One parallel region's shared bookkeeping. Reached by workers
 /// through an `Arc` handed out under the pool state lock.
 struct RegionJob {
-    /// Phase-one task closure (lifetime-erased; see [`erase`]).
-    f1: &'static TaskFn,
-    n1: usize,
-    cursor1: AtomicUsize,
-    done1: AtomicUsize,
-    /// Phase-two closure for fused regions.
-    f2: Option<&'static TaskFn>,
-    n2: usize,
-    cursor2: AtomicUsize,
-    done2: AtomicUsize,
-    /// 1 while phase one runs; 2 once the caller opened phase two.
-    phase: AtomicUsize,
+    /// The task closure (lifetime-erased; see [`erase`]).
+    f: &'static TaskFn,
+    n: usize,
+    cursor: AtomicUsize,
+    done: AtomicUsize,
     /// Stop claiming tasks (caller unwind or worker panic).
     cancelled: AtomicBool,
     /// A lane's task closure panicked; the caller re-raises.
     panicked: AtomicBool,
-    /// Guards the two region condvars below.
+    /// Guards `done_cv`.
     sync: Mutex<()>,
-    /// Workers wait here for phase two (fused regions only).
-    gate_cv: Condvar,
-    /// The caller waits here for phase completion.
+    /// The caller waits here for the tasks to finish.
     done_cv: Condvar,
 }
 
 impl RegionJob {
-    fn new(f1: &'static TaskFn, n1: usize, f2: Option<&'static TaskFn>, n2: usize) -> Self {
+    fn new(f: &'static TaskFn, n: usize) -> Self {
         RegionJob {
-            f1,
-            n1,
-            cursor1: AtomicUsize::new(0),
-            done1: AtomicUsize::new(0),
-            f2,
-            n2,
-            cursor2: AtomicUsize::new(0),
-            done2: AtomicUsize::new(0),
-            phase: AtomicUsize::new(1),
+            f,
+            n,
+            cursor: AtomicUsize::new(0),
+            done: AtomicUsize::new(0),
             cancelled: AtomicBool::new(false),
             panicked: AtomicBool::new(false),
             sync: Mutex::new(()),
-            gate_cv: Condvar::new(),
             done_cv: Condvar::new(),
         }
     }
@@ -438,7 +370,7 @@ fn wait<'a, T>(cv: &Condvar, g: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
 /// # Safety
 ///
 /// The caller must guarantee the referent outlives every use of the
-/// returned reference. [`drive_region`] upholds this with its
+/// returned reference. [`run_region`] upholds this with its
 /// quiescence protocol:
 ///
 /// * the erased reference is reachable only through the pool's job
@@ -453,43 +385,28 @@ fn wait<'a, T>(cv: &Condvar, g: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
 ///   die.
 ///
 /// Hence no worker can dereference the erased borrow after
-/// `drive_region` returns, which is exactly the scope of the original
+/// `run_region` returns, which is exactly the scope of the original
 /// lifetime. This is the module's single `unsafe` expression.
 unsafe fn erase<'a>(f: TaskRef<'a>) -> &'static TaskFn {
     // SAFETY: see above; lifetime-only transmute of a fat reference.
     unsafe { std::mem::transmute::<TaskRef<'a>, &'static TaskFn>(f) }
 }
 
-/// Single-phase region entry (the common case).
+/// Drives one region: installs the job, participates as a lane, waits
+/// for every task, and quiesces. It runs on `min(threads(), n_tasks)`
+/// lanes (caller + parked workers), which must be ≥ 2.
 fn run_region(name: &'static str, n_tasks: usize, f: TaskRef<'_>) {
-    let workers = threads().min(n_tasks).max(1);
-    drive_region(name, n_tasks, f, None, 0, None, workers);
-}
-
-/// Drives one region: installs the job, participates as a lane, fences
-/// the phases, and quiesces. `workers` is the total lane count
-/// (caller + parked workers) and must be ≥ 2.
-fn drive_region(
-    name: &'static str,
-    n1: usize,
-    f1: TaskRef<'_>,
-    mid: Option<&mut (dyn FnMut() + '_)>,
-    n2: usize,
-    f2: Option<TaskRef<'_>>,
-    workers: usize,
-) {
-    debug_assert!(workers >= 2, "drive_region: serial paths stay inline");
+    let workers = threads().min(n_tasks);
+    debug_assert!(workers >= 2, "run_region: serial paths stay inline");
     // One reading opens both the region and its wait for the region
     // slot. When the serving batcher claimed an active traced batch,
     // the region also shows up in the request trace under its name.
-    let region = Stage::start().metric(name).trace(
-        name,
-        0,
-        amoe_obs::trace::active_batch(),
-        (n1 + n2) as u64,
-    );
+    let region =
+        Stage::start()
+            .metric(name)
+            .trace(name, 0, amoe_obs::trace::active_batch(), n_tasks as u64);
     amoe_obs::counter_add("pool.regions", 1);
-    amoe_obs::counter_add("pool.tasks", (n1 + n2) as u64);
+    amoe_obs::counter_add("pool.tasks", n_tasks as u64);
     let shared = shared();
     let _region_slot = lock(&shared.region_lock);
     Stage::at(region.started())
@@ -499,9 +416,7 @@ fn drive_region(
 
     // SAFETY: `RegionGuard` below quiesces all workers before this
     // frame is left, on return and on unwind alike — see `erase`.
-    let f1_static = unsafe { erase(f1) };
-    let f2_static = f2.map(|f| unsafe { erase(f) });
-    let job = Arc::new(RegionJob::new(f1_static, n1, f2_static, n2));
+    let job = Arc::new(RegionJob::new(unsafe { erase(f) }, n_tasks));
     {
         let mut st = lock(&shared.state);
         st.job = Some(Arc::clone(&job));
@@ -517,20 +432,8 @@ fn drive_region(
     CTX.with(|c| c.set(Ctx::Caller));
     let _quiesce = RegionGuard { shared, job: &job };
     // The caller is lane zero.
-    claim_loop(job.f1, &job.cursor1, job.n1, &job.done1, &job.cancelled);
-    wait_phase(&job, &job.done1, job.n1);
-    if !job.cancelled.load(Ordering::SeqCst) {
-        if let Some(mid) = mid {
-            mid();
-        }
-        if let Some(f2) = job.f2 {
-            job.phase.store(2, Ordering::SeqCst);
-            drop(lock(&job.sync));
-            job.gate_cv.notify_all();
-            claim_loop(f2, &job.cursor2, job.n2, &job.done2, &job.cancelled);
-            wait_phase(&job, &job.done2, job.n2);
-        }
-    }
+    claim_loop(&job);
+    wait_done(&job);
     drop(_quiesce);
     region.end();
     if job.panicked.load(Ordering::SeqCst) {
@@ -557,45 +460,37 @@ fn ensure_workers(shared: &'static Arc<Shared>, extra: usize) {
     amoe_obs::counter_add("pool.workers_started", need as u64);
 }
 
-/// Claims tasks off `cursor` until the queue is drained or the region
-/// is cancelled. Each successful task bumps `done`.
-fn claim_loop(
-    f: TaskRef<'_>,
-    cursor: &AtomicUsize,
-    n: usize,
-    done: &AtomicUsize,
-    cancelled: &AtomicBool,
-) {
+/// Claims tasks off the job's cursor until the queue is drained or the
+/// region is cancelled. Each successful task bumps `done`.
+fn claim_loop(job: &RegionJob) {
     loop {
-        if cancelled.load(Ordering::SeqCst) {
+        if job.cancelled.load(Ordering::SeqCst) {
             return;
         }
-        let i = cursor.fetch_add(1, Ordering::Relaxed);
-        if i >= n {
+        let i = job.cursor.fetch_add(1, Ordering::Relaxed);
+        if i >= job.n {
             return;
         }
-        f(i);
-        done.fetch_add(1, Ordering::SeqCst);
+        (job.f)(i);
+        job.done.fetch_add(1, Ordering::SeqCst);
     }
 }
 
 /// Caller-side wait for `done == n` (or cancellation).
-fn wait_phase(job: &RegionJob, done: &AtomicUsize, n: usize) {
-    if done.load(Ordering::SeqCst) >= n {
+fn wait_done(job: &RegionJob) {
+    if job.done.load(Ordering::SeqCst) >= job.n {
         return;
     }
     let mut g = lock(&job.sync);
-    while done.load(Ordering::SeqCst) < n && !job.cancelled.load(Ordering::SeqCst) {
+    while job.done.load(Ordering::SeqCst) < job.n && !job.cancelled.load(Ordering::SeqCst) {
         g = wait(&job.done_cv, g);
     }
 }
 
-/// Wakes every lane blocked on the region and stops further claims.
+/// Wakes the caller's wait and stops further claims.
 fn cancel(job: &RegionJob) {
     job.cancelled.store(true, Ordering::SeqCst);
-    drop(lock(&job.sync));
-    job.gate_cv.notify_all();
-    job.done_cv.notify_all();
+    signal_done(job);
 }
 
 /// Region cleanup that runs on return and unwind: cancel (a no-op for
@@ -622,7 +517,7 @@ impl Drop for RegionGuard<'_> {
 }
 
 /// The persistent worker body: park, attach to at most one region per
-/// epoch, run its phases, detach, repeat forever.
+/// epoch, drain its tasks, detach, repeat forever.
 fn worker_main(shared: &Arc<Shared>) {
     CTX.with(|c| c.set(Ctx::Worker));
     let mut last_epoch = 0u64;
@@ -641,12 +536,15 @@ fn worker_main(shared: &Arc<Shared>) {
                 st = wait(&shared.work_cv, st);
             }
         };
-        let outcome = catch_unwind(AssertUnwindSafe(|| worker_run(&job)));
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            claim_loop(&job);
+            signal_done(&job);
+        }));
         if outcome.is_err() {
             job.panicked.store(true, Ordering::SeqCst);
             cancel(&job);
         }
-        // Last use of the erased closures was above; drop our handle
+        // Last use of the erased closure was above; drop our handle
         // before detaching so the caller's quiescence wait is exact.
         drop(job);
         {
@@ -657,27 +555,8 @@ fn worker_main(shared: &Arc<Shared>) {
     }
 }
 
-/// One worker's share of a region: drain phase one, signal, wait at
-/// the phase gate (fused regions), drain phase two, signal.
-fn worker_run(job: &RegionJob) {
-    claim_loop(job.f1, &job.cursor1, job.n1, &job.done1, &job.cancelled);
-    signal_done(job);
-    let Some(f2) = job.f2 else { return };
-    {
-        let mut g = lock(&job.sync);
-        while job.phase.load(Ordering::SeqCst) < 2 && !job.cancelled.load(Ordering::SeqCst) {
-            g = wait(&job.gate_cv, g);
-        }
-    }
-    if job.cancelled.load(Ordering::SeqCst) {
-        return;
-    }
-    claim_loop(f2, &job.cursor2, job.n2, &job.done2, &job.cancelled);
-    signal_done(job);
-}
-
-/// Wakes the caller's phase wait (lock/unlock pairs with `wait_phase`
-/// to close the missed-wakeup window).
+/// Wakes the caller's wait (lock/unlock pairs with `wait_done` to close
+/// the missed-wakeup window).
 fn signal_done(job: &RegionJob) {
     drop(lock(&job.sync));
     job.done_cv.notify_all();
@@ -752,43 +631,6 @@ mod tests {
     fn par_row_blocks_rejects_bad_shape() {
         let mut buf = vec![0f32; 7];
         par_row_blocks(&mut buf, 2, 4, |_, _| {});
-    }
-
-    #[test]
-    fn fused_region_runs_both_phases_in_order() {
-        for t in [1usize, 4] {
-            set_threads(t);
-            let phase1: Vec<AtomicUsize> = (0..23).map(|_| AtomicUsize::new(0)).collect();
-            let mid_seen = AtomicUsize::new(0);
-            let phase2: Vec<AtomicUsize> = (0..9).map(|_| AtomicUsize::new(0)).collect();
-            fused_region(
-                23,
-                |i| {
-                    phase1[i].fetch_add(1, Ordering::SeqCst);
-                },
-                || {
-                    // Every phase-one task must be visible before mid.
-                    let sum: usize = phase1.iter().map(|h| h.load(Ordering::SeqCst)).sum();
-                    mid_seen.store(sum, Ordering::SeqCst);
-                },
-                9,
-                |i| {
-                    // And mid must have run before any phase-two task.
-                    assert_eq!(mid_seen.load(Ordering::SeqCst), 23);
-                    phase2[i].fetch_add(1, Ordering::SeqCst);
-                },
-            );
-            clear_threads_override();
-            assert!(
-                phase1.iter().all(|h| h.load(Ordering::SeqCst) == 1),
-                "t={t}"
-            );
-            assert_eq!(mid_seen.load(Ordering::SeqCst), 23, "t={t}");
-            assert!(
-                phase2.iter().all(|h| h.load(Ordering::SeqCst) == 1),
-                "t={t}"
-            );
-        }
     }
 
     #[test]

@@ -33,15 +33,20 @@ step "cargo build --release --offline"
 cargo build --release --offline --workspace --bins
 
 step "golden reproduction: repro_all --scale 0.1 matches results/repro_all_scale0.1.txt"
-# Every table and figure at a tenth of the data, pinned to the byte
-# (the output is the same at every AMOE_THREADS value). A change that
-# moves a reproduced number must regenerate the file and say why. The
-# Fig. 6 CSVs go under target/ so the committed ones stay untouched.
+# Every table and figure at a tenth of the data, pinned to the byte.
+# The output must be the same at every AMOE_THREADS value, so the run
+# repeats on one thread after the host default. A change that moves a
+# reproduced number must regenerate the file and say why. The Fig. 6
+# CSVs go under target/ so the committed ones stay untouched.
 rm -rf target/ci_repro && mkdir -p target/ci_repro
 ./target/release/repro_all --scale 0.1 --quiet --out target/ci_repro \
   > target/ci_repro/stdout.txt
 diff -u results/repro_all_scale0.1.txt target/ci_repro/stdout.txt || {
   echo "FAIL: repro_all --scale 0.1 output differs from the golden file" >&2; exit 1; }
+AMOE_THREADS=1 ./target/release/repro_all --scale 0.1 --quiet --out target/ci_repro \
+  > target/ci_repro/stdout_t1.txt
+diff -u results/repro_all_scale0.1.txt target/ci_repro/stdout_t1.txt || {
+  echo "FAIL: repro_all --scale 0.1 at AMOE_THREADS=1 differs from the golden file" >&2; exit 1; }
 
 step "cargo test -q --offline (workspace)"
 cargo test -q --offline --release --workspace
