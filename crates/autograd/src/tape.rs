@@ -188,24 +188,6 @@ impl Tape {
         self.nodes.borrow()[id].value.clone()
     }
 
-    /// Re-materialises the [`Var`] handle for node `id`.
-    ///
-    /// `Var` borrows its tape and is therefore not `Send`; code that
-    /// moves a tape across threads (the parallel per-expert training
-    /// path) keeps raw ids instead and rebuilds handles with this.
-    ///
-    /// # Panics
-    /// Panics if `id` is not a node on this tape.
-    #[must_use]
-    pub fn var(&self, id: usize) -> Var<'_> {
-        assert!(
-            id < self.nodes.borrow().len(),
-            "Tape::var: id {id} out of range for tape of {} nodes",
-            self.nodes.borrow().len()
-        );
-        Var::new(self, id)
-    }
-
     /// Shape of the forward value of a node without cloning it.
     #[must_use]
     pub fn shape(&self, id: usize) -> (usize, usize) {
@@ -219,24 +201,17 @@ impl Tape {
     /// Panics if `loss` is not `1x1`.
     #[must_use]
     pub fn backward(&self, loss: Var<'_>) -> Grads {
-        self.backward_seeded(loss, Matrix::scalar(1.0))
-    }
-
-    /// Backward sweep with an explicit seed gradient (same shape as the
-    /// value of `output`). Useful for vector-Jacobian products in tests.
-    #[must_use]
-    pub fn backward_seeded(&self, output: Var<'_>, seed: Matrix) -> Grads {
-        self.backward_multi(vec![(output, seed)])
+        self.backward_multi(vec![(loss, Matrix::scalar(1.0))])
     }
 
     /// Backward sweep seeded at several nodes at once — the
     /// vector-Jacobian product `Σ_i seedᵢ · J(outputᵢ)`.
     ///
     /// This is how the split-graph training path back-propagates
-    /// through a shared prefix tape: the downstream graphs (per-expert
-    /// towers, the gate/loss tape) each hand back a cotangent for the
-    /// boundary node they consumed, and one sweep pushes all of them
-    /// through the shared nodes. Seeds for the same node accumulate.
+    /// through its encoder tape: the expert towers' backward and the
+    /// gate/loss tape each hand back a cotangent for an encoder output
+    /// they consumed, and one sweep pushes all of them through the
+    /// shared nodes. Seeds for the same node accumulate.
     ///
     /// # Panics
     /// Panics if `seeds` is empty or any seed's shape does not match
@@ -478,22 +453,6 @@ mod tests {
         let tape = Tape::new();
         let x = tape.leaf(Matrix::ones(2, 2));
         let _ = tape.backward(x);
-    }
-
-    #[test]
-    fn var_rebuilds_handle() {
-        let tape = Tape::new();
-        let x = tape.leaf(Matrix::ones(2, 3));
-        let again = tape.var(x.id());
-        assert_eq!(again.id(), x.id());
-        assert_eq!(again.value(), x.value());
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn var_rejects_unknown_id() {
-        let tape = Tape::new();
-        let _ = tape.var(3);
     }
 
     #[test]

@@ -3,10 +3,8 @@
 use amoe_autograd::{Tape, Var};
 use amoe_dataset::{Batch, DatasetMeta};
 use amoe_nn::optim::{Adam, Optimizer};
-use amoe_nn::{Activation, Mlp, ParamId, ParamSet};
+use amoe_nn::{Mlp, ParamId, ParamSet};
 use amoe_tensor::{ops, pool, Matrix, Rng};
-
-use std::sync::Mutex;
 
 use crate::config::MoeConfig;
 use crate::features::FeatureEncoder;
@@ -73,15 +71,7 @@ impl MoeModel {
         let input_dim = config.input_dim(meta);
         let dims = tower_dims(input_dim, &config.tower.hidden);
         let experts: Vec<Mlp> = (0..config.n_experts)
-            .map(|i| {
-                Mlp::new(
-                    &mut params,
-                    &format!("expert{i}"),
-                    &dims,
-                    Activation::Relu,
-                    &mut init_rng,
-                )
-            })
+            .map(|i| Mlp::new(&mut params, &format!("expert{i}"), &dims, &mut init_rng))
             .collect();
         let inference_gate = NoisyTopKGate::new(
             &mut params,
@@ -296,27 +286,6 @@ impl Ranker for MoeModel {
     }
 }
 
-/// One expert's forward tape, built in parallel and revisited for the
-/// seeded backward pass. Carries raw node ids instead of `Var`s so it
-/// can cross threads (`Tape` is `Send`; `Var` is not).
-struct ExpertFwd {
-    tape: Tape,
-    /// Leaf holding the expert's rows of the shared input `X`.
-    x_id: usize,
-    /// The tower's output logits, one per routed row.
-    out_id: usize,
-    /// `(parameter, leaf id)` for every tower weight on this tape.
-    leaves: Vec<(ParamId, usize)>,
-}
-
-/// One expert's backward result: cotangent of its rows of the shared
-/// input plus the tower's parameter gradients, merged serially in
-/// expert order.
-struct ExpertGrad {
-    d_x: Matrix,
-    param_grads: Vec<(ParamId, Matrix)>,
-}
-
 impl MoeModel {
     /// Runs one forward/backward pass, leaving fresh (clipped) gradients
     /// in the parameter set without applying an optimizer update. Used
@@ -345,20 +314,22 @@ impl MoeModel {
     /// 2. a gate/loss tape runs the gate forward, then the adversarial
     ///    mask is sampled (the RNG draw order is gating noise, then
     ///    mask), and the two masks route each expert its rows;
-    /// 3. each expert forward runs on its **own tape** (bound to just
-    ///    that tower's weights, fed its rows of `X` as a leaf) — one
-    ///    pool task per expert, none for an expert with no rows; its
-    ///    outputs are scattered into a `B x 1` zero column;
+    /// 3. each expert tower runs the tape-free forward that serves it
+    ///    ([`Mlp::forward_train`]) on its rows of `X`, keeping each
+    ///    layer's input — one pool task per expert, none for an expert
+    ///    with no rows; its outputs are scattered into a `B x 1` zero
+    ///    column;
     /// 4. the gate/loss tape consumes those columns as leaves, builds
     ///    all loss terms, and back-propagates — serial;
-    /// 5. each expert tape back-propagates from its rows of its
+    /// 5. each routed tower runs [`Mlp::backward`] from its rows of its
     ///    column's cotangent — one pool task per routed expert;
     /// 6. gradients merge serially **in expert order** (never in
-    ///    completion order): each expert's `X` cotangent rows are
-    ///    scatter-added, and one multi-seed sweep pushes the `X` /
-    ///    gate-input / TC cotangents through the shared-prefix tape.
+    ///    completion order): each tower's parameter gradients are added
+    ///    to the zeroed slots, its `X` cotangent rows are scatter-added,
+    ///    and one multi-seed sweep pushes the `X` / gate-input / TC
+    ///    cotangents through the shared-prefix tape.
     ///
-    /// Every cross-thread write lands in a per-expert slot and every
+    /// Every pool task returns its result in its expert's slot and every
     /// floating-point merge runs on the caller in a fixed order, so
     /// losses and gradients are bit-identical for every thread count.
     pub fn accumulate_gradients(&mut self, batch: &Batch) -> StepStats {
@@ -404,30 +375,17 @@ impl MoeModel {
         });
         let routes = ExpertRoutes::new(&gate.topk_mask, adv_mask.as_ref());
 
-        // Stage 3: per-expert forward tapes on the routed rows, one pool
-        // task per expert that has any.
+        // Stage 3: tape-free tower forwards on the routed rows, one
+        // pool task per expert that has any.
         let experts = &self.experts;
         let params = &self.params;
         let x_ref = &x_val;
-        let fwds: Vec<Option<ExpertFwd>> = {
+        let fwds: Vec<Option<(Vec<Matrix>, Matrix)>> = {
             let _stage = amoe_obs::StageScope::enter("train.expert_fwd");
             pool::map_tasks(n_experts, |e| {
                 let rows = routes.rows(e);
-                if rows.is_empty() {
-                    return None;
-                }
-                let tape = Tape::new();
-                let ids = experts[e].param_ids();
-                let bound = params.bind_subset(&tape, &ids);
-                let x_leaf = tape.leaf(x_ref.gather_rows(rows));
-                let out = experts[e].forward(&bound, x_leaf);
-                let leaves = ids.iter().map(|&pid| (pid, bound.leaf_id(pid))).collect();
-                Some(ExpertFwd {
-                    x_id: x_leaf.id(),
-                    out_id: out.id(),
-                    leaves,
-                    tape,
-                })
+                (!rows.is_empty())
+                    .then(|| experts[e].forward_train(params, x_ref.gather_rows(rows)))
             })
         };
         let out_leaves: Vec<Var<'_>> = fwds
@@ -435,8 +393,7 @@ impl MoeModel {
             .enumerate()
             .map(|(e, f)| {
                 let mut col = Matrix::zeros(b, 1);
-                if let Some(f) = f {
-                    let out = f.tape.value(f.out_id);
+                if let Some((_, out)) = f {
                     for (&r, &v) in routes.rows(e).iter().zip(out.as_slice()) {
                         col[(r, 0)] = v;
                     }
@@ -492,61 +449,49 @@ impl MoeModel {
         let gate_probs = amoe_obs::enabled().then(|| gate.probs.value());
 
         let loss_grads = loss_tape.backward(loss);
-        self.params.zero_grads();
-        self.params.collect_grads(&loss_bound, &loss_grads);
 
         // Boundary cotangents: each routed expert's rows of its output
         // column, plus the gate input and (under HSC) the TC embedding.
-        let fwd_slots: Vec<Mutex<Option<(ExpertFwd, Matrix)>>> = fwds
-            .into_iter()
-            .zip(&out_leaves)
+        let d_outs: Vec<Option<Matrix>> = out_leaves
+            .iter()
             .enumerate()
-            .map(|(e, (f, &v))| {
-                Mutex::new(f.map(|f| {
-                    let rows = routes.rows(e);
-                    let d_out = loss_grads
+            .map(|(e, &v)| {
+                let rows = routes.rows(e);
+                (!rows.is_empty()).then(|| {
+                    loss_grads
                         .get(v)
-                        .map_or_else(|| Matrix::zeros(rows.len(), 1), |d| d.gather_rows(rows));
-                    (f, d_out)
-                }))
+                        .map_or_else(|| Matrix::zeros(rows.len(), 1), |d| d.gather_rows(rows))
+                })
             })
             .collect();
         let d_gate_in = loss_grads.get_or_zeros(gate_in_leaf, b, gate_in_leaf.shape().1);
         let d_tc = tc_leaf.map(|v| loss_grads.get_or_zeros(v, b, v.shape().1));
 
-        // Stage 5: per-expert backward, one pool task per routed expert.
-        // Take-once slots let each task reclaim its tape across the pool
-        // boundary (`Tape` is `Send` but not `Sync`).
-        let x_cols = x_val.cols();
-        let slots = &fwd_slots;
-        let backs: Vec<Option<ExpertGrad>> = {
+        // Stage 5: tower backward, one pool task per routed expert.
+        let backs = {
             let _stage = amoe_obs::StageScope::enter("train.expert_bwd");
             pool::map_tasks(n_experts, |e| {
-                let (f, d_out) = slots[e]
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner)
-                    .take()?;
-                let g = f.tape.backward_seeded(f.tape.var(f.out_id), d_out);
-                let d_x = g.get_or_zeros(f.tape.var(f.x_id), routes.rows(e).len(), x_cols);
-                let param_grads = f
-                    .leaves
-                    .iter()
-                    .filter_map(|&(pid, leaf)| g.get(f.tape.var(leaf)).map(|m| (pid, m.clone())))
-                    .collect();
-                Some(ExpertGrad { d_x, param_grads })
+                let (inputs, _) = fwds[e].as_ref()?;
+                let d_out = d_outs[e].as_ref()?;
+                Some(experts[e].backward(params, inputs, d_out))
             })
         };
 
-        // Stage 6: deterministic serial merge in expert order.
-        let mut d_x = Matrix::zeros(b, x_cols);
-        for (e, eg) in backs.into_iter().enumerate() {
-            let Some(eg) = eg else { continue };
+        // Stage 6: deterministic serial merge in expert order. The loss
+        // tape, the towers and the encoder own disjoint parameters.
+        self.params.zero_grads();
+        self.params.collect_grads(&loss_bound, &loss_grads);
+        let mut d_x = Matrix::zeros(b, x_val.cols());
+        for (e, back) in backs.into_iter().enumerate() {
+            let Some((d_rows, param_grads)) = back else {
+                continue;
+            };
             for (i, &r) in routes.rows(e).iter().enumerate() {
-                for (d, &g) in d_x.row_mut(r).iter_mut().zip(eg.d_x.row(i)) {
+                for (d, &g) in d_x.row_mut(r).iter_mut().zip(d_rows.row(i)) {
                     *d += g;
                 }
             }
-            for (pid, g) in eg.param_grads {
+            for (pid, g) in param_grads {
                 ops::add_assign(self.params.grad_mut(pid), &g);
             }
         }
@@ -617,7 +562,7 @@ impl DnnModel {
         let mut params = ParamSet::new();
         let encoder = FeatureEncoder::new(&mut params, meta, config, &mut init_rng);
         let dims = tower_dims(config.input_dim(meta), &config.tower.hidden);
-        let tower = Mlp::new(&mut params, "dnn", &dims, Activation::Relu, &mut init_rng);
+        let tower = Mlp::new(&mut params, "dnn", &dims, &mut init_rng);
         DnnModel {
             params,
             encoder,
@@ -662,11 +607,8 @@ impl Ranker for DnnModel {
     }
 
     fn predict(&self, batch: &Batch) -> Vec<f32> {
-        let tape = Tape::new();
-        let bound = self.params.bind(&tape);
-        let x = self.encoder.input(&tape, &bound, batch);
-        let logit = self.tower.forward(&bound, x);
-        ops::sigmoid(&logit.value()).into_vec()
+        let x = self.encoder.input_infer(&self.params, batch);
+        ops::sigmoid(&self.tower.infer(&self.params, x)).into_vec()
     }
 
     fn num_parameters(&self) -> usize {
@@ -725,15 +667,7 @@ impl MmoeModel {
         let input_dim = config.input_dim(meta);
         let dims = tower_dims(input_dim, &config.tower.hidden);
         let experts: Vec<Mlp> = (0..n_experts)
-            .map(|i| {
-                Mlp::new(
-                    &mut params,
-                    &format!("expert{i}"),
-                    &dims,
-                    Activation::Relu,
-                    &mut init_rng,
-                )
-            })
+            .map(|i| Mlp::new(&mut params, &format!("expert{i}"), &dims, &mut init_rng))
             .collect();
         let gates: Vec<ParamId> = (0..n_tasks)
             .map(|t| {

@@ -266,7 +266,7 @@ impl<'m> ServingMoe<'m> {
             let trace_t0 = (tb != 0).then(trace::now_ns);
             let rows = routes.rows(e_idx);
             let ye = (!rows.is_empty())
-                .then(|| model.experts()[e_idx].infer(params, &x.gather_rows(rows)));
+                .then(|| model.experts()[e_idx].infer(params, x.gather_rows(rows)));
             if let Some(t0) = trace_t0 {
                 trace::record(0, tb, "expert", t0, trace::now_ns(), e_idx as u64);
             }

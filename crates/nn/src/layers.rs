@@ -1,44 +1,11 @@
 //! Layers: linear, embedding and MLP towers.
 
+use std::borrow::Cow;
+
 use amoe_autograd::Var;
-use amoe_tensor::{matmul, ops, Matrix, Rng};
+use amoe_tensor::{matmul, ops, reduce, Matrix, Rng};
 
 use crate::{Bound, Init, ParamId, ParamSet};
-
-/// Hidden-layer activation functions.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Activation {
-    /// max(x, 0) — used by the paper's expert towers.
-    Relu,
-    /// Hyperbolic tangent.
-    Tanh,
-    /// Logistic sigmoid.
-    Sigmoid,
-    /// No nonlinearity.
-    Identity,
-}
-
-impl Activation {
-    fn apply<'t>(self, x: Var<'t>) -> Var<'t> {
-        match self {
-            Activation::Relu => x.relu(),
-            Activation::Tanh => x.tanh(),
-            Activation::Sigmoid => x.sigmoid(),
-            Activation::Identity => x,
-        }
-    }
-
-    /// Tape-free application, used by [`Mlp::infer`].
-    #[must_use]
-    fn apply_matrix(self, x: &Matrix) -> Matrix {
-        match self {
-            Activation::Relu => ops::relu(x),
-            Activation::Tanh => ops::map(x, f32::tanh),
-            Activation::Sigmoid => ops::sigmoid(x),
-            Activation::Identity => x.clone(),
-        }
-    }
-}
 
 /// A fully-connected layer `y = x·W + b`.
 #[derive(Clone, Debug)]
@@ -179,35 +146,27 @@ impl Embedding {
     }
 }
 
-/// A multi-layer perceptron: hidden layers with a shared activation and a
-/// linear output layer — the structure of the paper's expert towers and
-/// DNN baseline (`512 x 256 x 1`, ReLU).
+/// A multi-layer perceptron: ReLU hidden layers and a linear output
+/// layer — the structure of the paper's expert towers and DNN baseline
+/// (`512 x 256 x 1`, ReLU).
 #[derive(Clone, Debug)]
 pub struct Mlp {
     layers: Vec<Linear>,
-    activation: Activation,
 }
 
 impl Mlp {
     /// Builds an MLP with the given layer widths. `dims` must contain the
     /// input width followed by each layer's output width, e.g.
-    /// `[n, 512, 256, 1]`. Hidden layers use He init (ReLU default);
-    /// the output layer uses Xavier.
+    /// `[n, 512, 256, 1]`. Hidden layers use He init; the output layer
+    /// uses Xavier.
     ///
     /// # Panics
     /// Panics if fewer than two dims are given.
-    pub fn new(
-        ps: &mut ParamSet,
-        name: &str,
-        dims: &[usize],
-        activation: Activation,
-        rng: &mut Rng,
-    ) -> Self {
+    pub fn new(ps: &mut ParamSet, name: &str, dims: &[usize], rng: &mut Rng) -> Self {
         assert!(dims.len() >= 2, "Mlp::new: need at least [in, out] dims");
         let mut layers = Vec::with_capacity(dims.len() - 1);
         for i in 0..dims.len() - 1 {
-            let is_last = i == dims.len() - 2;
-            let init = if is_last || activation != Activation::Relu {
+            let init = if i == dims.len() - 2 {
                 Init::XavierUniform
             } else {
                 Init::HeNormal
@@ -222,7 +181,7 @@ impl Mlp {
                 rng,
             ));
         }
-        Mlp { layers, activation }
+        Mlp { layers }
     }
 
     /// Input width.
@@ -243,41 +202,89 @@ impl Mlp {
         &self.layers
     }
 
-    /// Every parameter handle of this MLP (weights and biases, layer
-    /// order). The split-graph training path uses this to bind one
-    /// expert tower onto its own tape via [`ParamSet::bind_subset`].
-    #[must_use]
-    pub fn param_ids(&self) -> Vec<ParamId> {
-        self.layers
-            .iter()
-            .flat_map(|l| std::iter::once(l.weight()).chain(l.bias()))
-            .collect()
-    }
-
-    /// Tape forward: activation after every layer except the last.
+    /// Tape forward: ReLU after every layer except the last.
     #[must_use]
     pub fn forward<'t>(&self, bound: &Bound<'t>, x: Var<'t>) -> Var<'t> {
         let mut h = x;
         for (i, layer) in self.layers.iter().enumerate() {
             h = layer.forward(bound, h);
             if i + 1 < self.layers.len() {
-                h = self.activation.apply(h);
+                h = h.relu();
             }
         }
         h
     }
 
-    /// Tape-free forward pass for serving.
+    /// Tape-free forward pass for serving and scoring.
     #[must_use]
-    pub fn infer(&self, ps: &ParamSet, x: &Matrix) -> Matrix {
-        let mut h = x.clone();
+    pub fn infer(&self, ps: &ParamSet, x: Matrix) -> Matrix {
+        self.run(ps, x, drop)
+    }
+
+    /// Tape-free forward pass for training: the output plus each
+    /// layer's input (`x` first), which [`Mlp::backward`] consumes.
+    #[must_use]
+    pub fn forward_train(&self, ps: &ParamSet, x: Matrix) -> (Vec<Matrix>, Matrix) {
+        let mut inputs = Vec::with_capacity(self.layers.len());
+        let out = self.run(ps, x, |h| inputs.push(h));
+        (inputs, out)
+    }
+
+    /// The one layer loop behind [`Mlp::infer`] and
+    /// [`Mlp::forward_train`]: hands each layer's input to `keep` once
+    /// the layer has consumed it.
+    fn run(&self, ps: &ParamSet, x: Matrix, mut keep: impl FnMut(Matrix)) -> Matrix {
+        let mut h = x;
         for (i, layer) in self.layers.iter().enumerate() {
-            h = layer.infer(ps, &h);
+            let mut y = layer.infer(ps, &h);
             if i + 1 < self.layers.len() {
-                h = self.activation.apply_matrix(&h);
+                y = ops::relu(&y);
             }
+            keep(std::mem::replace(&mut h, y));
         }
         h
+    }
+
+    /// Backward pass from the layer inputs of [`Mlp::forward_train`]
+    /// and the output cotangent `d_out`: returns the input cotangent and
+    /// every weight and bias gradient.
+    ///
+    /// It runs the tape's kernels in the tape's order, so each result is
+    /// bit for bit what [`Tape::backward`](amoe_autograd::Tape::backward)
+    /// gives for [`Mlp::forward`]. The ReLU mask is read off the next
+    /// layer's input, its output: `max(v, 0) > 0` holds exactly when
+    /// `v > 0`, NaN included.
+    ///
+    /// # Panics
+    /// Panics if `inputs` does not hold one matrix per layer.
+    #[must_use]
+    pub fn backward(
+        &self,
+        ps: &ParamSet,
+        inputs: &[Matrix],
+        d_out: &Matrix,
+    ) -> (Matrix, Vec<(ParamId, Matrix)>) {
+        assert_eq!(
+            inputs.len(),
+            self.layers.len(),
+            "Mlp::backward: one input per layer"
+        );
+        let mut grads = Vec::with_capacity(2 * self.layers.len());
+        let mut g = Cow::Borrowed(d_out);
+        for (i, (layer, input)) in self.layers.iter().zip(inputs).enumerate().rev() {
+            if let Some(b) = layer.bias() {
+                grads.push((b, reduce::col_sum(&g)));
+            }
+            grads.push((layer.weight(), matmul::matmul_tn(input, &g)));
+            let d_in = matmul::matmul_nt(&g, ps.value(layer.weight()));
+            g = Cow::Owned(if i == 0 {
+                d_in
+            } else {
+                let mask = ops::map(input, |v| if v > 0.0 { 1.0 } else { 0.0 });
+                ops::mul(&d_in, &mask)
+            });
+        }
+        (g.into_owned(), grads)
     }
 }
 
@@ -285,7 +292,6 @@ impl Mlp {
 mod tests {
     use super::*;
     use amoe_autograd::Tape;
-    use amoe_tensor::assert_close;
 
     #[test]
     fn linear_forward_matches_infer() {
@@ -296,8 +302,7 @@ mod tests {
         let tape = Tape::new();
         let bound = ps.bind(&tape);
         let y_tape = lin.forward(&bound, tape.leaf(x.clone())).value();
-        let y_infer = lin.infer(&ps, &x);
-        assert_close(&y_tape, &y_infer, 1e-6, 1e-7);
+        assert_eq!(y_tape, lin.infer(&ps, &x));
         assert_eq!(y_tape.shape(), (4, 2));
     }
 
@@ -328,7 +333,7 @@ mod tests {
     fn mlp_shapes_and_consistency() {
         let mut ps = ParamSet::new();
         let mut rng = Rng::seed_from(4);
-        let mlp = Mlp::new(&mut ps, "m", &[6, 8, 4, 1], Activation::Relu, &mut rng);
+        let mlp = Mlp::new(&mut ps, "m", &[6, 8, 4, 1], &mut rng);
         assert_eq!(mlp.in_dim(), 6);
         assert_eq!(mlp.out_dim(), 1);
         assert_eq!(mlp.layers().len(), 3);
@@ -336,7 +341,7 @@ mod tests {
         let tape = Tape::new();
         let bound = ps.bind(&tape);
         let y_tape = mlp.forward(&bound, tape.leaf(x.clone())).value();
-        assert_close(&y_tape, &mlp.infer(&ps, &x), 1e-5, 1e-6);
+        assert_eq!(y_tape, mlp.infer(&ps, x));
     }
 
     #[test]
@@ -344,7 +349,7 @@ mod tests {
         // One gradient step on MSE should reduce the loss.
         let mut ps = ParamSet::new();
         let mut rng = Rng::seed_from(5);
-        let mlp = Mlp::new(&mut ps, "m", &[2, 8, 1], Activation::Tanh, &mut rng);
+        let mlp = Mlp::new(&mut ps, "m", &[2, 8, 1], &mut rng);
         let x = rng.normal_matrix(16, 2, 0.0, 1.0);
         let y = Matrix::filled(16, 1, 0.7);
         let before;
@@ -369,5 +374,50 @@ mod tests {
         let diff = pred.add_const(&amoe_tensor::ops::scale(&y, -1.0));
         let after = diff.square().mean_all().value()[(0, 0)];
         assert!(after < before);
+    }
+
+    #[test]
+    fn mlp_backward_matches_tape_bit_for_bit() {
+        // `==` on f32 equates +0.0 and -0.0; compare the bits.
+        fn bits(m: &Matrix) -> Vec<u32> {
+            m.as_slice().iter().map(|v| v.to_bits()).collect()
+        }
+        let mut ps = ParamSet::new();
+        let mut rng = Rng::seed_from(6);
+        let mlp = Mlp::new(&mut ps, "m", &[6, 9, 5, 1], &mut rng);
+        // Hidden unit 2 of the first layer is dead on every row.
+        let b0 = mlp.layers()[0].bias().expect("bias");
+        ps.value_mut(b0)[(0, 2)] = -1e3;
+        for rows in [1, 17] {
+            let x = rng.normal_matrix(rows, 6, 0.0, 1.0);
+            let mut d_out = rng.normal_matrix(rows, 1, 0.0, 1.0);
+            for r in (0..rows).step_by(3) {
+                d_out[(r, 0)] = if r % 2 == 0 { 0.0 } else { -0.0 };
+            }
+
+            let tape = Tape::new();
+            let bound = ps.bind(&tape);
+            let x_leaf = tape.leaf(x.clone());
+            let out = mlp.forward(&bound, x_leaf);
+            let oracle = tape.backward_multi(vec![(out, d_out.clone())]);
+
+            let (inputs, y) = mlp.forward_train(&ps, x);
+            assert_eq!(bits(&y), bits(&out.value()));
+            assert!((0..rows).all(|r| inputs[1][(r, 2)] == 0.0));
+            let (d_x, grads) = mlp.backward(&ps, &inputs, &d_out);
+            assert_eq!(bits(&d_x), bits(oracle.get(x_leaf).expect("x cotangent")));
+            assert_eq!(grads.len(), ps.len());
+            for i in 0..ps.len() {
+                let id = ParamId::from_index(i);
+                let mine: Vec<&Matrix> = grads
+                    .iter()
+                    .filter(|(p, _)| *p == id)
+                    .map(|(_, g)| g)
+                    .collect();
+                assert_eq!(mine.len(), 1, "{}: one gradient", ps.name(id));
+                let want = oracle.get(bound.var(id)).expect("parameter gradient");
+                assert_eq!(bits(mine[0]), bits(want), "{} at {rows} rows", ps.name(id));
+            }
+        }
     }
 }

@@ -8,6 +8,9 @@
 //! leaf gradients back into the set ([`ParamSet::collect_grads`]) and
 //! lets an [`optim::Optimizer`] update the values. This keeps tapes
 //! short-lived and parameters in one flat, serialisable store.
+//! An [`Mlp`] can also train without a tape: [`Mlp::forward_train`]
+//! runs the serving forward and keeps each layer's input, and
+//! [`Mlp::backward`] returns bit for bit the gradients the tape would.
 //!
 //! The layer set is exactly what the paper's models need: [`Linear`],
 //! [`Embedding`] and [`Mlp`] towers with ReLU hidden activations
@@ -22,6 +25,6 @@ pub mod schedule;
 mod serialize;
 
 pub use init::Init;
-pub use layers::{Activation, Embedding, Linear, Mlp};
+pub use layers::{Embedding, Linear, Mlp};
 pub use params::{Bound, ParamId, ParamSet};
 pub use serialize::{LoadError, SerializeError};

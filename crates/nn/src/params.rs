@@ -136,8 +136,8 @@ impl ParamSet {
 
     /// Like [`ParamSet::bind`] but inserts only the parameters named by
     /// `ids` as leaves. The split-graph training path uses this to give
-    /// each per-expert tape exactly that expert's weights instead of
-    /// cloning the whole model onto every tape.
+    /// its encoder tape and its gate/loss tape just the weights each
+    /// one reads instead of cloning the whole model onto both.
     ///
     /// Reading an unbound parameter through [`Bound::var`] panics;
     /// [`ParamSet::collect_grads`] skips unbound entries.
@@ -242,16 +242,6 @@ impl<'t> Bound<'t> {
     #[must_use]
     pub fn var(&self, id: ParamId) -> Var<'t> {
         self.vars[id.0].expect("Bound::var: parameter not part of this binding")
-    }
-
-    /// The leaf node id bound to `id`, for code that must carry the
-    /// binding across threads (node ids are `Send`; `Var`s are not).
-    ///
-    /// # Panics
-    /// Panics if `id` was not part of the binding.
-    #[must_use]
-    pub fn leaf_id(&self, id: ParamId) -> usize {
-        self.var(id).id()
     }
 }
 

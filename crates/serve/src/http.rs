@@ -22,7 +22,7 @@
 //! (`Content-Length` > 0 or `Transfer-Encoding`) get their answer and
 //! then the connection is closed: the unread body would otherwise be
 //! parsed as the next request head. Handlers poll the stop flag on a
-//! short read timeout, so [`ObsListener::stop`] wins even against an
+//! short read timeout, so `ObsListener::stop` wins even against an
 //! idle keep-alive peer.
 //!
 //! Scrapes are designed to stay off the score path: rendering takes

@@ -69,7 +69,7 @@ impl<T> RequestQueue<T> {
         }
     }
 
-    /// Installs the depth observer (see [`DepthObserver`]). Takes
+    /// Installs the depth observer (see `DepthObserver`). Takes
     /// `&mut self`: set it before the queue is shared.
     pub fn set_depth_observer(&mut self, f: impl Fn(usize) + Send + Sync + 'static) {
         self.observer = Some(Box::new(f));

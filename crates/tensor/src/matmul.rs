@@ -20,7 +20,7 @@
 //! * The `p` dimension is processed in [`KC`]-sized blocks, ascending,
 //!   so one packed `A` strip plus one packed `B` strip stay L1/L2
 //!   resident while an `MR x NR` accumulator tile lives in registers.
-//! * The micro-kernel itself ([`microkernel`]) iterates `chunks_exact`
+//! * The micro-kernel itself (`microkernel`) iterates `chunks_exact`
 //!   over both panels and a fixed `[[f32; NR]; MR]` accumulator tile:
 //!   no bounds checks, fixed trip widths, autovectorisable.
 //!
@@ -48,13 +48,13 @@
 //! for the multiply and one for the add. Register tiles are loaded from
 //! `C` before each `KC` block and stored back after it, so splitting
 //! `p` into blocks does not re-associate the chain; padded tile lanes
-//! are computed but never stored. The naive reference in [`reference`]
+//! are computed but never stored. The naive reference in [`reference`](mod@reference)
 //! is the canonical spelling of that chain, and `tests/kernel_oracle.rs`
 //! asserts exact equality between it and every fast path over
 //! randomized and adversarial shapes.
 //!
 //! Products above [`PAR_FLOP_THRESHOLD`] multiply-adds are additionally
-//! row-blocked across the [`pool`](crate::pool) runtime. Every flavour
+//! row-blocked across the [`pool`] runtime. Every flavour
 //! partitions the *output* rows into disjoint contiguous blocks, and
 //! the per-element chain is independent of the block partitioning, so
 //! the result is bit-identical for every thread count.
@@ -102,7 +102,7 @@ pub const KC: usize = 256;
 /// accumulates its products in ascending `p` order — the canonical
 /// floating-point chain every optimised kernel must reproduce
 /// **exactly** (see the module docs). They are also the small-product
-/// fast path: below [`PACK_FLOP_THRESHOLD`](super::PACK_FLOP_THRESHOLD)
+/// fast path: below [`PACK_FLOP_THRESHOLD`]
 /// packing costs more than it saves.
 pub mod reference {
     use crate::Matrix;

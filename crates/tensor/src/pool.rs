@@ -51,10 +51,10 @@
 //! one combination safe Rust cannot express, and the reason every
 //! persistent work-sharing runtime (rayon, crossbeam) contains a
 //! lifetime-erasure site. This module keeps exactly **one** `unsafe`
-//! expression ([`erase`]), made sound by the region protocol: the
+//! expression (`erase`), made sound by the region protocol: the
 //! caller never returns (or unwinds) past the region until every
 //! worker has detached, so the erased borrow cannot outlive the frame
-//! it points into. See [`erase`] for the full argument; everything
+//! it points into. See `erase` for the full argument; everything
 //! else — slot writes, parking, panic propagation — is safe code.
 //!
 //! # Telemetry

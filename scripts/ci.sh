@@ -29,6 +29,11 @@ if [[ -z "${SKIP_CLIPPY:-}" ]]; then
   cargo clippy --offline --workspace --all-targets -- -D warnings
 fi
 
+step "cargo doc: rustdoc warnings are errors"
+# A deleted or private item that a doc comment still links to fails
+# here instead of rendering as a dead link.
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace
+
 step "cargo build --release --offline"
 cargo build --release --offline --workspace --bins
 
