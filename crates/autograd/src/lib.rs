@@ -20,7 +20,11 @@
 //! vector of nodes, each holding its forward value and an [`Op`] describing
 //! how to push gradients to its parents. [`Var`] is a `Copy` handle
 //! (tape reference + node id) with operator overloading, so model code
-//! reads like the maths in the paper.
+//! reads like the maths in the paper. Ops read their operands in place
+//! and write into the new node's buffer; [`Tape::reset`] forgets the
+//! nodes but keeps their buffers (and the backward sweep's), so a
+//! training loop that records the same graph every step stops
+//! allocating on the tape after the first.
 //!
 //! Every op's backward pass is verified against central finite differences
 //! in this crate's tests (see [`gradcheck`]), and the full combined MoE

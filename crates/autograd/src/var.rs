@@ -1,17 +1,19 @@
 //! [`Var`]: a copyable handle to a tape node, with operator overloading.
 
+use std::cell::Ref;
 use std::ops::{Add, Div, Mul, Neg, Sub};
 
 use amoe_tensor::{matmul, ops, reduce, topk, Matrix};
 
-use crate::tape::{Op, Tape};
+use crate::tape::{Node, Op, Tape};
 
 /// A handle to a node on a [`Tape`].
 ///
 /// `Var` is `Copy` (a tape reference plus an index), so expressions like
 /// `(a + b) * a` work without explicit clones. All operations panic on
 /// shape mismatch with a message naming the operation, mirroring the
-/// kernel layer.
+/// kernel layer. Every operation reads its operands in place on the
+/// tape and writes its result into the new node's reused buffer.
 #[derive(Clone, Copy)]
 pub struct Var<'t> {
     tape: &'t Tape,
@@ -41,77 +43,124 @@ impl<'t> Var<'t> {
         self.tape.value(self.id)
     }
 
+    /// Borrow of the forward value. Recording on this variable's tape
+    /// while the borrow is alive panics.
+    #[must_use]
+    pub fn value_ref(&self) -> Ref<'t, Matrix> {
+        self.tape.value_ref(self.id)
+    }
+
     /// Shape of the forward value.
     #[must_use]
     pub fn shape(&self) -> (usize, usize) {
         self.tape.shape(self.id)
     }
 
-    fn unary(self, value: Matrix, op: Op) -> Var<'t> {
-        self.tape.push(value, op)
+    /// Records `op`, whose value `f` computes from this node's value.
+    fn unary(self, op: Op, f: impl FnOnce(&Matrix, &mut Matrix)) -> Var<'t> {
+        let a = self.id;
+        self.tape
+            .push_with(op, [], |nodes, _, out| f(&nodes[a].value, out))
+    }
+
+    /// Records `op`, whose value is this node's value transformed in
+    /// place by `f`.
+    fn copy_then(self, op: Op, f: impl FnOnce(&mut Matrix)) -> Var<'t> {
+        self.unary(op, |a, out| {
+            out.clone_from(a);
+            f(out);
+        })
+    }
+
+    /// Records `op`, whose value `f` computes from this node's and
+    /// `rhs`'s values.
+    fn binary(
+        self,
+        rhs: Var<'t>,
+        op: Op,
+        f: impl FnOnce(&Matrix, &Matrix, &mut Matrix),
+    ) -> Var<'t> {
+        let (a, b) = (self.id, rhs.id);
+        self.tape.push_with(op, [], |nodes: &[Node], _, out| {
+            f(&nodes[a].value, &nodes[b].value, out);
+        })
+    }
+
+    /// Records `op` on a constant operand: `konst` is copied onto the
+    /// tape as a leaf, and `f` computes the value from this node's value
+    /// and the constant's. `op` gets the constant's node id.
+    fn with_const(
+        self,
+        konst: &Matrix,
+        op: impl FnOnce(usize) -> Op,
+        f: impl FnOnce(&Matrix, &Matrix, &mut Matrix),
+    ) -> Var<'t> {
+        let k = self.tape.leaf_from(konst);
+        self.binary(k, op(k.id), f)
     }
 
     /// Matrix product `self · rhs`.
     #[must_use]
     pub fn matmul(self, rhs: Var<'t>) -> Var<'t> {
-        let v = matmul::matmul(&self.value(), &rhs.value());
-        self.unary(v, Op::MatMul(self.id, rhs.id))
+        self.binary(rhs, Op::MatMul(self.id, rhs.id), matmul::matmul_into)
     }
 
     /// Adds a `1 x n` bias row to every row.
     #[must_use]
     pub fn add_row(self, row: Var<'t>) -> Var<'t> {
-        let v = ops::add_row_broadcast(&self.value(), &row.value());
-        self.unary(v, Op::AddRowBroadcast(self.id, row.id))
+        self.binary(row, Op::AddRowBroadcast(self.id, row.id), |a, r, out| {
+            out.clone_from(a);
+            ops::add_row_assign(out, r);
+        })
     }
 
     /// Scales every row by the matching entry of an `m x 1` column.
     #[must_use]
     pub fn mul_col(self, col: Var<'t>) -> Var<'t> {
-        let v = ops::mul_col_broadcast(&self.value(), &col.value());
-        self.unary(v, Op::MulColBroadcast(self.id, col.id))
+        self.binary(col, Op::MulColBroadcast(self.id, col.id), |a, c, out| {
+            out.clone_from(a);
+            ops::mul_col_assign(out, c);
+        })
     }
 
     /// Element-wise ReLU.
     #[must_use]
     pub fn relu(self) -> Var<'t> {
-        let v = ops::relu(&self.value());
-        self.unary(v, Op::Relu(self.id))
+        self.copy_then(Op::Relu(self.id), |v| ops::map_assign(v, ops::relu_scalar))
     }
 
     /// Element-wise logistic sigmoid.
     #[must_use]
     pub fn sigmoid(self) -> Var<'t> {
-        let v = ops::sigmoid(&self.value());
-        self.unary(v, Op::Sigmoid(self.id))
+        self.copy_then(Op::Sigmoid(self.id), |v| {
+            ops::map_assign(v, ops::sigmoid_scalar);
+        })
     }
 
     /// Element-wise tanh.
     #[must_use]
     pub fn tanh(self) -> Var<'t> {
-        let v = ops::map(&self.value(), f32::tanh);
-        self.unary(v, Op::Tanh(self.id))
+        self.copy_then(Op::Tanh(self.id), |v| ops::map_assign(v, f32::tanh))
     }
 
     /// Element-wise exp.
     #[must_use]
     pub fn exp(self) -> Var<'t> {
-        let v = ops::map(&self.value(), f32::exp);
-        self.unary(v, Op::Exp(self.id))
+        self.copy_then(Op::Exp(self.id), |v| ops::map_assign(v, f32::exp))
     }
 
     /// Element-wise natural logarithm.
     #[must_use]
     pub fn ln(self) -> Var<'t> {
-        let v = ops::map(&self.value(), f32::ln);
-        self.unary(v, Op::Ln(self.id))
+        self.copy_then(Op::Ln(self.id), |v| ops::map_assign(v, f32::ln))
     }
 
     /// Element-wise softplus.
     #[must_use]
     pub fn softplus(self) -> Var<'t> {
-        let v = ops::softplus(&self.value());
-        self.unary(v, Op::Softplus(self.id))
+        self.copy_then(Op::Softplus(self.id), |v| {
+            ops::map_assign(v, ops::softplus_scalar);
+        })
     }
 
     /// Element-wise square.
@@ -123,22 +172,21 @@ impl<'t> Var<'t> {
     /// Multiplication by a scalar constant.
     #[must_use]
     pub fn scale(self, c: f32) -> Var<'t> {
-        let v = ops::scale(&self.value(), c);
-        self.unary(v, Op::Scale(self.id, c))
+        self.copy_then(Op::Scale(self.id, c), |v| ops::scale_assign(v, c))
     }
 
     /// Addition of a scalar constant.
     #[must_use]
     pub fn add_scalar(self, c: f32) -> Var<'t> {
-        let v = ops::add_scalar(&self.value(), c);
-        self.unary(v, Op::AddScalar(self.id, c))
+        self.copy_then(Op::AddScalar(self.id, c), |v| {
+            ops::map_assign(v, |x| x + c);
+        })
     }
 
     /// Row-wise softmax over the full support.
     #[must_use]
     pub fn softmax_rows(self) -> Var<'t> {
-        let v = ops::softmax_rows(&self.value());
-        self.unary(v, Op::SoftmaxRows(self.id))
+        self.copy_then(Op::SoftmaxRows(self.id), ops::softmax_rows_assign)
     }
 
     /// Row-wise softmax restricted to entries where `mask != 0` (Eq. 6–7:
@@ -149,25 +197,26 @@ impl<'t> Var<'t> {
     /// Panics if the mask shape differs or a row of the mask is all zero.
     #[must_use]
     pub fn masked_softmax_rows(self, mask: &Matrix) -> Var<'t> {
-        let x = self.value();
+        let shape = self.shape();
         assert_eq!(
-            x.shape(),
+            shape,
             mask.shape(),
             "masked_softmax_rows: mask shape {:?} vs input {:?}",
             mask.shape(),
-            x.shape()
+            shape
         );
-        let masked = ops::zip_map(
-            &x,
+        let input = self.id;
+        self.with_const(
             mask,
-            |v, m| if m != 0.0 { v } else { f32::NEG_INFINITY },
-        );
-        let v = ops::softmax_rows(&masked);
-        self.unary(
-            v,
-            Op::MaskedSoftmaxRows {
-                input: self.id,
-                mask: mask.clone(),
+            |mask| Op::MaskedSoftmaxRows { input, mask },
+            |x, mask, out| {
+                out.clone_from(x);
+                ops::zip_map_assign(
+                    out,
+                    mask,
+                    |v, m| if m != 0.0 { v } else { f32::NEG_INFINITY },
+                );
+                ops::softmax_rows_assign(out);
             },
         )
     }
@@ -176,36 +225,38 @@ impl<'t> Var<'t> {
     /// Returns the probabilities and the 0/1 mask that was applied.
     #[must_use]
     pub fn topk_softmax_rows(self, k: usize) -> (Var<'t>, Matrix) {
-        let mask = topk::row_topk_mask(&self.value(), k);
+        let mask = topk::row_topk_mask(&self.value_ref(), k);
         (self.masked_softmax_rows(&mask), mask)
     }
 
     /// Row sums `[m,n] -> [m,1]`.
     #[must_use]
     pub fn row_sum(self) -> Var<'t> {
-        let v = reduce::row_sum(&self.value());
-        self.unary(v, Op::RowSum(self.id))
+        self.unary(Op::RowSum(self.id), reduce::row_sum_into)
     }
 
     /// Column sums `[m,n] -> [1,n]`.
     #[must_use]
     pub fn col_sum(self) -> Var<'t> {
-        let v = reduce::col_sum(&self.value());
-        self.unary(v, Op::ColSum(self.id))
+        self.unary(Op::ColSum(self.id), reduce::col_sum_into)
     }
 
     /// Sum of all entries, producing a `1x1` scalar node.
     #[must_use]
     pub fn sum_all(self) -> Var<'t> {
-        let v = Matrix::scalar(reduce::sum(&self.value()));
-        self.unary(v, Op::SumAll(self.id))
+        self.unary(Op::SumAll(self.id), |a, out| {
+            out.resize_zeroed(1, 1);
+            out[(0, 0)] = reduce::sum(a);
+        })
     }
 
     /// Mean of all entries, producing a `1x1` scalar node.
     #[must_use]
     pub fn mean_all(self) -> Var<'t> {
-        let v = Matrix::scalar(reduce::mean(&self.value()));
-        self.unary(v, Op::MeanAll(self.id))
+        self.unary(Op::MeanAll(self.id), |a, out| {
+            out.resize_zeroed(1, 1);
+            out[(0, 0)] = reduce::mean(a);
+        })
     }
 
     /// Embedding lookup: treats `self` as a table and gathers the given
@@ -215,13 +266,11 @@ impl<'t> Var<'t> {
     /// Panics if any index is out of bounds or `indices` is empty.
     #[must_use]
     pub fn embed(self, indices: &[usize]) -> Var<'t> {
-        let v = self.value().gather_rows(indices);
-        self.unary(
-            v,
-            Op::EmbedLookup {
-                table: self.id,
-                indices: indices.to_vec(),
-            },
+        let table = self.id;
+        self.tape.push_with(
+            Op::EmbedLookup { table },
+            indices.iter().copied(),
+            |nodes, idx, out| nodes[table].value.gather_rows_into(idx, out),
         )
     }
 
@@ -232,23 +281,23 @@ impl<'t> Var<'t> {
     #[must_use]
     pub fn concat_cols(parts: &[Var<'t>]) -> Var<'t> {
         assert!(!parts.is_empty(), "concat_cols: no parts");
-        let values: Vec<Matrix> = parts.iter().map(Var::value).collect();
-        let refs: Vec<&Matrix> = values.iter().collect();
-        let v = Matrix::hcat(&refs);
-        parts[0]
-            .tape
-            .push(v, Op::ConcatCols(parts.iter().map(|p| p.id).collect()))
+        parts[0].tape.push_with(
+            Op::ConcatCols,
+            parts.iter().map(|p| p.id),
+            |nodes, idx, out| Matrix::hcat_into(idx.len(), |i| &nodes[idx[i]].value, out),
+        )
     }
 
     /// Element-wise product with a constant matrix (mask, noise, ...).
     #[must_use]
     pub fn mul_const(self, konst: &Matrix) -> Var<'t> {
-        let v = ops::mul(&self.value(), konst);
-        self.unary(
-            v,
-            Op::MulConst {
-                input: self.id,
-                konst: konst.clone(),
+        let input = self.id;
+        self.with_const(
+            konst,
+            |konst| Op::MulConst { input, konst },
+            |a, k, out| {
+                out.clone_from(a);
+                ops::mul_assign(out, k);
             },
         )
     }
@@ -256,12 +305,13 @@ impl<'t> Var<'t> {
     /// Element-wise sum with a constant matrix.
     #[must_use]
     pub fn add_const(self, konst: &Matrix) -> Var<'t> {
-        let v = ops::add(&self.value(), konst);
-        self.unary(
-            v,
-            Op::AddConst {
-                input: self.id,
-                konst: konst.clone(),
+        let input = self.id;
+        self.with_const(
+            konst,
+            |konst| Op::AddConst { input, konst },
+            |a, k, out| {
+                out.clone_from(a);
+                ops::add_assign(out, k);
             },
         )
     }
@@ -269,8 +319,7 @@ impl<'t> Var<'t> {
     /// Identity in the forward pass, stops gradients in the backward pass.
     #[must_use]
     pub fn detach(self) -> Var<'t> {
-        let v = self.value();
-        self.unary(v, Op::Detach(self.id))
+        self.copy_then(Op::Detach(self.id), |_| {})
     }
 
     /// Numerically stable per-element binary cross-entropy against
@@ -281,22 +330,23 @@ impl<'t> Var<'t> {
     /// [`Var::mean_all`] for the batch loss, Eq. 13).
     #[must_use]
     pub fn bce_with_logits(self, targets: &Matrix) -> Var<'t> {
-        let x = self.value();
+        let shape = self.shape();
         assert_eq!(
-            x.shape(),
+            shape,
             targets.shape(),
             "bce_with_logits: target shape {:?} vs logits {:?}",
             targets.shape(),
-            x.shape()
+            shape
         );
-        let v = ops::zip_map(&x, targets, |x, y| {
-            x.max(0.0) - x * y + ops::softplus_scalar(-x.abs())
-        });
-        self.unary(
-            v,
-            Op::BceWithLogits {
-                logits: self.id,
-                targets: targets.clone(),
+        let logits = self.id;
+        self.with_const(
+            targets,
+            |targets| Op::BceWithLogits { logits, targets },
+            |x, y, out| {
+                out.clone_from(x);
+                ops::zip_map_assign(out, y, |x, y| {
+                    x.max(0.0) - x * y + ops::softplus_scalar(-x.abs())
+                });
             },
         )
     }
@@ -304,55 +354,57 @@ impl<'t> Var<'t> {
     /// Columns `[start, end)` as a new node.
     #[must_use]
     pub fn slice_cols(self, start: usize, end: usize) -> Var<'t> {
-        let v = self.value().slice_cols(start, end);
-        self.unary(
-            v,
-            Op::SliceCols {
-                input: self.id,
-                start,
-                end,
-            },
-        )
+        let input = self.id;
+        self.unary(Op::SliceCols { input, start, end }, |a, out| {
+            a.slice_cols_into(start, end, out);
+        })
     }
 }
 
 impl<'t> Add for Var<'t> {
     type Output = Var<'t>;
     fn add(self, rhs: Var<'t>) -> Var<'t> {
-        let v = ops::add(&self.value(), &rhs.value());
-        self.tape.push(v, Op::Add(self.id, rhs.id))
+        self.binary(rhs, Op::Add(self.id, rhs.id), |a, b, out| {
+            out.clone_from(a);
+            ops::add_assign(out, b);
+        })
     }
 }
 
 impl<'t> Sub for Var<'t> {
     type Output = Var<'t>;
     fn sub(self, rhs: Var<'t>) -> Var<'t> {
-        let v = ops::sub(&self.value(), &rhs.value());
-        self.tape.push(v, Op::Sub(self.id, rhs.id))
+        self.binary(rhs, Op::Sub(self.id, rhs.id), |a, b, out| {
+            out.clone_from(a);
+            ops::sub_assign(out, b);
+        })
     }
 }
 
 impl<'t> Mul for Var<'t> {
     type Output = Var<'t>;
     fn mul(self, rhs: Var<'t>) -> Var<'t> {
-        let v = ops::mul(&self.value(), &rhs.value());
-        self.tape.push(v, Op::Mul(self.id, rhs.id))
+        self.binary(rhs, Op::Mul(self.id, rhs.id), |a, b, out| {
+            out.clone_from(a);
+            ops::mul_assign(out, b);
+        })
     }
 }
 
 impl<'t> Div for Var<'t> {
     type Output = Var<'t>;
     fn div(self, rhs: Var<'t>) -> Var<'t> {
-        let v = ops::div(&self.value(), &rhs.value());
-        self.tape.push(v, Op::Div(self.id, rhs.id))
+        self.binary(rhs, Op::Div(self.id, rhs.id), |a, b, out| {
+            out.clone_from(a);
+            ops::div_assign(out, b);
+        })
     }
 }
 
 impl<'t> Neg for Var<'t> {
     type Output = Var<'t>;
     fn neg(self) -> Var<'t> {
-        let v = ops::scale(&self.value(), -1.0);
-        self.tape.push(v, Op::Neg(self.id))
+        self.copy_then(Op::Neg(self.id), |v| ops::scale_assign(v, -1.0))
     }
 }
 

@@ -16,6 +16,7 @@
 //! scores equal the full ensemble's bit for bit.
 
 use amoe_dataset::Batch;
+use amoe_nn::tower_forward;
 use amoe_tensor::{ops, reduce, topk, Matrix};
 
 use crate::models::MoeModel;
@@ -163,15 +164,11 @@ impl CategoryModel {
             &batch.numeric,
         ]);
         let mut out = Matrix::zeros(batch.len(), 1);
+        // `acts[0]` stays `x`; each tower rewrites the layers above it.
+        let mut acts = vec![x];
         for (tower, &w) in self.layers.iter().zip(&self.weights) {
-            let mut h = x.clone();
-            for (i, (wm, bm)) in tower.iter().enumerate() {
-                h = ops::add_row_broadcast(&amoe_tensor::matmul::matmul(&h, wm), bm);
-                if i + 1 < tower.len() {
-                    h = ops::relu(&h);
-                }
-            }
-            ops::axpy(&mut out, w, &h);
+            tower_forward(tower.len(), |i| (&tower[i].0, &tower[i].1), &mut acts);
+            ops::axpy(&mut out, w, acts.last().expect("the tower output"));
         }
         out.into_vec()
     }

@@ -66,7 +66,7 @@ impl FeatureEncoder {
     /// `[x_sc, x_brand, x_shop, x_user, x_price, numeric]`.
     #[must_use]
     pub fn input<'t>(&self, tape: &'t Tape, bound: &Bound<'t>, batch: &Batch) -> Var<'t> {
-        let numeric = tape.leaf(batch.numeric.clone()).detach();
+        let numeric = tape.leaf_from(&batch.numeric).detach();
         Var::concat_cols(&[
             self.sc.forward(bound, &batch.sc),
             self.brand.forward(bound, &batch.brand),

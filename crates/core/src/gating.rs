@@ -125,9 +125,12 @@ impl NoisyTopKGate {
 /// Which batch rows each expert runs on, as one flat CSR: expert `e`
 /// gets `rows[offsets[e]..offsets[e + 1]]`, ascending. Training routes
 /// the top-K ∪ adversarial rows through it, serving the top-K rows.
+#[derive(Default)]
 pub(crate) struct ExpertRoutes {
     offsets: Vec<usize>,
     rows: Vec<usize>,
+    /// Fill cursors, kept so a reused router allocates nothing.
+    cursor: Vec<usize>,
 }
 
 impl ExpertRoutes {
@@ -135,11 +138,20 @@ impl ExpertRoutes {
     /// adversarial mask is set at `(r, e)`: every other row has gate
     /// probability 0 and mask entries 0, so its contribution is ±0.
     pub(crate) fn new(topk_mask: &Matrix, adv_mask: Option<&Matrix>) -> Self {
+        let mut routes = Self::default();
+        routes.route(topk_mask, adv_mask);
+        routes
+    }
+
+    /// [`ExpertRoutes::new`] into this router's reused buffers.
+    pub(crate) fn route(&mut self, topk_mask: &Matrix, adv_mask: Option<&Matrix>) {
         let (b, n) = topk_mask.shape();
         let routed = |r: usize, e: usize| {
             topk_mask[(r, e)] != 0.0 || adv_mask.is_some_and(|m| m[(r, e)] != 0.0)
         };
-        let mut offsets = vec![0; n + 1];
+        let offsets = &mut self.offsets;
+        offsets.clear();
+        offsets.resize(n + 1, 0);
         for r in 0..b {
             for e in 0..n {
                 if routed(r, e) {
@@ -150,17 +162,18 @@ impl ExpertRoutes {
         for e in 0..n {
             offsets[e + 1] += offsets[e];
         }
-        let mut cursor = offsets[..n].to_vec();
-        let mut rows = vec![0; offsets[n]];
+        self.cursor.clear();
+        self.cursor.extend_from_slice(&offsets[..n]);
+        self.rows.clear();
+        self.rows.resize(offsets[n], 0);
         for r in 0..b {
             for e in 0..n {
                 if routed(r, e) {
-                    rows[cursor[e]] = r;
-                    cursor[e] += 1;
+                    self.rows[self.cursor[e]] = r;
+                    self.cursor[e] += 1;
                 }
             }
         }
-        ExpertRoutes { offsets, rows }
     }
 
     /// The rows routed to expert `e`, ascending.

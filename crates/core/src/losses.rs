@@ -45,6 +45,7 @@ pub fn sample_adversarial_mask(topk_mask: &Matrix, d: usize, rng: &mut Rng) -> M
     let (rows, cols) = topk_mask.shape();
     let mut mask = Matrix::zeros(rows, cols);
     let mut idle: Vec<usize> = Vec::with_capacity(cols);
+    let mut picks: Vec<usize> = Vec::with_capacity(cols);
     for r in 0..rows {
         idle.clear();
         idle.extend((0..cols).filter(|&c| topk_mask[(r, c)] == 0.0));
@@ -53,7 +54,8 @@ pub fn sample_adversarial_mask(topk_mask: &Matrix, d: usize, rng: &mut Rng) -> M
             "sample_adversarial_mask: row {r} has {} idle experts, need {d}",
             idle.len()
         );
-        for &pick in rng.sample_distinct(idle.len(), d).iter() {
+        rng.sample_distinct_into(idle.len(), d, &mut picks);
+        for &pick in &picks {
             mask[(r, idle[pick])] = 1.0;
         }
     }

@@ -1,10 +1,14 @@
 //! The model zoo (paper Sec. 5.1.3): DNN, MoE variants and MMoE.
 
+use std::borrow::Cow;
+use std::sync::Mutex;
+
 use amoe_autograd::{Tape, Var};
 use amoe_dataset::{Batch, DatasetMeta};
 use amoe_nn::optim::{Adam, Optimizer};
-use amoe_nn::{Mlp, ParamId, ParamSet};
-use amoe_tensor::{ops, pool, Matrix, Rng};
+use amoe_nn::{Mlp, MlpGrads, ParamId, ParamSet};
+use amoe_tensor::matmul::matmul;
+use amoe_tensor::{ops, pool, reduce, Matrix, Rng};
 
 use crate::config::MoeConfig;
 use crate::features::FeatureEncoder;
@@ -44,6 +48,65 @@ pub struct MoeModel {
     /// Gate-routing telemetry accumulated while `amoe_obs` is enabled;
     /// drained per epoch through [`Ranker::take_gate_telemetry`].
     gate_telemetry: GateTelemetry,
+    /// Buffers [`MoeModel::accumulate_gradients`] reuses from step to
+    /// step. Training holds `&mut self` and reaches it without locking;
+    /// the mutex only keeps the model `Sync` for serving threads.
+    workspace: Mutex<StepWorkspace>,
+}
+
+/// Everything one training step writes besides the parameters' own
+/// gradients, kept across steps so a warmed-up step allocates almost
+/// nothing and touches no fresh pages. Every buffer only grows and is
+/// resized to each step's rows before use, so a short batch (a partial
+/// refit batch, a 3-row step) never reads rows a longer one left.
+struct StepWorkspace {
+    /// The shared-prefix (encoder) tape, reset each step.
+    enc_tape: Tape,
+    /// The gate/loss tape, reset each step.
+    loss_tape: Tape,
+    /// The encoder's parameters, bound onto the encoder tape.
+    enc_ids: Vec<ParamId>,
+    /// The gates' parameters, bound onto the gate/loss tape.
+    head_ids: Vec<ParamId>,
+    routes: ExpertRoutes,
+    /// One tower's `B x 1` output column, copied onto the loss tape.
+    column: Matrix,
+    /// Per-expert tower buffers, handed to the pool lanes as disjoint
+    /// `&mut` slots.
+    towers: Vec<TowerScratch>,
+    /// The `X` cotangent merged from the towers.
+    d_x: Matrix,
+}
+
+/// One expert tower's step buffers.
+struct TowerScratch {
+    /// The routed rows of `X`, then each layer's output
+    /// ([`Mlp::forward_into`]).
+    acts: Vec<Matrix>,
+    /// The routed rows of the tower output's cotangent.
+    d_out: Matrix,
+    grads: MlpGrads,
+}
+
+impl StepWorkspace {
+    fn new(enc_ids: Vec<ParamId>, head_ids: Vec<ParamId>, n_experts: usize) -> Self {
+        StepWorkspace {
+            enc_tape: Tape::new(),
+            loss_tape: Tape::new(),
+            enc_ids,
+            head_ids,
+            routes: ExpertRoutes::default(),
+            column: Matrix::scalar(0.0),
+            towers: (0..n_experts)
+                .map(|_| TowerScratch {
+                    acts: vec![Matrix::scalar(0.0)],
+                    d_out: Matrix::scalar(0.0),
+                    grads: MlpGrads::default(),
+                })
+                .collect(),
+            d_x: Matrix::scalar(0.0),
+        }
+    }
 }
 
 /// Everything a forward pass produces that losses and analyses consume.
@@ -91,6 +154,11 @@ impl MoeModel {
                 &mut init_rng,
             )
         });
+        let mut head_ids = inference_gate.param_ids();
+        if let Some(cg) = &constraint_gate {
+            head_ids.extend(cg.param_ids());
+        }
+        let workspace = StepWorkspace::new(encoder.param_ids(), head_ids, experts.len());
         MoeModel {
             config,
             params,
@@ -102,6 +170,7 @@ impl MoeModel {
             clip_norm: optim.clip_norm,
             rng: noise_rng,
             gate_telemetry: GateTelemetry::default(),
+            workspace: Mutex::new(workspace),
         }
     }
 
@@ -315,56 +384,70 @@ impl MoeModel {
     ///    mask is sampled (the RNG draw order is gating noise, then
     ///    mask), and the two masks route each expert its rows;
     /// 3. each expert tower runs the tape-free forward that serves it
-    ///    ([`Mlp::forward_train`]) on its rows of `X`, keeping each
-    ///    layer's input — one pool task per expert, none for an expert
-    ///    with no rows; its outputs are scattered into a `B x 1` zero
-    ///    column;
+    ///    ([`Mlp::forward_into`]) on its rows of `X`, keeping each
+    ///    layer's input — one pool task per expert, nothing to do for
+    ///    an expert with no rows; its outputs are scattered into a
+    ///    `B x 1` zero column;
     /// 4. the gate/loss tape consumes those columns as leaves, builds
     ///    all loss terms, and back-propagates — serial;
-    /// 5. each routed tower runs [`Mlp::backward`] from its rows of its
-    ///    column's cotangent — one pool task per routed expert;
+    /// 5. each routed tower runs [`Mlp::backward_into`] from its rows of
+    ///    its column's cotangent — one pool task per expert;
     /// 6. gradients merge serially **in expert order** (never in
     ///    completion order): each tower's parameter gradients are added
     ///    to the zeroed slots, its `X` cotangent rows are scatter-added,
     ///    and one multi-seed sweep pushes the `X` / gate-input / TC
     ///    cotangents through the shared-prefix tape.
     ///
-    /// Every pool task returns its result in its expert's slot and every
+    /// Every pool task writes only its expert's scratch slot and every
     /// floating-point merge runs on the caller in a fixed order, so
     /// losses and gradients are bit-identical for every thread count.
+    ///
+    /// # Buffers
+    ///
+    /// Both tapes and every tower's buffers live in the model's step
+    /// workspace: each step resets the tapes and resizes each buffer
+    /// to its own rows, so a warmed-up step allocates only a few small
+    /// per-step values and runs the same kernels in the same order as a
+    /// step on fresh buffers.
     pub fn accumulate_gradients(&mut self, batch: &Batch) -> StepStats {
         let b = batch.len();
-        let n_experts = self.experts.len();
+        let ws = self
+            .workspace
+            .get_mut()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        ws.enc_tape.reset();
+        ws.loss_tape.reset();
+        let StepWorkspace {
+            enc_tape,
+            loss_tape,
+            enc_ids,
+            head_ids,
+            routes,
+            column,
+            towers,
+            d_x,
+        } = ws;
+        let (enc_tape, loss_tape) = (&*enc_tape, &*loss_tape);
 
         // Stage 1: shared-prefix (encoder) tape, serial.
-        let enc_tape = Tape::new();
-        let enc_bound = self
-            .params
-            .bind_subset(&enc_tape, &self.encoder.param_ids());
-        let x = self.encoder.input(&enc_tape, &enc_bound, batch);
+        let enc_bound = self.params.bind_subset(enc_tape, enc_ids);
+        let x = self.encoder.input(enc_tape, &enc_bound, batch);
         let gate_in = self
             .encoder
-            .gate_input(&enc_tape, &enc_bound, batch, self.config.gate_input);
+            .gate_input(enc_tape, &enc_bound, batch, self.config.gate_input);
         let tc_emb = self
             .constraint_gate
             .is_some()
             .then(|| self.encoder.tc_embedding(&enc_bound, batch));
-        let x_val = x.value();
-        let gate_in_val = gate_in.value();
-        let tc_val = tc_emb.map(|v| v.value());
+        let x_val = x.value_ref();
 
         // Stage 2: gate forward, then the adversarial mask, then routing.
-        let loss_tape = Tape::new();
-        let mut head_ids = self.inference_gate.param_ids();
-        if let Some(cg) = &self.constraint_gate {
-            head_ids.extend(cg.param_ids());
-        }
-        let loss_bound = self.params.bind_subset(&loss_tape, &head_ids);
-        let gate_in_leaf = loss_tape.leaf(gate_in_val);
+        let loss_bound = self.params.bind_subset(loss_tape, head_ids);
+        let gate_in_leaf = loss_tape.leaf_from(&gate_in.value_ref());
         let mut step_rng = self.rng.fork(0);
         let noise = self.config.noisy_gating.then_some(&mut step_rng);
         let gate = self.inference_gate.forward(
-            &loss_tape,
+            loss_tape,
             &loss_bound,
             gate_in_leaf,
             self.config.top_k,
@@ -373,39 +456,44 @@ impl MoeModel {
         let adv_mask = self.config.adversarial.then(|| {
             sample_adversarial_mask(&gate.topk_mask, self.config.n_adversarial, &mut step_rng)
         });
-        let routes = ExpertRoutes::new(&gate.topk_mask, adv_mask.as_ref());
+        routes.route(&gate.topk_mask, adv_mask.as_ref());
+        let routes = &*routes;
 
         // Stage 3: tape-free tower forwards on the routed rows, one
-        // pool task per expert that has any.
+        // pool task per expert, each in its own scratch slot.
         let experts = &self.experts;
         let params = &self.params;
-        let x_ref = &x_val;
-        let fwds: Vec<Option<(Vec<Matrix>, Matrix)>> = {
+        let x_ref: &Matrix = &x_val;
+        {
             let _stage = amoe_obs::StageScope::enter("train.expert_fwd");
-            pool::map_tasks(n_experts, |e| {
+            pool::for_each_mut(towers, |e, tower| {
                 let rows = routes.rows(e);
-                (!rows.is_empty())
-                    .then(|| experts[e].forward_train(params, x_ref.gather_rows(rows)))
-            })
-        };
-        let out_leaves: Vec<Var<'_>> = fwds
+                if !rows.is_empty() {
+                    x_ref.gather_rows_into(rows, &mut tower.acts[0]);
+                    experts[e].forward_into(params, &mut tower.acts);
+                }
+            });
+        }
+        let out_leaves: Vec<Var<'_>> = towers
             .iter()
             .enumerate()
-            .map(|(e, f)| {
-                let mut col = Matrix::zeros(b, 1);
-                if let Some((_, out)) = f {
-                    for (&r, &v) in routes.rows(e).iter().zip(out.as_slice()) {
-                        col[(r, 0)] = v;
+            .map(|(e, tower)| {
+                column.resize_zeroed(b, 1);
+                let rows = routes.rows(e);
+                if !rows.is_empty() {
+                    let out = tower.acts.last().expect("the tower output");
+                    for (&r, &v) in rows.iter().zip(out.as_slice()) {
+                        column[(r, 0)] = v;
                     }
                 }
-                loss_tape.leaf(col)
+                loss_tape.leaf_from(column)
             })
             .collect();
 
         // Stage 4: the rest of the gate + loss tape, serial.
         let expert_matrix = Var::concat_cols(&out_leaves);
         let logit = (gate.probs * expert_matrix).row_sum();
-        let tc_leaf = tc_val.map(|v| loss_tape.leaf(v));
+        let tc_leaf = tc_emb.map(|v| loss_tape.leaf_from(&v.value_ref()));
         // The constraint gate is a target, not a router: only its clean
         // logits enter the loss (Eq. 10), so it skips the top-K cut.
         let constraint_logits = self.constraint_gate.as_ref().map(|cg| {
@@ -420,7 +508,7 @@ impl MoeModel {
 
         if let Some(c_logits) = constraint_logits {
             let hsc = hsc_loss(gate.clean_logits, c_logits, &gate.topk_mask);
-            stats.hsc = amoe_tensor::reduce::mean(&hsc.value());
+            stats.hsc = reduce::mean(&hsc.value_ref());
             per_example = per_example + hsc.scale(self.config.lambda1);
         }
         if let Some(adv_mask) = &adv_mask {
@@ -431,76 +519,79 @@ impl MoeModel {
                 self.config.top_k,
                 self.config.n_adversarial,
             );
-            stats.adv = amoe_tensor::reduce::mean(&adv.value());
+            stats.adv = reduce::mean(&adv.value_ref());
             per_example = per_example - adv.scale(self.config.lambda2);
         }
-        stats.ce = amoe_tensor::reduce::mean(&ce.value());
+        stats.ce = reduce::mean(&ce.value_ref());
 
         let mut loss = per_example.mean_all();
         if self.config.load_balance > 0.0 {
             let lb = load_balance_loss(gate.probs);
-            stats.load_balance = lb.value()[(0, 0)];
+            stats.load_balance = lb.value_ref()[(0, 0)];
             loss = loss + lb.scale(self.config.load_balance);
         }
-        stats.loss = loss.value()[(0, 0)];
+        stats.loss = loss.value_ref()[(0, 0)];
 
         // Materialise the gate probabilities while the tape is alive;
-        // the telemetry accumulator needs `&mut self` and runs last.
+        // the telemetry accumulator runs last.
         let gate_probs = amoe_obs::enabled().then(|| gate.probs.value());
 
         let loss_grads = loss_tape.backward(loss);
 
         // Boundary cotangents: each routed expert's rows of its output
         // column, plus the gate input and (under HSC) the TC embedding.
-        let d_outs: Vec<Option<Matrix>> = out_leaves
-            .iter()
-            .enumerate()
-            .map(|(e, &v)| {
-                let rows = routes.rows(e);
-                (!rows.is_empty()).then(|| {
-                    loss_grads
-                        .get(v)
-                        .map_or_else(|| Matrix::zeros(rows.len(), 1), |d| d.gather_rows(rows))
-                })
-            })
-            .collect();
-        let d_gate_in = loss_grads.get_or_zeros(gate_in_leaf, b, gate_in_leaf.shape().1);
-        let d_tc = tc_leaf.map(|v| loss_grads.get_or_zeros(v, b, v.shape().1));
+        for ((e, tower), &leaf) in towers.iter_mut().enumerate().zip(&out_leaves) {
+            let rows = routes.rows(e);
+            if rows.is_empty() {
+                continue;
+            }
+            match loss_grads.get(leaf) {
+                Some(d) => d.gather_rows_into(rows, &mut tower.d_out),
+                None => tower.d_out.resize_zeroed(rows.len(), 1),
+            }
+        }
+        fn or_zeros<'g>(d: Option<&'g Matrix>, (rows, cols): (usize, usize)) -> Cow<'g, Matrix> {
+            d.map_or_else(|| Cow::Owned(Matrix::zeros(rows, cols)), Cow::Borrowed)
+        }
+        let d_gate_in = or_zeros(loss_grads.get(gate_in_leaf), gate_in_leaf.shape());
+        let d_tc = tc_leaf.map(|v| or_zeros(loss_grads.get(v), v.shape()));
 
         // Stage 5: tower backward, one pool task per routed expert.
-        let backs = {
+        {
             let _stage = amoe_obs::StageScope::enter("train.expert_bwd");
-            pool::map_tasks(n_experts, |e| {
-                let (inputs, _) = fwds[e].as_ref()?;
-                let d_out = d_outs[e].as_ref()?;
-                Some(experts[e].backward(params, inputs, d_out))
-            })
-        };
+            pool::for_each_mut(towers, |e, tower| {
+                if !routes.rows(e).is_empty() {
+                    let inputs = &tower.acts[..experts[e].layers().len()];
+                    experts[e].backward_into(params, inputs, &tower.d_out, &mut tower.grads);
+                }
+            });
+        }
 
         // Stage 6: deterministic serial merge in expert order. The loss
         // tape, the towers and the encoder own disjoint parameters.
         self.params.zero_grads();
         self.params.collect_grads(&loss_bound, &loss_grads);
-        let mut d_x = Matrix::zeros(b, x_val.cols());
-        for (e, back) in backs.into_iter().enumerate() {
-            let Some((d_rows, param_grads)) = back else {
+        d_x.resize_zeroed(b, x_val.cols());
+        for (e, tower) in towers.iter().enumerate() {
+            let rows = routes.rows(e);
+            if rows.is_empty() {
                 continue;
-            };
-            for (i, &r) in routes.rows(e).iter().enumerate() {
+            }
+            let d_rows = tower.grads.d_x();
+            for (i, &r) in rows.iter().enumerate() {
                 for (d, &g) in d_x.row_mut(r).iter_mut().zip(d_rows.row(i)) {
                     *d += g;
                 }
             }
-            for (pid, g) in param_grads {
-                ops::add_assign(self.params.grad_mut(pid), &g);
+            for (pid, g) in tower.grads.params() {
+                ops::add_assign(self.params.grad_mut(*pid), g);
             }
         }
 
         // One multi-seed sweep through the shared prefix.
-        let mut seeds = vec![(x, d_x), (gate_in, d_gate_in)];
-        if let (Some(tc), Some(d)) = (tc_emb, d_tc) {
-            seeds.push((tc, d));
-        }
+        let seeds = [(x, &*d_x), (gate_in, &*d_gate_in)]
+            .into_iter()
+            .chain(tc_emb.zip(d_tc.as_deref()));
         let enc_grads = enc_tape.backward_multi(seeds);
         self.params.collect_grads(&enc_bound, &enc_grads);
 
@@ -508,34 +599,33 @@ impl MoeModel {
             self.params.clip_grad_global_norm(self.clip_norm);
         }
         if let Some(probs) = gate_probs {
-            self.record_gate_telemetry(&probs);
+            record_gate_telemetry(&mut self.gate_telemetry, &probs);
         }
         stats
     }
+}
 
-    /// Accumulates routing telemetry from one step's `B x N` top-K
-    /// masked gate probabilities: per-expert dispatch counts (positive
-    /// entries) and the batch-mean entropy of the masked distribution.
-    fn record_gate_telemetry(&mut self, probs: &Matrix) {
-        let (b, n) = probs.shape();
-        let t = &mut self.gate_telemetry;
-        if t.dispatch.len() != n {
-            t.dispatch = vec![0; n];
-        }
-        let mut entropy_total = 0f64;
-        for r in 0..b {
-            let mut h = 0f64;
-            for (e, &p) in probs.row(r).iter().enumerate() {
-                if p > 0.0 {
-                    t.dispatch[e] += 1;
-                    h -= f64::from(p) * f64::from(p).ln();
-                }
-            }
-            entropy_total += h;
-        }
-        t.entropy_sum += entropy_total / b.max(1) as f64;
-        t.steps += 1;
+/// Accumulates routing telemetry from one step's `B x N` top-K masked
+/// gate probabilities: per-expert dispatch counts (positive entries) and
+/// the batch-mean entropy of the masked distribution.
+fn record_gate_telemetry(t: &mut GateTelemetry, probs: &Matrix) {
+    let (b, n) = probs.shape();
+    if t.dispatch.len() != n {
+        t.dispatch = vec![0; n];
     }
+    let mut entropy_total = 0f64;
+    for r in 0..b {
+        let mut h = 0f64;
+        for (e, &p) in probs.row(r).iter().enumerate() {
+            if p > 0.0 {
+                t.dispatch[e] += 1;
+                h -= f64::from(p) * f64::from(p).ln();
+            }
+        }
+        entropy_total += h;
+    }
+    t.entropy_sum += entropy_total / b.max(1) as f64;
+    t.steps += 1;
 }
 
 // ---------------------------------------------------------------------------
@@ -752,11 +842,31 @@ impl Ranker for MmoeModel {
         stats
     }
 
+    /// Scores without a tape: the same kernels as [`MmoeModel`]'s
+    /// training forward, in the same order, so the scores equal that
+    /// forward's through a sigmoid bit for bit.
     fn predict(&self, batch: &Batch) -> Vec<f32> {
-        let tape = Tape::new();
-        let bound = self.params.bind(&tape);
-        let logit = self.forward(&tape, &bound, batch);
-        ops::sigmoid(&logit.value()).into_vec()
+        let x = self.encoder.input_infer(&self.params, batch);
+        let mut mixed: Option<Matrix> = None;
+        for (gate, mask) in self.gates.iter().zip(&self.task_masks(batch)) {
+            let mut logits_t = matmul(&x, self.params.value(*gate));
+            ops::mul_assign(&mut logits_t, mask);
+            mixed = Some(match mixed {
+                Some(mut acc) => {
+                    ops::add_assign(&mut acc, &logits_t);
+                    acc
+                }
+                None => logits_t,
+            });
+        }
+        let mut probs = ops::softmax_rows(&mixed.expect("at least one task gate"));
+        let outs: Vec<Matrix> = self
+            .experts
+            .iter()
+            .map(|e| e.infer(&self.params, x.clone()))
+            .collect();
+        ops::mul_assign(&mut probs, &Matrix::hcat(&outs.iter().collect::<Vec<_>>()));
+        ops::sigmoid(&reduce::row_sum(&probs)).into_vec()
     }
 
     fn num_parameters(&self) -> usize {
@@ -961,6 +1071,22 @@ mod tests {
         let moe = MoeModel::new(&d.meta, cfg, OptimConfig::default());
         let ratio = mmoe.num_parameters() as f64 / moe.num_parameters() as f64;
         assert!((0.8..1.3).contains(&ratio), "capacity ratio {ratio}");
+    }
+
+    #[test]
+    fn mmoe_predict_is_bit_equal_to_the_tape_forward() {
+        let d = data();
+        let task_of_tc = equal_count_task_buckets(&d.train, d.hierarchy.num_tc(), 4);
+        let mut mmoe = MmoeModel::new(&d.meta, &small_cfg(), 6, task_of_tc, OptimConfig::default());
+        let batch = Batch::from_split(&d.train, &(0..37).collect::<Vec<_>>());
+        for _ in 0..3 {
+            mmoe.train_step(&batch);
+        }
+        let tape = Tape::new();
+        let bound = mmoe.params.bind(&tape);
+        let oracle = ops::sigmoid(&mmoe.forward(&tape, &bound, &batch).value());
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&mmoe.predict(&batch)), bits(oracle.as_slice()));
     }
 
     #[test]

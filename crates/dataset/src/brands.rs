@@ -6,7 +6,7 @@
 //! Zipf popularity exponent drawn from its semantic class: electronics
 //! analogs are steep, fashion/sports analogs are flat.
 
-use amoe_tensor::Rng;
+use amoe_tensor::{Rng, WeightTable};
 
 use crate::hierarchy::{CategoryHierarchy, SemanticClass, TcId};
 
@@ -19,8 +19,8 @@ pub struct BrandUniverse {
     /// Per-TC Zipf exponent for brand popularity.
     exponents: Vec<f64>,
     /// Per-TC sampling weights over local brand ranks (precomputed CDF
-    /// numerators).
-    weights: Vec<Vec<f64>>,
+    /// numerators and their sum).
+    weights: Vec<WeightTable>,
     /// Global-brand-id → latent quality (how much the brand lifts the
     /// purchase logit; correlated with popularity so that popular brands
     /// really do sell more).
@@ -51,7 +51,7 @@ impl BrandUniverse {
                 let rank_strength = 1.0 - (rank0 as f32 / brands_per_tc as f32); // 1 → 0
                 quality.push(1.2 * rank_strength + rng.normal_with(0.0, 0.35));
             }
-            weights.push(w);
+            weights.push(WeightTable::new(w));
         }
         BrandUniverse {
             brands_per_tc,
@@ -98,7 +98,7 @@ impl BrandUniverse {
     pub fn popularity(&self, global_brand: usize) -> f64 {
         let tc = global_brand / self.brands_per_tc;
         let local = global_brand % self.brands_per_tc;
-        self.weights[tc][local]
+        self.weights[tc].weights()[local]
     }
 }
 

@@ -30,7 +30,7 @@
 
 use std::ops::Range;
 
-use amoe_tensor::{ops, Rng};
+use amoe_tensor::{ops, Rng, WeightTable};
 
 use crate::brands::BrandUniverse;
 use crate::config::GeneratorConfig;
@@ -139,7 +139,7 @@ pub struct DriftWorld {
     /// Per-TC seasonal phase offset.
     season_phase: Vec<f32>,
     /// Zipf shop-rank weights (shop popularity does not drift).
-    shop_weights: Vec<f64>,
+    shop_weights: WeightTable,
 }
 
 impl DriftWorld {
@@ -176,7 +176,7 @@ impl DriftWorld {
             config.classifier_accuracy,
             config.classifier_sibling_confusion,
         );
-        let sc_shares = hierarchy.sc_shares().to_vec();
+        let sc_shares = WeightTable::new(hierarchy.sc_shares().to_vec());
         let queries: Vec<StreamQuery> = (0..config.n_queries)
             .map(|_| {
                 let true_sc = query_rng.weighted_index(&sc_shares);
@@ -382,25 +382,26 @@ impl DriftWorld {
 
         // Query traffic at this tick: base popularity, gated on the
         // target SC being active and boosted while it is "new".
-        let query_weights: Vec<f64> = self
-            .queries
-            .iter()
-            .map(|q| {
-                let act = self.activation[q.true_sc];
-                if tick < act {
-                    0.0
-                } else if act > 0 {
-                    q.popularity * self.drift.emerging_boost
-                } else {
-                    q.popularity
-                }
-            })
-            .collect();
+        let query_weights = WeightTable::new(
+            self.queries
+                .iter()
+                .map(|q| {
+                    let act = self.activation[q.true_sc];
+                    if tick < act {
+                        0.0
+                    } else if act > 0 {
+                        q.popularity * self.drift.emerging_boost
+                    } else {
+                        q.popularity
+                    }
+                })
+                .collect(),
+        );
 
         // Per-TC effective brand popularity and active sibling sets.
         let bpt = self.brands.brands_per_tc();
-        let brand_weights: Vec<Vec<f64>> = (0..self.hierarchy.num_tc())
-            .map(|tc| (0..bpt).map(|r| self.brand_weight(tc, r, tick)).collect())
+        let brand_weights: Vec<WeightTable> = (0..self.hierarchy.num_tc())
+            .map(|tc| WeightTable::new((0..bpt).map(|r| self.brand_weight(tc, r, tick)).collect()))
             .collect();
         let active_subs: Vec<Vec<ScId>> = (0..self.hierarchy.num_tc())
             .map(|tc| {
@@ -430,7 +431,7 @@ impl DriftWorld {
                 let true_tc = self.hierarchy.parent(true_sc);
                 let local = rng.weighted_index(&brand_weights[true_tc]);
                 let brand = true_tc * bpt + local;
-                let popularity = brand_weights[true_tc][local];
+                let popularity = brand_weights[true_tc].weights()[local];
                 let latent = sample_latent_with(popularity, &mut rng);
 
                 let logit = self.drift_logit(true_sc, &latent, self.brands.quality(brand), tick)

@@ -1,6 +1,6 @@
 //! The search-log generator: queries, sessions, items and labels.
 
-use amoe_tensor::{ops, Rng};
+use amoe_tensor::{ops, Rng, WeightTable};
 
 use crate::brands::BrandUniverse;
 use crate::config::GeneratorConfig;
@@ -29,11 +29,13 @@ const SHOP_ZIPF_EXPONENT: f64 = 1.05;
 
 /// The shop-rank weights, built once per split or drift world so each
 /// draw is one [`Rng::weighted_index`] (index = rank − 1) rather than
-/// `n_shops` `powf` calls.
-pub(crate) fn shop_weights(n_shops: usize) -> Vec<f64> {
-    (1..=n_shops)
-        .map(|k| (k as f64).powf(-SHOP_ZIPF_EXPONENT))
-        .collect()
+/// `n_shops` `powf` calls and a sum.
+pub(crate) fn shop_weights(n_shops: usize) -> WeightTable {
+    WeightTable::new(
+        (1..=n_shops)
+            .map(|k| (k as f64).powf(-SHOP_ZIPF_EXPONENT))
+            .collect(),
+    )
 }
 
 /// Generates a complete dataset from the configuration.
@@ -63,7 +65,7 @@ pub fn generate(config: &GeneratorConfig) -> Dataset {
         config.classifier_accuracy,
         config.classifier_sibling_confusion,
     );
-    let sc_shares = hierarchy.sc_shares().to_vec();
+    let sc_shares = WeightTable::new(hierarchy.sc_shares().to_vec());
     let queries: Vec<Query> = (0..config.n_queries)
         .map(|_| {
             let true_sc = query_rng.weighted_index(&sc_shares);
@@ -77,7 +79,7 @@ pub fn generate(config: &GeneratorConfig) -> Dataset {
             }
         })
         .collect();
-    let query_weights: Vec<f64> = queries.iter().map(|q| q.popularity).collect();
+    let query_weights = WeightTable::new(queries.iter().map(|q| q.popularity).collect());
 
     // --- purchase-rate calibration --------------------------------------
     // Probe the logit distribution and bisect on the global bias so the
@@ -163,7 +165,7 @@ fn generate_split(
     brands: &BrandUniverse,
     truth: &GroundTruth,
     queries: &[Query],
-    query_weights: &[f64],
+    query_weights: &WeightTable,
     rng: &mut Rng,
 ) -> (Split, usize) {
     let mut examples = Vec::new();

@@ -1,7 +1,5 @@
 //! Layers: linear, embedding and MLP towers.
 
-use std::borrow::Cow;
-
 use amoe_autograd::Var;
 use amoe_tensor::{matmul, ops, reduce, Matrix, Rng};
 
@@ -218,31 +216,36 @@ impl Mlp {
     /// Tape-free forward pass for serving and scoring.
     #[must_use]
     pub fn infer(&self, ps: &ParamSet, x: Matrix) -> Matrix {
-        self.run(ps, x, drop)
+        let (_, out) = self.forward_train(ps, x);
+        out
     }
 
     /// Tape-free forward pass for training: the output plus each
     /// layer's input (`x` first), which [`Mlp::backward`] consumes.
     #[must_use]
     pub fn forward_train(&self, ps: &ParamSet, x: Matrix) -> (Vec<Matrix>, Matrix) {
-        let mut inputs = Vec::with_capacity(self.layers.len());
-        let out = self.run(ps, x, |h| inputs.push(h));
-        (inputs, out)
+        let mut acts = Vec::with_capacity(self.layers.len() + 1);
+        acts.push(x);
+        self.forward_into(ps, &mut acts);
+        let out = acts.pop().expect("the tower output");
+        (acts, out)
     }
 
-    /// The one layer loop behind [`Mlp::infer`] and
-    /// [`Mlp::forward_train`]: hands each layer's input to `keep` once
-    /// the layer has consumed it.
-    fn run(&self, ps: &ParamSet, x: Matrix, mut keep: impl FnMut(Matrix)) -> Matrix {
-        let mut h = x;
-        for (i, layer) in self.layers.iter().enumerate() {
-            let mut y = layer.infer(ps, &h);
-            if i + 1 < self.layers.len() {
-                y = ops::relu(&y);
-            }
-            keep(std::mem::replace(&mut h, y));
-        }
-        h
+    /// The tape-free forward into reused buffers: `acts[0]` holds the
+    /// input, and [`tower_forward`] leaves layer `i`'s input in
+    /// `acts[i]` and the output last.
+    ///
+    /// # Panics
+    /// Panics if `acts` is empty.
+    pub fn forward_into(&self, ps: &ParamSet, acts: &mut Vec<Matrix>) {
+        tower_forward(self.layers.len(), |i| self.layer_params(ps, i), acts);
+    }
+
+    /// Layer `i`'s weight and bias values.
+    fn layer_params<'p>(&self, ps: &'p ParamSet, i: usize) -> (&'p Matrix, &'p Matrix) {
+        let layer = &self.layers[i];
+        let bias = layer.bias().expect("Mlp layers have biases");
+        (ps.value(layer.weight()), ps.value(bias))
     }
 
     /// Backward pass from the layer inputs of [`Mlp::forward_train`]
@@ -264,27 +267,120 @@ impl Mlp {
         inputs: &[Matrix],
         d_out: &Matrix,
     ) -> (Matrix, Vec<(ParamId, Matrix)>) {
-        assert_eq!(
-            inputs.len(),
-            self.layers.len(),
-            "Mlp::backward: one input per layer"
-        );
-        let mut grads = Vec::with_capacity(2 * self.layers.len());
-        let mut g = Cow::Borrowed(d_out);
+        let mut grads = MlpGrads::default();
+        self.backward_into(ps, inputs, d_out, &mut grads);
+        (grads.d_x, grads.params)
+    }
+
+    /// [`Mlp::backward`] into reused buffers: every kernel writes into
+    /// `grads`, whose matrices keep their capacity from call to call.
+    ///
+    /// # Panics
+    /// Panics if `inputs` does not hold one matrix per layer.
+    pub fn backward_into(
+        &self,
+        ps: &ParamSet,
+        inputs: &[Matrix],
+        d_out: &Matrix,
+        grads: &mut MlpGrads,
+    ) {
+        let n = self.layers.len();
+        assert_eq!(inputs.len(), n, "Mlp::backward: one input per layer");
+        let MlpGrads {
+            d_x,
+            params,
+            hidden,
+        } = grads;
+        params.resize_with(2 * n, || (self.layers[0].weight(), Matrix::scalar(0.0)));
+        // `cur` holds the cotangent of the layer being walked, `next`
+        // receives the one below it.
+        let [mut cur, mut next] = hidden.each_mut();
         for (i, (layer, input)) in self.layers.iter().zip(inputs).enumerate().rev() {
-            if let Some(b) = layer.bias() {
-                grads.push((b, reduce::col_sum(&g)));
-            }
-            grads.push((layer.weight(), matmul::matmul_tn(input, &g)));
-            let d_in = matmul::matmul_nt(&g, ps.value(layer.weight()));
-            g = Cow::Owned(if i == 0 {
-                d_in
+            let g: &Matrix = if i + 1 == n { d_out } else { cur };
+            let (w, b) = (
+                layer.weight(),
+                layer.bias().expect("Mlp layers have biases"),
+            );
+            let slot = 2 * (n - 1 - i);
+            params[slot].0 = b;
+            reduce::col_sum_into(g, &mut params[slot].1);
+            params[slot + 1].0 = w;
+            matmul::matmul_tn_into(input, g, &mut params[slot + 1].1);
+            if i == 0 {
+                matmul::matmul_nt_into(g, ps.value(w), d_x);
             } else {
-                let mask = ops::map(input, |v| if v > 0.0 { 1.0 } else { 0.0 });
-                ops::mul(&d_in, &mask)
-            });
+                matmul::matmul_nt_into(g, ps.value(w), next);
+                ops::zip_map_assign(next, input, |d, v| d * if v > 0.0 { 1.0 } else { 0.0 });
+                std::mem::swap(&mut cur, &mut next);
+            }
         }
-        (g.into_owned(), grads)
+    }
+}
+
+/// The one tower layer loop behind [`Mlp::infer`], training's
+/// [`Mlp::forward_into`] and any tower held as bare matrices (an
+/// extracted category model): `layer(i)` gives layer `i`'s weight and
+/// bias, `acts[0]` holds the input, and layer `i` writes
+/// `acts[i + 1] = acts[i]·W + b` into a reused buffer, then the ReLU
+/// in place on every layer but the last. The output ends up last.
+///
+/// # Panics
+/// Panics if `acts` is empty or a shape disagrees.
+pub fn tower_forward<'a>(
+    n_layers: usize,
+    layer: impl Fn(usize) -> (&'a Matrix, &'a Matrix),
+    acts: &mut Vec<Matrix>,
+) {
+    assert!(
+        !acts.is_empty(),
+        "tower_forward: acts[0] must hold the input"
+    );
+    acts.truncate(n_layers + 1);
+    while acts.len() < n_layers + 1 {
+        acts.push(Matrix::scalar(0.0));
+    }
+    for i in 0..n_layers {
+        let (w, b) = layer(i);
+        let (inputs, outputs) = acts.split_at_mut(i + 1);
+        let y = &mut outputs[0];
+        matmul::matmul_into(&inputs[i], w, y);
+        ops::add_row_assign(y, b);
+        if i + 1 < n_layers {
+            ops::map_assign(y, ops::relu_scalar);
+        }
+    }
+}
+
+/// Buffers one tower's backward reuses from call to call: the input
+/// cotangent, every parameter gradient and the hidden cotangents.
+pub struct MlpGrads {
+    d_x: Matrix,
+    params: Vec<(ParamId, Matrix)>,
+    hidden: [Matrix; 2],
+}
+
+impl Default for MlpGrads {
+    fn default() -> Self {
+        MlpGrads {
+            d_x: Matrix::scalar(0.0),
+            params: Vec::new(),
+            hidden: [Matrix::scalar(0.0), Matrix::scalar(0.0)],
+        }
+    }
+}
+
+impl MlpGrads {
+    /// The tower input's cotangent.
+    #[must_use]
+    pub fn d_x(&self) -> &Matrix {
+        &self.d_x
+    }
+
+    /// Every weight and bias gradient, each layer's bias then weight,
+    /// from the last layer to the first.
+    #[must_use]
+    pub fn params(&self) -> &[(ParamId, Matrix)] {
+        &self.params
     }
 }
 

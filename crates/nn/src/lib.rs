@@ -8,9 +8,12 @@
 //! leaf gradients back into the set ([`ParamSet::collect_grads`]) and
 //! lets an [`optim::Optimizer`] update the values. This keeps tapes
 //! short-lived and parameters in one flat, serialisable store.
-//! An [`Mlp`] can also train without a tape: [`Mlp::forward_train`]
-//! runs the serving forward and keeps each layer's input, and
-//! [`Mlp::backward`] returns bit for bit the gradients the tape would.
+//! An [`Mlp`] can also train without a tape: [`Mlp::forward_into`]
+//! runs the serving forward ([`tower_forward`], the one layer loop)
+//! into reused buffers and keeps each layer's input, and
+//! [`Mlp::backward_into`] writes into reused [`MlpGrads`] bit for bit
+//! the gradients the tape would. [`Mlp::forward_train`] and
+//! [`Mlp::backward`] are the same passes on fresh buffers.
 //!
 //! The layer set is exactly what the paper's models need: [`Linear`],
 //! [`Embedding`] and [`Mlp`] towers with ReLU hidden activations
@@ -25,6 +28,6 @@ pub mod schedule;
 mod serialize;
 
 pub use init::Init;
-pub use layers::{Embedding, Linear, Mlp};
+pub use layers::{tower_forward, Embedding, Linear, Mlp, MlpGrads};
 pub use params::{Bound, ParamId, ParamSet};
 pub use serialize::{LoadError, SerializeError};

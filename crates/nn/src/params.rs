@@ -129,7 +129,7 @@ impl ParamSet {
             vars: self
                 .entries
                 .iter()
-                .map(|e| Some(tape.leaf(e.value.clone())))
+                .map(|e| Some(tape.leaf_from(&e.value)))
                 .collect(),
         }
     }
@@ -154,7 +154,7 @@ impl ParamSet {
                 "ParamSet::bind_subset: duplicate id for {:?}",
                 self.entries[id.0].name
             );
-            vars[id.0] = Some(tape.leaf(self.entries[id.0].value.clone()));
+            vars[id.0] = Some(tape.leaf_from(&self.entries[id.0].value));
         }
         Bound { vars }
     }
@@ -162,7 +162,7 @@ impl ParamSet {
     /// Accumulates (`+=`) the gradients computed by a backward pass into
     /// this set. Parameters the loss does not touch are left unchanged,
     /// supporting gradient accumulation across micro-batches.
-    pub fn collect_grads(&mut self, bound: &Bound<'_>, grads: &Grads) {
+    pub fn collect_grads(&mut self, bound: &Bound<'_>, grads: &Grads<'_>) {
         for (entry, var) in self.entries.iter_mut().zip(&bound.vars) {
             if let Some(g) = var.and_then(|v| grads.get(v)) {
                 ops::add_assign(&mut entry.grad, g);

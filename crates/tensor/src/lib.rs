@@ -39,7 +39,7 @@ pub mod rng;
 pub mod topk;
 
 pub use matrix::Matrix;
-pub use rng::Rng;
+pub use rng::{Rng, WeightTable};
 
 /// Absolute-or-relative closeness test used across the workspace's tests.
 ///

@@ -23,6 +23,11 @@
 //! * The micro-kernel itself (`microkernel`) iterates `chunks_exact`
 //!   over both panels and a fixed `[[f32; NR]; MR]` accumulator tile:
 //!   no bounds checks, fixed trip widths, autovectorisable.
+//! * Both packs write into per-thread buffers that only grow (`B` on
+//!   the thread that calls the product, `A` on each lane that runs a
+//!   row block), so a warmed-up thread multiplies without allocating.
+//!   The `*_into` flavours also write `C` into a caller's reused
+//!   matrix.
 //!
 //! # Instruction sets
 //!
@@ -59,8 +64,19 @@
 //! the per-element chain is independent of the block partitioning, so
 //! the result is bit-identical for every thread count.
 
+use std::cell::RefCell;
+
 use crate::pool;
 use crate::Matrix;
+
+thread_local! {
+    /// This thread's packed-`B` buffer, refilled by every product it
+    /// calls (see [`PackedB`]).
+    static PACKED_B: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
+    /// This thread's packed-`A` strips, refilled per `KC` block by every
+    /// row block it runs (see `pack_a`).
+    static PACKED_A: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
+}
 
 /// Minimum `m * k * n` multiply-add count before a product is worth
 /// fanning out to the pool. Below this the region dispatch (a condvar
@@ -256,16 +272,25 @@ enum AOrient<'a> {
 /// strip, `NR` contiguous column values per `p` step, zero-padded past
 /// column `n`. Block `p0` starts at `p0 * n_strips * NR` because the
 /// heights of all preceding blocks sum to `p0`.
-struct PackedB {
-    data: Vec<f32>,
+#[derive(Clone, Copy)]
+struct PackedB<'a> {
+    data: &'a [f32],
     n_strips: usize,
 }
 
-/// Packs `B` stored `k x n` row-major (the `nn` / `tn` flavours).
-fn pack_b_nn(b: &Matrix) -> PackedB {
+/// Sizes `buf` to `len` zeroed floats; its capacity only grows.
+fn zeroed(buf: &mut Vec<f32>, len: usize) -> &mut [f32] {
+    buf.clear();
+    buf.resize(len, 0.0);
+    buf
+}
+
+/// Packs `B` stored `k x n` row-major (the `nn` / `tn` flavours) into
+/// `buf`.
+fn pack_b_nn<'a>(b: &Matrix, buf: &'a mut Vec<f32>) -> PackedB<'a> {
     let (k, n) = (b.rows(), b.cols());
     let n_strips = n.div_ceil(NR);
-    let mut data = vec![0.0f32; k * n_strips * NR];
+    let data = zeroed(buf, k * n_strips * NR);
     let mut p0 = 0;
     while p0 < k {
         let kc = KC.min(k - p0);
@@ -293,12 +318,12 @@ fn pack_b_nn(b: &Matrix) -> PackedB {
 }
 
 /// Packs `B` stored `n x k` row-major and used transposed (the `nt`
-/// flavour): the transpose happens during the pack, so the micro-kernel
-/// sees the same strip layout as the `nn` flavour.
-fn pack_b_nt(b: &Matrix) -> PackedB {
+/// flavour) into `buf`: the transpose happens during the pack, so the
+/// micro-kernel sees the same strip layout as the `nn` flavour.
+fn pack_b_nt<'a>(b: &Matrix, buf: &'a mut Vec<f32>) -> PackedB<'a> {
     let (n, k) = (b.rows(), b.cols());
     let n_strips = n.div_ceil(NR);
-    let mut data = vec![0.0f32; k * n_strips * NR];
+    let data = zeroed(buf, k * n_strips * NR);
     let mut p0 = 0;
     while p0 < k {
         let kc = KC.min(k - p0);
@@ -327,8 +352,7 @@ fn pack_b_nt(b: &Matrix) -> PackedB {
 /// lanes are computed but never stored.
 fn pack_a(a: AOrient<'_>, first_row: usize, rows: usize, p0: usize, kc: usize, buf: &mut Vec<f32>) {
     let strips = rows.div_ceil(MR);
-    buf.clear();
-    buf.resize(strips * kc * MR, 0.0);
+    let buf = zeroed(buf, strips * kc * MR);
     match a {
         AOrient::RowMajor(a) => {
             for (s, strip) in buf.chunks_mut(kc * MR).enumerate() {
@@ -405,25 +429,28 @@ impl Kernel {
         Kernel { avx2 }
     }
 
-    /// Runs [`gemm_block_body`] in this copy.
+    /// Runs [`gemm_block_body`] in this copy, packing `A` into this
+    /// thread's strip buffer.
     fn gemm_block(
         self,
         a: AOrient<'_>,
-        bp: &PackedB,
+        bp: PackedB<'_>,
         k: usize,
         n: usize,
         first_row: usize,
         block: &mut [f32],
     ) {
-        #[cfg(target_arch = "x86_64")]
-        if self.avx2 {
-            // SAFETY: `avx2` is true only when `Kernel::detect` found
-            // AVX2 on the running CPU, which is all `gemm_block_avx2`'s
-            // `target_feature` requires.
-            unsafe { gemm_block_avx2(a, bp, k, n, first_row, block) };
-            return;
-        }
-        gemm_block_body(a, bp, k, n, first_row, block);
+        PACKED_A.with_borrow_mut(|abuf| {
+            #[cfg(target_arch = "x86_64")]
+            if self.avx2 {
+                // SAFETY: `avx2` is true only when `Kernel::detect` found
+                // AVX2 on the running CPU, which is all `gemm_block_avx2`'s
+                // `target_feature` requires.
+                unsafe { gemm_block_avx2(a, bp, k, n, first_row, block, abuf) };
+                return;
+            }
+            gemm_block_body(a, bp, k, n, first_row, block, abuf);
+        });
     }
 }
 
@@ -437,35 +464,37 @@ impl Kernel {
 #[target_feature(enable = "avx2")]
 unsafe fn gemm_block_avx2(
     a: AOrient<'_>,
-    bp: &PackedB,
+    bp: PackedB<'_>,
     k: usize,
     n: usize,
     first_row: usize,
     block: &mut [f32],
+    abuf: &mut Vec<f32>,
 ) {
-    gemm_block_body(a, bp, k, n, first_row, block);
+    gemm_block_body(a, bp, k, n, first_row, block, abuf);
 }
 
 /// Blocked kernel over output rows `[first_row, first_row + rows)`:
-/// for each `KC` block (ascending `p`), pack the block's `A` strips,
-/// then sweep `MR x NR` tiles. Tiles are loaded from `C` and stored
-/// back, so the per-element chain is exactly the reference chain.
-/// Always inlined, so the portable and AVX2 copies each compile it.
+/// for each `KC` block (ascending `p`), pack the block's `A` strips
+/// into `abuf`, then sweep `MR x NR` tiles. Tiles are loaded from `C`
+/// and stored back, so the per-element chain is exactly the reference
+/// chain. Always inlined, so the portable and AVX2 copies each compile
+/// it.
 #[inline(always)]
 fn gemm_block_body(
     a: AOrient<'_>,
-    bp: &PackedB,
+    bp: PackedB<'_>,
     k: usize,
     n: usize,
     first_row: usize,
     block: &mut [f32],
+    abuf: &mut Vec<f32>,
 ) {
     let rows = block.len() / n;
-    let mut abuf: Vec<f32> = Vec::new();
     let mut p0 = 0;
     while p0 < k {
         let kc = KC.min(k - p0);
-        pack_a(a, first_row, rows, p0, kc, &mut abuf);
+        pack_a(a, first_row, rows, p0, kc, abuf);
         let bbase = p0 * bp.n_strips * NR;
         for (sa, apanel) in abuf.chunks_exact(kc * MR).enumerate() {
             let r0 = sa * MR;
@@ -507,7 +536,7 @@ fn gemm_block_body(
 fn gemm_packed(
     kernel: Kernel,
     a: AOrient<'_>,
-    bp: &PackedB,
+    bp: PackedB<'_>,
     m: usize,
     k: usize,
     n: usize,
@@ -522,26 +551,27 @@ fn gemm_packed(
     }
 }
 
-/// Shared driver: picks packed/naive, serial/parallel and the kernel
-/// copy per product. All paths produce identical bits (see module
-/// docs), so the dispatch is invisible in the numbers.
+/// Shared driver: sizes `c` to `m x n` zeros, then picks packed/naive,
+/// serial/parallel and the kernel copy per product. All paths produce
+/// identical bits (see module docs), so the dispatch is invisible in
+/// the numbers.
 fn run_gemm(
     a: AOrient<'_>,
-    packed: impl Fn() -> PackedB,
+    pack: impl for<'b> FnOnce(&'b mut Vec<f32>) -> PackedB<'b>,
     naive: impl Fn(usize, &mut [f32]) + Sync,
-    m: usize,
-    k: usize,
-    n: usize,
-) -> Matrix {
-    let mut c = Matrix::zeros(m, n);
+    (m, k, n): (usize, usize, usize),
+    c: &mut Matrix,
+) {
+    c.resize_zeroed(m, n);
     if pack_worthwhile(m, k, n) {
-        gemm_packed(Kernel::detect(), a, &packed(), m, k, n, c.as_mut_slice());
+        PACKED_B.with_borrow_mut(|buf| {
+            gemm_packed(Kernel::detect(), a, pack(buf), m, k, n, c.as_mut_slice());
+        });
     } else if parallel_worthwhile(m, k, n) {
         pool::par_row_blocks(c.as_mut_slice(), m, n, &naive);
     } else {
         naive(0, c.as_mut_slice());
     }
-    c
 }
 
 /// `C = A (m x k) · B (k x n)`.
@@ -550,48 +580,72 @@ fn run_gemm(
 /// Panics if `a.cols() != b.rows()`.
 #[must_use]
 pub fn matmul(a: &Matrix, b: &Matrix) -> Matrix {
+    let mut c = Matrix::unshaped();
+    matmul_into(a, b, &mut c);
+    c
+}
+
+/// [`matmul`] into `c`'s reused buffer.
+///
+/// # Panics
+/// Panics if `a.cols() != b.rows()`.
+pub fn matmul_into(a: &Matrix, b: &Matrix, c: &mut Matrix) {
     check_nn(a, b);
-    let (m, k, n) = (a.rows(), a.cols(), b.cols());
     run_gemm(
         AOrient::RowMajor(a),
-        || pack_b_nn(b),
+        |buf| pack_b_nn(b, buf),
         |first_row, block| reference::matmul_block(a, b, first_row, block),
-        m,
-        k,
-        n,
-    )
+        (a.rows(), a.cols(), b.cols()),
+        c,
+    );
 }
 
 /// `C = Aᵀ (k x m)ᵀ · B (k x n)`, i.e. `A` is stored as `k x m` and used
 /// transposed. Equivalent to `matmul(&a.transpose(), b)` without the copy.
 #[must_use]
 pub fn matmul_tn(a: &Matrix, b: &Matrix) -> Matrix {
+    let mut c = Matrix::unshaped();
+    matmul_tn_into(a, b, &mut c);
+    c
+}
+
+/// [`matmul_tn`] into `c`'s reused buffer.
+///
+/// # Panics
+/// Panics if `a.rows() != b.rows()`.
+pub fn matmul_tn_into(a: &Matrix, b: &Matrix, c: &mut Matrix) {
     check_tn(a, b);
-    let (k, m, n) = (a.rows(), a.cols(), b.cols());
     run_gemm(
         AOrient::ColMajor(a),
-        || pack_b_nn(b),
+        |buf| pack_b_nn(b, buf),
         |first_row, block| reference::matmul_tn_block(a, b, first_row, block),
-        m,
-        k,
-        n,
-    )
+        (a.cols(), a.rows(), b.cols()),
+        c,
+    );
 }
 
 /// `C = A (m x k) · Bᵀ (n x k)ᵀ`, i.e. `B` is stored as `n x k` and used
 /// transposed. Equivalent to `matmul(a, &b.transpose())` without the copy.
 #[must_use]
 pub fn matmul_nt(a: &Matrix, b: &Matrix) -> Matrix {
+    let mut c = Matrix::unshaped();
+    matmul_nt_into(a, b, &mut c);
+    c
+}
+
+/// [`matmul_nt`] into `c`'s reused buffer.
+///
+/// # Panics
+/// Panics if `a.cols() != b.cols()`.
+pub fn matmul_nt_into(a: &Matrix, b: &Matrix, c: &mut Matrix) {
     check_nt(a, b);
-    let (m, k, n) = (a.rows(), a.cols(), b.rows());
     run_gemm(
         AOrient::RowMajor(a),
-        || pack_b_nt(b),
+        |buf| pack_b_nt(b, buf),
         |first_row, block| reference::matmul_nt_block(a, b, first_row, block),
-        m,
-        k,
-        n,
-    )
+        (a.rows(), a.cols(), b.rows()),
+        c,
+    );
 }
 
 #[cfg(test)]
@@ -701,6 +755,7 @@ mod tests {
             eprintln!("this CPU has no AVX2: only the portable copy runs");
         }
         let mut rng = Rng::seed_from(29);
+        let (mut nn_buf, mut tn_buf, mut nt_buf) = (Vec::new(), Vec::new(), Vec::new());
         for m in [1usize, 3, 4, 17, 255, 256, 300] {
             for (k, n) in [(48usize, 32usize), (32, 16), (16, 1), (8, 10), (KC + 3, 5)] {
                 let a = rng.normal_matrix(m, k, 0.0, 1.0);
@@ -711,21 +766,21 @@ mod tests {
                     (
                         "nn",
                         AOrient::RowMajor(&a),
-                        pack_b_nn(&b),
+                        pack_b_nn(&b, &mut nn_buf),
                         matmul(&a, &b),
                         reference::matmul(&a, &b),
                     ),
                     (
                         "tn",
                         AOrient::ColMajor(&at),
-                        pack_b_nn(&b),
+                        pack_b_nn(&b, &mut tn_buf),
                         matmul_tn(&at, &b),
                         reference::matmul_tn(&at, &b),
                     ),
                     (
                         "nt",
                         AOrient::RowMajor(&a),
-                        pack_b_nt(&bt),
+                        pack_b_nt(&bt, &mut nt_buf),
                         matmul_nt(&a, &bt),
                         reference::matmul_nt(&a, &bt),
                     ),
@@ -734,11 +789,31 @@ mod tests {
                     assert_eq!(dispatched, oracle, "dispatched {name} {m}x{k}x{n}");
                     for &kernel in &kernels {
                         let mut c = Matrix::zeros(m, n);
-                        gemm_packed(kernel, *a_eff, bp, m, k, n, c.as_mut_slice());
+                        gemm_packed(kernel, *a_eff, *bp, m, k, n, c.as_mut_slice());
                         assert_eq!(&c, oracle, "{kernel:?} {name} {m}x{k}x{n}");
                     }
                 }
             }
+        }
+    }
+
+    /// The `*_into` flavours overwrite whatever the reused output held,
+    /// whatever its old shape: each product starts from `+0.0`.
+    #[test]
+    fn into_flavours_ignore_the_old_output() {
+        let mut rng = Rng::seed_from(31);
+        let mut c = rng.normal_matrix(300, 40, 0.0, 1.0);
+        for (m, k, n) in [(17, 48, 32), (300, 32, 16), (3, 16, 1), (64, 40, 9)] {
+            let a = rng.normal_matrix(m, k, 0.0, 1.0);
+            let at = rng.normal_matrix(k, m, 0.0, 1.0);
+            let b = rng.normal_matrix(k, n, 0.0, 1.0);
+            let bt = rng.normal_matrix(n, k, 0.0, 1.0);
+            matmul_into(&a, &b, &mut c);
+            assert_eq!(c, reference::matmul(&a, &b), "nn {m}x{k}x{n}");
+            matmul_tn_into(&at, &b, &mut c);
+            assert_eq!(c, reference::matmul_tn(&at, &b), "tn {m}x{k}x{n}");
+            matmul_nt_into(&a, &bt, &mut c);
+            assert_eq!(c, reference::matmul_nt(&a, &bt), "nt {m}x{k}x{n}");
         }
     }
 

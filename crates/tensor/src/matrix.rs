@@ -8,7 +8,7 @@ use std::ops::{Index, IndexMut};
 /// `Matrix` is the only tensor type in the workspace. Vectors are
 /// represented as `1 x n` or `n x 1` matrices and scalars as `1 x 1`,
 /// which keeps the op set small and shapes explicit.
-#[derive(Clone, PartialEq)]
+#[derive(PartialEq)]
 pub struct Matrix {
     rows: usize,
     cols: usize,
@@ -52,7 +52,36 @@ impl fmt::Display for MatrixError {
 
 impl std::error::Error for MatrixError {}
 
+impl Clone for Matrix {
+    fn clone(&self) -> Self {
+        Matrix {
+            rows: self.rows,
+            cols: self.cols,
+            data: self.data.clone(),
+        }
+    }
+
+    /// Copies `source` into `self`'s buffer, which only grows: a scratch
+    /// matrix refilled every step stops allocating once it has held its
+    /// largest shape.
+    fn clone_from(&mut self, source: &Self) {
+        self.rows = source.rows;
+        self.cols = source.cols;
+        self.data.clone_from(&source.data);
+    }
+}
+
 impl Matrix {
+    /// A `0 x 0` output buffer for the crate's `*_into` kernels, which
+    /// give it a real shape before it escapes.
+    pub(crate) fn unshaped() -> Self {
+        Matrix {
+            rows: 0,
+            cols: 0,
+            data: Vec::new(),
+        }
+    }
+
     /// Creates a `rows x cols` matrix filled with zeros.
     ///
     /// # Panics
@@ -259,20 +288,32 @@ impl Matrix {
     /// repeat — this is a gather).
     ///
     /// # Panics
-    /// Panics if any index is out of bounds.
+    /// Panics if `indices` is empty or any index is out of bounds.
     #[must_use]
     pub fn gather_rows(&self, indices: &[usize]) -> Matrix {
+        let mut out = Matrix::unshaped();
+        self.gather_rows_into(indices, &mut out);
+        out
+    }
+
+    /// [`Matrix::gather_rows`] into `out`'s reused buffer.
+    ///
+    /// # Panics
+    /// Same contract as [`Matrix::gather_rows`].
+    pub fn gather_rows_into(&self, indices: &[usize], out: &mut Matrix) {
         assert!(!indices.is_empty(), "Matrix::gather_rows: empty index set");
-        let mut data = Vec::with_capacity(indices.len() * self.cols);
+        out.rows = indices.len();
+        out.cols = self.cols;
+        out.data.clear();
+        out.data.reserve(indices.len() * self.cols);
         for &i in indices {
             assert!(
                 i < self.rows,
                 "Matrix::gather_rows: row {i} out of {}",
                 self.rows
             );
-            data.extend_from_slice(self.row(i));
+            out.data.extend_from_slice(self.row(i));
         }
-        Matrix::from_vec(indices.len(), self.cols, data)
     }
 
     /// Horizontally concatenates `parts` (all must share the row count).
@@ -281,14 +322,26 @@ impl Matrix {
     /// Panics if `parts` is empty or row counts disagree.
     #[must_use]
     pub fn hcat(parts: &[&Matrix]) -> Matrix {
-        assert!(!parts.is_empty(), "Matrix::hcat: no parts");
-        let rows = parts[0].rows;
-        let cols: usize = parts.iter().map(|p| p.cols).sum();
-        let mut out = Matrix::zeros(rows, cols);
+        let mut out = Matrix::unshaped();
+        Self::hcat_into(parts.len(), |i| parts[i], &mut out);
+        out
+    }
+
+    /// [`Matrix::hcat`] of the `n` parts `part(0..n)` into `out`'s reused
+    /// buffer.
+    ///
+    /// # Panics
+    /// Same contract as [`Matrix::hcat`].
+    pub fn hcat_into<'a>(n: usize, part: impl Fn(usize) -> &'a Matrix, out: &mut Matrix) {
+        assert!(n > 0, "Matrix::hcat: no parts");
+        let rows = part(0).rows;
+        let cols: usize = (0..n).map(|i| part(i).cols).sum();
+        out.resize_zeroed(rows, cols);
         for r in 0..rows {
             let dst = out.row_mut(r);
             let mut off = 0;
-            for p in parts {
+            for i in 0..n {
+                let p = part(i);
                 assert_eq!(
                     p.rows, rows,
                     "Matrix::hcat: part has {} rows, expected {rows}",
@@ -298,7 +351,6 @@ impl Matrix {
                 off += p.cols;
             }
         }
-        out
     }
 
     /// Vertically concatenates `parts` (all must share the column count).
@@ -322,17 +374,28 @@ impl Matrix {
     /// Returns the sub-matrix consisting of columns `[start, end)`.
     #[must_use]
     pub fn slice_cols(&self, start: usize, end: usize) -> Matrix {
+        let mut out = Matrix::unshaped();
+        self.slice_cols_into(start, end, &mut out);
+        out
+    }
+
+    /// [`Matrix::slice_cols`] into `out`'s reused buffer.
+    ///
+    /// # Panics
+    /// Panics if the range is empty or past the last column.
+    pub fn slice_cols_into(&self, start: usize, end: usize, out: &mut Matrix) {
         assert!(
             start < end && end <= self.cols,
             "Matrix::slice_cols: bad range {start}..{end} for {} cols",
             self.cols
         );
-        let w = end - start;
-        let mut data = Vec::with_capacity(self.rows * w);
+        out.rows = self.rows;
+        out.cols = end - start;
+        out.data.clear();
+        out.data.reserve(self.rows * (end - start));
         for r in 0..self.rows {
-            data.extend_from_slice(&self.row(r)[start..end]);
+            out.data.extend_from_slice(&self.row(r)[start..end]);
         }
-        Matrix::from_vec(self.rows, w, data)
     }
 
     /// True if every element is finite (no NaN / infinity).
@@ -350,6 +413,23 @@ impl Matrix {
     /// Fills the matrix with `value` in place.
     pub fn fill(&mut self, value: f32) {
         self.data.iter_mut().for_each(|v| *v = value);
+    }
+
+    /// Reshapes to `rows x cols` with every entry `+0.0`, reusing the
+    /// buffer: it only grows, so a workspace matrix resized every step
+    /// allocates only when a step needs more room than any before it.
+    ///
+    /// # Panics
+    /// Panics if either dimension is zero.
+    pub fn resize_zeroed(&mut self, rows: usize, cols: usize) {
+        assert!(
+            rows > 0 && cols > 0,
+            "Matrix::resize_zeroed: dimensions must be non-zero, got {rows}x{cols}"
+        );
+        self.rows = rows;
+        self.cols = cols;
+        self.data.clear();
+        self.data.resize(rows * cols, 0.0);
     }
 }
 

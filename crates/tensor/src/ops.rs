@@ -8,13 +8,23 @@
 use crate::Matrix;
 
 macro_rules! binary_op {
-    ($name:ident, $op:tt) => {
+    ($name:ident, $assign:ident, $op:tt) => {
         /// Element-wise binary operation; returns a new matrix.
         ///
         /// # Panics
         /// Panics if shapes differ.
         #[must_use]
         pub fn $name(a: &Matrix, b: &Matrix) -> Matrix {
+            let mut out = a.clone();
+            $assign(&mut out, b);
+            out
+        }
+
+        /// The same element-wise operation in place, on `a`.
+        ///
+        /// # Panics
+        /// Panics if shapes differ.
+        pub fn $assign(a: &mut Matrix, b: &Matrix) {
             assert_eq!(
                 a.shape(),
                 b.shape(),
@@ -22,39 +32,22 @@ macro_rules! binary_op {
                 a.shape(),
                 b.shape()
             );
-            let mut out = a.clone();
             // The assignment must stay in `x = x op y` form: `$op` is a
             // generic binary operator token, for which no compound
             // assignment token exists in macro position.
             #[allow(clippy::assign_op_pattern)]
-            out.as_mut_slice()
+            a.as_mut_slice()
                 .iter_mut()
                 .zip(b.as_slice())
                 .for_each(|(x, &y)| *x = *x $op y);
-            out
         }
     };
 }
 
-binary_op!(add, +);
-binary_op!(sub, -);
-binary_op!(mul, *);
-binary_op!(div, /);
-
-/// In-place `a += b`.
-pub fn add_assign(a: &mut Matrix, b: &Matrix) {
-    assert_eq!(
-        a.shape(),
-        b.shape(),
-        "add_assign: shape mismatch {:?} vs {:?}",
-        a.shape(),
-        b.shape()
-    );
-    a.as_mut_slice()
-        .iter_mut()
-        .zip(b.as_slice())
-        .for_each(|(x, &y)| *x += y);
-}
+binary_op!(add, add_assign, +);
+binary_op!(sub, sub_assign, -);
+binary_op!(mul, mul_assign, *);
+binary_op!(div, div_assign, /);
 
 /// In-place `a += s * b` (axpy).
 pub fn axpy(a: &mut Matrix, s: f32, b: &Matrix) {
@@ -74,7 +67,14 @@ pub fn axpy(a: &mut Matrix, s: f32, b: &Matrix) {
 /// Returns `a * s` element-wise.
 #[must_use]
 pub fn scale(a: &Matrix, s: f32) -> Matrix {
-    map(a, |v| v * s)
+    let mut out = a.clone();
+    scale_assign(&mut out, s);
+    out
+}
+
+/// `a = a * s` element-wise, in place.
+pub fn scale_assign(a: &mut Matrix, s: f32) {
+    map_assign(a, |v| v * s);
 }
 
 /// Returns `a + s` element-wise.
@@ -87,13 +87,31 @@ pub fn add_scalar(a: &Matrix, s: f32) -> Matrix {
 #[must_use]
 pub fn map(a: &Matrix, f: impl Fn(f32) -> f32) -> Matrix {
     let mut out = a.clone();
-    out.as_mut_slice().iter_mut().for_each(|v| *v = f(*v));
+    map_assign(&mut out, f);
     out
 }
 
+/// Applies `f` element-wise in place.
+pub fn map_assign(a: &mut Matrix, f: impl Fn(f32) -> f32) {
+    a.as_mut_slice().iter_mut().for_each(|v| *v = f(*v));
+}
+
 /// Applies `f` to corresponding elements of two same-shape matrices.
+///
+/// # Panics
+/// Panics if shapes differ.
 #[must_use]
 pub fn zip_map(a: &Matrix, b: &Matrix, f: impl Fn(f32, f32) -> f32) -> Matrix {
+    let mut out = a.clone();
+    zip_map_assign(&mut out, b, f);
+    out
+}
+
+/// `a_ij = f(a_ij, b_ij)` in place.
+///
+/// # Panics
+/// Panics if shapes differ.
+pub fn zip_map_assign(a: &mut Matrix, b: &Matrix, f: impl Fn(f32, f32) -> f32) {
     assert_eq!(
         a.shape(),
         b.shape(),
@@ -101,12 +119,10 @@ pub fn zip_map(a: &Matrix, b: &Matrix, f: impl Fn(f32, f32) -> f32) -> Matrix {
         a.shape(),
         b.shape()
     );
-    let mut out = a.clone();
-    out.as_mut_slice()
+    a.as_mut_slice()
         .iter_mut()
         .zip(b.as_slice())
         .for_each(|(x, &y)| *x = f(*x, y));
-    out
 }
 
 /// Adds a `1 x n` row vector to every row of an `m x n` matrix.
@@ -115,6 +131,16 @@ pub fn zip_map(a: &Matrix, b: &Matrix, f: impl Fn(f32, f32) -> f32) -> Matrix {
 /// Panics if `row` is not `1 x a.cols()`.
 #[must_use]
 pub fn add_row_broadcast(a: &Matrix, row: &Matrix) -> Matrix {
+    let mut out = a.clone();
+    add_row_assign(&mut out, row);
+    out
+}
+
+/// [`add_row_broadcast`] in place, on `a`.
+///
+/// # Panics
+/// Panics if `row` is not `1 x a.cols()`.
+pub fn add_row_assign(a: &mut Matrix, row: &Matrix) {
     assert_eq!(
         (1, a.cols()),
         row.shape(),
@@ -122,15 +148,10 @@ pub fn add_row_broadcast(a: &Matrix, row: &Matrix) -> Matrix {
         a.cols(),
         row.shape()
     );
-    let mut out = a.clone();
     let rv = row.as_slice();
-    for r in 0..out.rows() {
-        out.row_mut(r)
-            .iter_mut()
-            .zip(rv)
-            .for_each(|(x, &y)| *x += y);
+    for r in 0..a.rows() {
+        a.row_mut(r).iter_mut().zip(rv).for_each(|(x, &y)| *x += y);
     }
-    out
 }
 
 /// Multiplies every row of an `m x n` matrix by an `m x 1` column vector
@@ -140,6 +161,16 @@ pub fn add_row_broadcast(a: &Matrix, row: &Matrix) -> Matrix {
 /// Panics if `col` is not `a.rows() x 1`.
 #[must_use]
 pub fn mul_col_broadcast(a: &Matrix, col: &Matrix) -> Matrix {
+    let mut out = a.clone();
+    mul_col_assign(&mut out, col);
+    out
+}
+
+/// [`mul_col_broadcast`] in place, on `a`.
+///
+/// # Panics
+/// Panics if `col` is not `a.rows() x 1`.
+pub fn mul_col_assign(a: &mut Matrix, col: &Matrix) {
     assert_eq!(
         (a.rows(), 1),
         col.shape(),
@@ -147,12 +178,10 @@ pub fn mul_col_broadcast(a: &Matrix, col: &Matrix) -> Matrix {
         a.rows(),
         col.shape()
     );
-    let mut out = a.clone();
-    for r in 0..out.rows() {
+    for r in 0..a.rows() {
         let s = col[(r, 0)];
-        out.row_mut(r).iter_mut().for_each(|x| *x *= s);
+        a.row_mut(r).iter_mut().for_each(|x| *x *= s);
     }
-    out
 }
 
 /// Numerically stable logistic sigmoid.
@@ -174,10 +203,17 @@ pub fn sigmoid(a: &Matrix) -> Matrix {
     map(a, sigmoid_scalar)
 }
 
+/// ReLU of one value: `max(x, 0)`.
+#[inline]
+#[must_use]
+pub fn relu_scalar(x: f32) -> f32 {
+    x.max(0.0)
+}
+
 /// Element-wise ReLU.
 #[must_use]
 pub fn relu(a: &Matrix) -> Matrix {
-    map(a, |v| v.max(0.0))
+    map(a, relu_scalar)
 }
 
 /// Numerically stable softplus `ln(1 + e^x)`.
@@ -207,8 +243,17 @@ pub fn softplus(a: &Matrix) -> Matrix {
 #[must_use]
 pub fn softmax_rows(a: &Matrix) -> Matrix {
     let mut out = a.clone();
-    for r in 0..out.rows() {
-        let row = out.row_mut(r);
+    softmax_rows_assign(&mut out);
+    out
+}
+
+/// [`softmax_rows`] in place, on `a`.
+///
+/// # Panics
+/// Same contract as [`softmax_rows`].
+pub fn softmax_rows_assign(a: &mut Matrix) {
+    for r in 0..a.rows() {
+        let row = a.row_mut(r);
         let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
         assert!(
             max > f32::NEG_INFINITY,
@@ -226,7 +271,6 @@ pub fn softmax_rows(a: &Matrix) -> Matrix {
         let inv = 1.0 / sum;
         row.iter_mut().for_each(|v| *v *= inv);
     }
-    out
 }
 
 #[cfg(test)]

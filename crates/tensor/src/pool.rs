@@ -224,21 +224,51 @@ where
         f(0, out);
         return;
     }
-    // Take-once slot holding `(first_row, block_slice)` for one lane.
-    type BlockSlot<'a> = Mutex<Option<(usize, &'a mut [f32])>>;
     let rows_per_block = rows.div_ceil(workers);
-    let blocks: Vec<BlockSlot<'_>> = out
+    let blocks = out
         .chunks_mut(rows_per_block * row_len)
         .enumerate()
-        .map(|(b, chunk)| Mutex::new(Some((b * rows_per_block, chunk))))
-        .collect();
-    let task = |i: usize| {
-        let (first_row, block) = lock(&blocks[i])
-            .take()
-            .expect("pool::par_row_blocks: block claimed twice");
+        .map(|(b, chunk)| (b * rows_per_block, chunk));
+    run_owned("pool.row_blocks", blocks, |_, (first_row, block)| {
         f(first_row, block);
+    });
+}
+
+/// Runs `f(index, &mut items[index])` for every item, in parallel when
+/// the budget allows: each lane gets disjoint `&mut` slots, the way
+/// [`par_row_blocks`] hands out row blocks, so per-task scratch that
+/// lives across calls (a model's step workspace) is written in place
+/// instead of returned through per-call result slots. Same scheduling
+/// as [`for_each_task`].
+pub fn for_each_mut<T, F>(items: &mut [T], f: F)
+where
+    T: Send,
+    F: Fn(usize, &mut T) + Sync,
+{
+    if effective_workers(items.len()) <= 1 || !outside_region() {
+        for (i, item) in items.iter_mut().enumerate() {
+            f(i, item);
+        }
+        return;
+    }
+    run_owned("pool.region", items.iter_mut(), f);
+}
+
+/// Hands each of `items` to one task of a region: task `i` takes item
+/// `i` out of its take-once slot and runs `f(i, item)`.
+fn run_owned<T, F>(name: &'static str, items: impl Iterator<Item = T>, f: F)
+where
+    T: Send,
+    F: Fn(usize, T) + Sync,
+{
+    let slots: Vec<Mutex<Option<T>>> = items.map(|item| Mutex::new(Some(item))).collect();
+    let task = |i: usize| {
+        let item = lock(&slots[i])
+            .take()
+            .expect("pool: task slot claimed twice");
+        f(i, item);
     };
-    run_region("pool.row_blocks", blocks.len(), &task);
+    run_region(name, slots.len(), &task);
 }
 
 // ---------------------------------------------------------------------------

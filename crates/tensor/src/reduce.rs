@@ -28,11 +28,17 @@ pub fn variance(a: &Matrix) -> f32 {
 /// Row sums: `m x n -> m x 1`.
 #[must_use]
 pub fn row_sum(a: &Matrix) -> Matrix {
-    let mut out = Matrix::zeros(a.rows(), 1);
+    let mut out = Matrix::unshaped();
+    row_sum_into(a, &mut out);
+    out
+}
+
+/// [`row_sum`] into `out`'s reused buffer.
+pub fn row_sum_into(a: &Matrix, out: &mut Matrix) {
+    out.resize_zeroed(a.rows(), 1);
     for r in 0..a.rows() {
         out[(r, 0)] = a.row(r).iter().sum();
     }
-    out
 }
 
 /// Row means: `m x n -> m x 1`.
@@ -47,14 +53,21 @@ pub fn row_mean(a: &Matrix) -> Matrix {
 /// Column sums: `m x n -> 1 x n`.
 #[must_use]
 pub fn col_sum(a: &Matrix) -> Matrix {
-    let mut out = Matrix::zeros(1, a.cols());
+    let mut out = Matrix::unshaped();
+    col_sum_into(a, &mut out);
+    out
+}
+
+/// [`col_sum`] into `out`'s reused buffer; each column's sum starts
+/// from `+0.0` and adds the rows in order.
+pub fn col_sum_into(a: &Matrix, out: &mut Matrix) {
+    out.resize_zeroed(1, a.cols());
     for r in 0..a.rows() {
         let dst = out.row_mut(0);
         for (d, &v) in dst.iter_mut().zip(a.row(r)) {
             *d += v;
         }
     }
-    out
 }
 
 /// Column means: `m x n -> 1 x n`.

@@ -19,6 +19,38 @@ pub fn splitmix64(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// Unnormalised non-negative sampling weights with their sum taken
+/// once, so a table drawn from many times (the generator's Zipf shop
+/// ranks, `weights[k] = (k + 1)^-s`; brand ranks; category shares)
+/// pays one sum per table instead of one per draw.
+#[derive(Clone, Debug)]
+pub struct WeightTable {
+    weights: Vec<f64>,
+    total: f64,
+}
+
+impl WeightTable {
+    /// Sums `weights` in order.
+    ///
+    /// # Panics
+    /// Panics if the weights are empty or sum to zero, infinity or NaN.
+    #[must_use]
+    pub fn new(weights: Vec<f64>) -> Self {
+        let total: f64 = weights.iter().sum();
+        assert!(
+            total > 0.0 && total.is_finite(),
+            "WeightTable: bad weight sum {total}"
+        );
+        WeightTable { weights, total }
+    }
+
+    /// The weights, in draw-index order.
+    #[must_use]
+    pub fn weights(&self) -> &[f64] {
+        &self.weights
+    }
+}
+
 /// A Xoshiro256++ generator.
 ///
 /// Period 2^256 − 1; passes BigCrush. Not cryptographically secure (and
@@ -172,38 +204,39 @@ impl Rng {
     /// Panics if `k > n`.
     #[must_use]
     pub fn sample_distinct(&mut self, n: usize, k: usize) -> Vec<usize> {
+        let mut idx = Vec::with_capacity(n);
+        self.sample_distinct_into(n, k, &mut idx);
+        idx
+    }
+
+    /// [`Rng::sample_distinct`] into `idx`'s reused buffer (its old
+    /// contents are discarded); the draws are the same.
+    ///
+    /// # Panics
+    /// Panics if `k > n`.
+    pub fn sample_distinct_into(&mut self, n: usize, k: usize, idx: &mut Vec<usize>) {
         assert!(k <= n, "Rng::sample_distinct: k={k} > n={n}");
-        let mut idx: Vec<usize> = (0..n).collect();
+        idx.clear();
+        idx.extend(0..n);
         for i in 0..k {
             let j = i + self.below(n - i);
             idx.swap(i, j);
         }
         idx.truncate(k);
-        idx
     }
 
-    /// Samples an index according to unnormalised non-negative weights:
-    /// one `uniform()` scaled by the weight sum, then the weights are
-    /// subtracted in order until the target goes negative. Callers that
-    /// draw often from one distribution (the generator's Zipf shop
-    /// ranks, `weights[k] = (k + 1)^-s`) build the weights once.
-    ///
-    /// # Panics
-    /// Panics if weights are empty or sum to zero/NaN.
-    pub fn weighted_index(&mut self, weights: &[f64]) -> usize {
-        let total: f64 = weights.iter().sum();
-        assert!(
-            total > 0.0 && total.is_finite(),
-            "Rng::weighted_index: bad weight sum {total}"
-        );
-        let mut target = self.uniform() * total;
-        for (i, &w) in weights.iter().enumerate() {
+    /// Samples an index according to a [`WeightTable`]: one `uniform()`
+    /// scaled by the table's weight sum, then the weights are
+    /// subtracted in order until the target goes negative.
+    pub fn weighted_index(&mut self, table: &WeightTable) -> usize {
+        let mut target = self.uniform() * table.total;
+        for (i, &w) in table.weights.iter().enumerate() {
             target -= w;
             if target < 0.0 {
                 return i;
             }
         }
-        weights.len() - 1 // fp rounding fallback
+        table.weights.len() - 1 // fp rounding fallback
     }
 }
 
@@ -296,9 +329,10 @@ mod tests {
     #[test]
     fn weighted_index_respects_weights() {
         let mut rng = Rng::seed_from(9);
+        let table = WeightTable::new(vec![1.0, 2.0, 7.0]);
         let mut counts = [0usize; 3];
         for _ in 0..30_000 {
-            counts[rng.weighted_index(&[1.0, 2.0, 7.0])] += 1;
+            counts[rng.weighted_index(&table)] += 1;
         }
         assert!(counts[2] > counts[1] && counts[1] > counts[0]);
         let p2 = counts[2] as f64 / 30_000.0;
@@ -323,7 +357,7 @@ mod tests {
     #[test]
     fn precomputed_zipf_weights_reproduce_direct_draws() {
         for (n, s) in [(10usize, 1.2f64), (400, 1.05)] {
-            let weights: Vec<f64> = (1..=n).map(|k| (k as f64).powf(-s)).collect();
+            let weights = WeightTable::new((1..=n).map(|k| (k as f64).powf(-s)).collect());
             let mut direct = Rng::seed_from(10);
             let mut table = Rng::seed_from(10);
             let mut counts = vec![0usize; n];

@@ -17,6 +17,14 @@ use crate::Matrix;
 /// Panics if `k == 0`, `k > row.len()`, or the row contains NaN.
 #[must_use]
 pub fn top_k_indices(row: &[f32], k: usize) -> Vec<usize> {
+    let mut idx = Vec::with_capacity(row.len());
+    top_k_indices_into(row, k, &mut idx);
+    idx
+}
+
+/// [`top_k_indices`] into `idx`'s reused buffer (its old contents are
+/// discarded).
+fn top_k_indices_into(row: &[f32], k: usize, idx: &mut Vec<usize>) {
     assert!(
         k > 0 && k <= row.len(),
         "top_k_indices: k={k} out of range for row of {}",
@@ -28,13 +36,13 @@ pub fn top_k_indices(row: &[f32], k: usize) -> Vec<usize> {
             .expect("top_k_indices: NaN in row")
             .then(a.cmp(&b))
     };
-    let mut idx: Vec<usize> = (0..row.len()).collect();
+    idx.clear();
+    idx.extend(0..row.len());
     if k < idx.len() {
         idx.select_nth_unstable_by(k - 1, cmp);
         idx.truncate(k);
     }
     idx.sort_unstable_by(cmp);
-    idx
 }
 
 /// The top-`k` cut of one gate row (Eq. 6–7 of the paper): the indices
@@ -69,8 +77,10 @@ pub fn top_k_softmax(row: &[f32], k: usize) -> (Vec<usize>, Vec<f32>) {
 #[must_use]
 pub fn row_topk_mask(a: &Matrix, k: usize) -> Matrix {
     let mut mask = Matrix::zeros(a.rows(), a.cols());
+    let mut idx = Vec::with_capacity(a.cols());
     for r in 0..a.rows() {
-        for &c in &top_k_indices(a.row(r), k) {
+        top_k_indices_into(a.row(r), k, &mut idx);
+        for &c in &idx {
             mask[(r, c)] = 1.0;
         }
     }
