@@ -11,8 +11,9 @@ use crate::Var;
 ///
 /// Constant operands (labels, gating masks, sampled noise) are leaf
 /// nodes that no backward rule writes to, so no gradient flows into
-/// them. Index payloads (embedding rows, concatenated parts) live in the
-/// node's index list, so an `Op` owns no heap memory.
+/// them. The one variable-length operand list, the parts of a
+/// [`Op::ConcatCols`], lives in the node's index list, so an `Op` owns
+/// no heap memory.
 #[derive(Clone, Copy, Debug)]
 pub enum Op {
     /// A leaf (input, parameter or constant). Gradients accumulate here.
@@ -68,13 +69,6 @@ pub enum Op {
     SumAll(usize),
     /// Mean of all entries `-> [1,1]`.
     MeanAll(usize),
-    /// Row gather from an embedding table: `out[i] = table[indices[i]]`,
-    /// the indices being the node's index list (repeats allowed).
-    /// Backward scatter-adds into the table gradient.
-    EmbedLookup {
-        /// Node holding the embedding table.
-        table: usize,
-    },
     /// Horizontal concatenation of the nodes in the node's index list
     /// (all same row count).
     ConcatCols,
@@ -119,8 +113,7 @@ pub enum Op {
 pub(crate) struct Node {
     pub(crate) value: Matrix,
     op: Op,
-    /// Row indices (`EmbedLookup`) or concatenated node ids
-    /// (`ConcatCols`).
+    /// Concatenated node ids (`ConcatCols`); empty for every other op.
     idx: Vec<usize>,
 }
 
@@ -296,11 +289,10 @@ impl Tape {
     /// Backward sweep seeded at several nodes at once — the
     /// vector-Jacobian product `Σ_i seedᵢ · J(outputᵢ)`.
     ///
-    /// This is how the split-graph training path back-propagates
-    /// through its encoder tape: the expert towers' backward and the
-    /// gate/loss tape each hand back a cotangent for an encoder output
-    /// they consumed, and one sweep pushes all of them through the
-    /// shared nodes. Seeds for the same node accumulate.
+    /// A seed can be any cotangent, not just a loss's `1`: this is how
+    /// a hand-written backward (such as `amoe_nn::Mlp::backward`) is
+    /// checked against the tape from the same output cotangent. Seeds
+    /// for the same node accumulate.
     ///
     /// # Panics
     /// Panics if `seeds` is empty or any seed's shape does not match
@@ -476,17 +468,6 @@ impl Tape {
                 dx.resize_zeroed(rows, cols);
                 dx.fill(g[(0, 0)] / (rows * cols) as f32);
             }),
-            Op::EmbedLookup { table } => s.accumulate(table, |dt| {
-                let (rows, cols) = val(table).shape();
-                dt.resize_zeroed(rows, cols);
-                for (out_row, &idx) in node.idx.iter().enumerate() {
-                    let src = g.row(out_row);
-                    let dst = dt.row_mut(idx);
-                    for (d, &s) in dst.iter_mut().zip(src) {
-                        *d += s;
-                    }
-                }
-            }),
             Op::ConcatCols => {
                 let mut off = 0;
                 for &p in &node.idx {
@@ -637,10 +618,10 @@ mod tests {
         fn bits(m: &Matrix) -> Vec<u32> {
             m.as_slice().iter().map(|v| v.to_bits()).collect()
         }
-        fn record(tape: &Tape, inputs: &[Matrix; 5], idx: &[usize]) -> (f32, Vec<Vec<u32>>) {
-            let [x, w, b, table, targets] = inputs;
+        fn record(tape: &Tape, inputs: &[Matrix; 5]) -> (f32, Vec<Vec<u32>>) {
+            let [x, w, b, wide, targets] = inputs;
             let leaves = [tape.leaf_from(x), tape.leaf_from(w), tape.leaf_from(b)];
-            let table = tape.leaf_from(table);
+            let wide = tape.leaf_from(wide);
             let [x, w, b] = leaves;
             let mask = Matrix::from_vec(x.shape().0, 1, vec![1.0; x.shape().0]);
             let y = x
@@ -649,12 +630,12 @@ mod tests {
                 .relu()
                 .softmax_rows()
                 .mul_col(tape.leaf_from(&mask));
-            let z = table.embed(idx) * y;
+            let z = wide.slice_cols(1, 5) * y;
             let loss = Var::concat_cols(&[y, z])
                 .bce_with_logits(targets)
                 .mean_all();
             let grads = tape.backward(loss);
-            let g = [x, w, b, table].map(|v| bits(grads.get(v).expect("gradient")));
+            let g = [x, w, b, wide].map(|v| bits(grads.get(v).expect("gradient")));
             (loss.value()[(0, 0)], g.to_vec())
         }
         let mut rng = Rng::seed_from(12);
@@ -664,13 +645,12 @@ mod tests {
                 rng.normal_matrix(rows, 3, 0.0, 1.0),
                 rng.normal_matrix(3, 4, 0.0, 1.0),
                 rng.normal_matrix(1, 4, 0.0, 1.0),
-                rng.normal_matrix(6, 4, 0.0, 1.0),
+                rng.normal_matrix(rows, 6, 0.0, 1.0),
                 rng.uniform_matrix(rows, 8, 0.0, 1.0),
             ];
-            let idx: Vec<usize> = (0..rows).map(|r| (r * 5) % 6).collect();
             reused.reset();
-            let (loss, grads) = record(&reused, &inputs, &idx);
-            let (want_loss, want_grads) = record(&Tape::new(), &inputs, &idx);
+            let (loss, grads) = record(&reused, &inputs);
+            let (want_loss, want_grads) = record(&Tape::new(), &inputs);
             assert_eq!(loss.to_bits(), want_loss.to_bits(), "loss at {rows} rows");
             assert_eq!(grads, want_grads, "gradients at {rows} rows");
         }

@@ -31,12 +31,6 @@ impl<'t> Var<'t> {
         self.id
     }
 
-    /// The tape this variable lives on.
-    #[must_use]
-    pub fn tape(&self) -> &'t Tape {
-        self.tape
-    }
-
     /// Clone of the forward value.
     #[must_use]
     pub fn value(&self) -> Matrix {
@@ -259,21 +253,6 @@ impl<'t> Var<'t> {
         })
     }
 
-    /// Embedding lookup: treats `self` as a table and gathers the given
-    /// rows. Gradients scatter-add back into the table.
-    ///
-    /// # Panics
-    /// Panics if any index is out of bounds or `indices` is empty.
-    #[must_use]
-    pub fn embed(self, indices: &[usize]) -> Var<'t> {
-        let table = self.id;
-        self.tape.push_with(
-            Op::EmbedLookup { table },
-            indices.iter().copied(),
-            |nodes, idx, out| nodes[table].value.gather_rows_into(idx, out),
-        )
-    }
-
     /// Horizontal concatenation of several variables (same row counts).
     ///
     /// # Panics
@@ -411,7 +390,6 @@ impl<'t> Neg for Var<'t> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use amoe_tensor::assert_close;
 
     #[test]
     fn operator_overloads_forward() {
@@ -457,30 +435,6 @@ mod tests {
                 lv[(0, i)]
             );
         }
-    }
-
-    #[test]
-    fn embed_forward_gathers() {
-        let tape = Tape::new();
-        let table = tape.leaf(Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0], &[5.0, 6.0]]));
-        let e = table.embed(&[2, 2, 0]);
-        assert_eq!(e.value().row(0), &[5.0, 6.0]);
-        assert_eq!(e.value().row(2), &[1.0, 2.0]);
-    }
-
-    #[test]
-    fn embed_backward_scatter_adds() {
-        let tape = Tape::new();
-        let table = tape.leaf(Matrix::zeros(3, 2));
-        let loss = table.embed(&[1, 1, 0]).sum_all();
-        let grads = tape.backward(loss);
-        let gt = grads.get(table).unwrap();
-        assert_close(
-            gt,
-            &Matrix::from_rows(&[&[1.0, 1.0], &[2.0, 2.0], &[0.0, 0.0]]),
-            1e-6,
-            1e-7,
-        );
     }
 
     #[test]

@@ -148,14 +148,6 @@ fn grad_reductions() {
 }
 
 #[test]
-fn grad_embed_lookup() {
-    check(&[rand(5, 3, 33)], |_, v| {
-        // Repeated indices exercise the scatter-add.
-        (v[0].embed(&[0, 2, 2, 4, 0]).square().sum_all()).into()
-    });
-}
-
-#[test]
 fn grad_concat_slice() {
     check(&[rand(3, 2, 34), rand(3, 3, 35)], |_, v| {
         let c = Var::concat_cols(&[v[0], v[1]]);

@@ -1,6 +1,5 @@
 //! The model zoo (paper Sec. 5.1.3): DNN, MoE variants and MMoE.
 
-use std::borrow::Cow;
 use std::sync::Mutex;
 
 use amoe_autograd::{Tape, Var};
@@ -60,12 +59,13 @@ pub struct MoeModel {
 /// resized to each step's rows before use, so a short batch (a partial
 /// refit batch, a 3-row step) never reads rows a longer one left.
 struct StepWorkspace {
-    /// The shared-prefix (encoder) tape, reset each step.
-    enc_tape: Tape,
+    /// The encoder's outputs: `X`, the gate input and (under HSC) the
+    /// TC rows.
+    x: Matrix,
+    gate_in: Matrix,
+    tc: Matrix,
     /// The gate/loss tape, reset each step.
     loss_tape: Tape,
-    /// The encoder's parameters, bound onto the encoder tape.
-    enc_ids: Vec<ParamId>,
     /// The gates' parameters, bound onto the gate/loss tape.
     head_ids: Vec<ParamId>,
     routes: ExpertRoutes,
@@ -76,6 +76,8 @@ struct StepWorkspace {
     towers: Vec<TowerScratch>,
     /// The `X` cotangent merged from the towers.
     d_x: Matrix,
+    /// The encoder backward's batch-sized scatter scratch.
+    order: Vec<(usize, usize)>,
 }
 
 /// One expert tower's step buffers.
@@ -89,11 +91,12 @@ struct TowerScratch {
 }
 
 impl StepWorkspace {
-    fn new(enc_ids: Vec<ParamId>, head_ids: Vec<ParamId>, n_experts: usize) -> Self {
+    fn new(head_ids: Vec<ParamId>, n_experts: usize) -> Self {
         StepWorkspace {
-            enc_tape: Tape::new(),
+            x: Matrix::scalar(0.0),
+            gate_in: Matrix::scalar(0.0),
+            tc: Matrix::scalar(0.0),
             loss_tape: Tape::new(),
-            enc_ids,
             head_ids,
             routes: ExpertRoutes::default(),
             column: Matrix::scalar(0.0),
@@ -105,6 +108,7 @@ impl StepWorkspace {
                 })
                 .collect(),
             d_x: Matrix::scalar(0.0),
+            order: Vec::new(),
         }
     }
 }
@@ -158,7 +162,7 @@ impl MoeModel {
         if let Some(cg) = &constraint_gate {
             head_ids.extend(cg.param_ids());
         }
-        let workspace = StepWorkspace::new(encoder.param_ids(), head_ids, experts.len());
+        let workspace = StepWorkspace::new(head_ids, experts.len());
         MoeModel {
             config,
             params,
@@ -247,10 +251,8 @@ impl MoeModel {
         bound: &amoe_nn::Bound<'t>,
         batch: &Batch,
     ) -> MoeForward<'t> {
-        let x = self.encoder.input(tape, bound, batch);
-        let gate_in = self
-            .encoder
-            .gate_input(tape, bound, batch, self.config.gate_input);
+        let x = tape.leaf(self.encoder_input_infer(batch));
+        let gate_in = tape.leaf(self.gate_input_infer(batch));
         let gate = self
             .inference_gate
             .forward(tape, bound, gate_in, self.config.top_k, None);
@@ -277,19 +279,18 @@ impl MoeModel {
         &self.experts
     }
 
-    /// Tape-free dense input assembly (Eq. 2) for serving.
+    /// The model input `X` (Eq. 2), as training and serving build it.
     #[must_use]
     pub fn encoder_input_infer(&self, batch: &Batch) -> Matrix {
         self.encoder.input_infer(&self.params, batch)
     }
 
-    /// Tape-free inference-gate input for serving, honouring the
-    /// configured [`crate::config::GateInput`] ablation (every variant
-    /// is servable, matching the tape path column for column).
+    /// The inference-gate input under the configured
+    /// [`crate::config::GateInput`] ablation (every variant is
+    /// servable), as training and serving build it.
     #[must_use]
     pub fn gate_input_infer(&self, batch: &Batch) -> Matrix {
-        self.encoder
-            .gate_input_infer(&self.params, batch, self.config.gate_input)
+        self.encoder.gate_input_infer(&self.params, batch)
     }
 
     /// Tape-free clean gate logits for serving.
@@ -378,8 +379,8 @@ impl MoeModel {
     /// mutually independent expert towers can fan out across the
     /// [`pool`] runtime:
     ///
-    /// 1. a shared-prefix tape builds the encoder outputs (`X`, the
-    ///    gate input, the TC embedding) serially;
+    /// 1. the encoder gathers its outputs (`X`, the gate input, the TC
+    ///    rows) from the tables into workspace buffers, with no tape;
     /// 2. a gate/loss tape runs the gate forward, then the adversarial
     ///    mask is sampled (the RNG draw order is gating noise, then
     ///    mask), and the two masks route each expert its rows;
@@ -394,9 +395,10 @@ impl MoeModel {
     ///    its column's cotangent — one pool task per expert;
     /// 6. gradients merge serially **in expert order** (never in
     ///    completion order): each tower's parameter gradients are added
-    ///    to the zeroed slots, its `X` cotangent rows are scatter-added,
-    ///    and one multi-seed sweep pushes the `X` / gate-input / TC
-    ///    cotangents through the shared-prefix tape.
+    ///    to the zeroed slots and its `X` cotangent rows are
+    ///    scatter-added; then [`FeatureEncoder::backward`] scatter-adds
+    ///    the `X` / gate-input / TC cotangents into the embedding
+    ///    tables' gradients, touching only the rows the batch read.
     ///
     /// Every pool task writes only its expert's scratch slot and every
     /// floating-point merge runs on the caller in a fixed order, so
@@ -404,46 +406,44 @@ impl MoeModel {
     ///
     /// # Buffers
     ///
-    /// Both tapes and every tower's buffers live in the model's step
-    /// workspace: each step resets the tapes and resizes each buffer
-    /// to its own rows, so a warmed-up step allocates only a few small
-    /// per-step values and runs the same kernels in the same order as a
-    /// step on fresh buffers.
+    /// The encoder outputs, the gate/loss tape and every tower's buffers
+    /// live in the model's step workspace: each step resets the tape and
+    /// resizes each buffer to its own rows, so a warmed-up step
+    /// allocates only a few small per-step values and runs the same
+    /// kernels in the same order as a step on fresh buffers.
     pub fn accumulate_gradients(&mut self, batch: &Batch) -> StepStats {
         let b = batch.len();
         let ws = self
             .workspace
             .get_mut()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
-        ws.enc_tape.reset();
         ws.loss_tape.reset();
         let StepWorkspace {
-            enc_tape,
+            x,
+            gate_in,
+            tc,
             loss_tape,
-            enc_ids,
             head_ids,
             routes,
             column,
             towers,
             d_x,
+            order,
         } = ws;
-        let (enc_tape, loss_tape) = (&*enc_tape, &*loss_tape);
+        let loss_tape = &*loss_tape;
 
-        // Stage 1: shared-prefix (encoder) tape, serial.
-        let enc_bound = self.params.bind_subset(enc_tape, enc_ids);
-        let x = self.encoder.input(enc_tape, &enc_bound, batch);
-        let gate_in = self
-            .encoder
-            .gate_input(enc_tape, &enc_bound, batch, self.config.gate_input);
-        let tc_emb = self
-            .constraint_gate
-            .is_some()
-            .then(|| self.encoder.tc_embedding(&enc_bound, batch));
-        let x_val = x.value_ref();
+        // Stage 1: the encoder outputs, serial.
+        self.encoder.input_into(&self.params, batch, x);
+        self.encoder.gate_input_into(&self.params, batch, gate_in);
+        let hsc = self.constraint_gate.is_some();
+        if hsc {
+            self.encoder.tc_into(&self.params, batch, tc);
+        }
+        let x = &*x;
 
         // Stage 2: gate forward, then the adversarial mask, then routing.
         let loss_bound = self.params.bind_subset(loss_tape, head_ids);
-        let gate_in_leaf = loss_tape.leaf_from(&gate_in.value_ref());
+        let gate_in_leaf = loss_tape.leaf_from(gate_in);
         let mut step_rng = self.rng.fork(0);
         let noise = self.config.noisy_gating.then_some(&mut step_rng);
         let gate = self.inference_gate.forward(
@@ -463,13 +463,12 @@ impl MoeModel {
         // pool task per expert, each in its own scratch slot.
         let experts = &self.experts;
         let params = &self.params;
-        let x_ref: &Matrix = &x_val;
         {
             let _stage = amoe_obs::StageScope::enter("train.expert_fwd");
             pool::for_each_mut(towers, |e, tower| {
                 let rows = routes.rows(e);
                 if !rows.is_empty() {
-                    x_ref.gather_rows_into(rows, &mut tower.acts[0]);
+                    x.gather_rows_into(rows, &mut tower.acts[0]);
                     experts[e].forward_into(params, &mut tower.acts);
                 }
             });
@@ -493,7 +492,7 @@ impl MoeModel {
         // Stage 4: the rest of the gate + loss tape, serial.
         let expert_matrix = Var::concat_cols(&out_leaves);
         let logit = (gate.probs * expert_matrix).row_sum();
-        let tc_leaf = tc_emb.map(|v| loss_tape.leaf_from(&v.value_ref()));
+        let tc_leaf = hsc.then(|| loss_tape.leaf_from(tc));
         // The constraint gate is a target, not a router: only its clean
         // logits enter the loss (Eq. 10), so it skips the top-K cut.
         let constraint_logits = self.constraint_gate.as_ref().map(|cg| {
@@ -550,11 +549,6 @@ impl MoeModel {
                 None => tower.d_out.resize_zeroed(rows.len(), 1),
             }
         }
-        fn or_zeros<'g>(d: Option<&'g Matrix>, (rows, cols): (usize, usize)) -> Cow<'g, Matrix> {
-            d.map_or_else(|| Cow::Owned(Matrix::zeros(rows, cols)), Cow::Borrowed)
-        }
-        let d_gate_in = or_zeros(loss_grads.get(gate_in_leaf), gate_in_leaf.shape());
-        let d_tc = tc_leaf.map(|v| or_zeros(loss_grads.get(v), v.shape()));
 
         // Stage 5: tower backward, one pool task per routed expert.
         {
@@ -567,11 +561,12 @@ impl MoeModel {
             });
         }
 
-        // Stage 6: deterministic serial merge in expert order. The loss
-        // tape, the towers and the encoder own disjoint parameters.
+        // Stage 6: deterministic serial merge in expert order, then the
+        // encoder. The loss tape, the towers and the encoder own
+        // disjoint parameters.
         self.params.zero_grads();
         self.params.collect_grads(&loss_bound, &loss_grads);
-        d_x.resize_zeroed(b, x_val.cols());
+        d_x.resize_zeroed(b, x.cols());
         for (e, tower) in towers.iter().enumerate() {
             let rows = routes.rows(e);
             if rows.is_empty() {
@@ -588,12 +583,15 @@ impl MoeModel {
             }
         }
 
-        // One multi-seed sweep through the shared prefix.
-        let seeds = [(x, &*d_x), (gate_in, &*d_gate_in)]
-            .into_iter()
-            .chain(tc_emb.zip(d_tc.as_deref()));
-        let enc_grads = enc_tape.backward_multi(seeds);
-        self.params.collect_grads(&enc_bound, &enc_grads);
+        // A cotangent the loss never reached is zero and adds nothing.
+        self.encoder.backward(
+            &mut self.params,
+            batch,
+            d_x,
+            loss_grads.get(gate_in_leaf),
+            tc_leaf.and_then(|v| loss_grads.get(v)),
+            order,
+        );
 
         if self.clip_norm > 0.0 {
             self.params.clip_grad_global_norm(self.clip_norm);
@@ -677,7 +675,7 @@ impl Ranker for DnnModel {
     fn train_step(&mut self, batch: &Batch) -> StepStats {
         let tape = Tape::new();
         let bound = self.params.bind(&tape);
-        let x = self.encoder.input(&tape, &bound, batch);
+        let x = tape.leaf(self.encoder.input_infer(&self.params, batch));
         let logit = self.tower.forward(&bound, x);
         let loss = logit.bce_with_logits(&batch.labels).mean_all();
         let stats = StepStats {
@@ -688,6 +686,9 @@ impl Ranker for DnnModel {
         let grads = tape.backward(loss);
         self.params.zero_grads();
         self.params.collect_grads(&bound, &grads);
+        let d_x = grads.get(x).expect("the tower reads X");
+        self.encoder
+            .backward(&mut self.params, batch, d_x, None, None, &mut Vec::new());
         drop(bound);
         if self.clip_norm > 0.0 {
             self.params.clip_grad_global_norm(self.clip_norm);
@@ -779,6 +780,12 @@ impl MmoeModel {
         }
     }
 
+    /// Read access to the parameters.
+    #[must_use]
+    pub fn params(&self) -> &ParamSet {
+        &self.params
+    }
+
     /// Number of task gates.
     #[must_use]
     pub fn n_tasks(&self) -> usize {
@@ -797,8 +804,9 @@ impl MmoeModel {
         masks
     }
 
-    fn forward<'t>(&self, tape: &'t Tape, bound: &amoe_nn::Bound<'t>, batch: &Batch) -> Var<'t> {
-        let x = self.encoder.input(tape, bound, batch);
+    /// The task-gated mixture of the expert towers on `X`, the leaf the
+    /// encoder's rows are copied into.
+    fn mix<'t>(&self, bound: &amoe_nn::Bound<'t>, x: Var<'t>, batch: &Batch) -> Var<'t> {
         let masks = self.task_masks(batch);
         // Per-example gate logits: each row comes from its task's gate.
         let mut mixed: Option<Var<'t>> = None;
@@ -824,7 +832,8 @@ impl Ranker for MmoeModel {
     fn train_step(&mut self, batch: &Batch) -> StepStats {
         let tape = Tape::new();
         let bound = self.params.bind(&tape);
-        let logit = self.forward(&tape, &bound, batch);
+        let x = tape.leaf(self.encoder.input_infer(&self.params, batch));
+        let logit = self.mix(&bound, x, batch);
         let loss = logit.bce_with_logits(&batch.labels).mean_all();
         let stats = StepStats {
             loss: loss.value()[(0, 0)],
@@ -834,6 +843,9 @@ impl Ranker for MmoeModel {
         let grads = tape.backward(loss);
         self.params.zero_grads();
         self.params.collect_grads(&bound, &grads);
+        let d_x = grads.get(x).expect("the gates and towers read X");
+        self.encoder
+            .backward(&mut self.params, batch, d_x, None, None, &mut Vec::new());
         drop(bound);
         if self.clip_norm > 0.0 {
             self.params.clip_grad_global_norm(self.clip_norm);
@@ -1087,6 +1099,20 @@ mod tests {
         let oracle = ops::sigmoid(&mmoe.forward(&tape, &bound, &batch).value());
         let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&mmoe.predict(&batch)), bits(oracle.as_slice()));
+    }
+
+    impl MmoeModel {
+        /// The training step's tape forward in one call: the oracle
+        /// that [`Ranker::predict`] is pinned to.
+        fn forward<'t>(
+            &self,
+            tape: &'t Tape,
+            bound: &amoe_nn::Bound<'t>,
+            batch: &Batch,
+        ) -> Var<'t> {
+            let x = tape.leaf(self.encoder.input_infer(&self.params, batch));
+            self.mix(bound, x, batch)
+        }
     }
 
     #[test]

@@ -85,8 +85,16 @@ fn build_loss<'t>(
     lambda2: f32,
 ) -> Var<'t> {
     let (sc_table, tc_table, w_gate, w_cgate) = (v[0], v[1], v[2], v[3]);
-    let sc_emb = sc_table.embed(&f.sc_idx);
-    let tc_emb = tc_table.embed(&f.tc_idx);
+    // An embedding lookup is a constant one-hot matrix times the table.
+    let lookup = |table: Var<'t>, idx: &[usize]| {
+        let mut one_hot = Matrix::zeros(idx.len(), table.shape().0);
+        for (r, &i) in idx.iter().enumerate() {
+            one_hot[(r, i)] = 1.0;
+        }
+        tape.leaf(one_hot).matmul(table)
+    };
+    let sc_emb = lookup(sc_table, &f.sc_idx);
+    let tc_emb = lookup(tc_table, &f.tc_idx);
     let numeric = tape.leaf(f.numeric.clone()).detach();
     let x = Var::concat_cols(&[sc_emb, numeric]);
 

@@ -99,12 +99,6 @@ impl Embedding {
         Embedding { table, vocab, dim }
     }
 
-    /// Vocabulary size.
-    #[must_use]
-    pub fn vocab(&self) -> usize {
-        self.vocab
-    }
-
     /// Embedding dimension.
     #[must_use]
     pub fn dim(&self) -> usize {
@@ -117,30 +111,20 @@ impl Embedding {
         self.table
     }
 
-    /// Tape forward: one output row per index.
+    /// The table's value, once every index is checked to be in
+    /// vocabulary: the source a caller gathers its rows from.
     ///
     /// # Panics
     /// Panics if an index is out of vocabulary.
     #[must_use]
-    pub fn forward<'t>(&self, bound: &Bound<'t>, indices: &[usize]) -> Var<'t> {
-        self.check(indices);
-        bound.var(self.table).embed(indices)
-    }
-
-    /// Tape-free forward pass for serving.
-    #[must_use]
-    pub fn infer(&self, ps: &ParamSet, indices: &[usize]) -> Matrix {
-        self.check(indices);
-        ps.value(self.table).gather_rows(indices)
-    }
-
-    fn check(&self, indices: &[usize]) {
+    pub fn checked_table<'p>(&self, ps: &'p ParamSet, indices: &[usize]) -> &'p Matrix {
         if let Some(&bad) = indices.iter().find(|&&i| i >= self.vocab) {
             panic!(
                 "Embedding: index {bad} out of vocabulary (size {})",
                 self.vocab
             );
         }
+        ps.value(self.table)
     }
 }
 
@@ -416,11 +400,11 @@ mod tests {
         let mut ps = ParamSet::new();
         let mut rng = Rng::seed_from(3);
         let emb = Embedding::new(&mut ps, "e", 5, 4, &mut rng);
-        let out = emb.infer(&ps, &[0, 4, 0]);
-        assert_eq!(out.shape(), (3, 4));
-        assert_eq!(out.row(0), out.row(2));
+        let table = emb.checked_table(&ps, &[0, 4, 0]);
+        assert_eq!(table.shape(), (5, 4));
+        assert_eq!(table, ps.value(emb.table()));
         let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _ = emb.infer(&ps, &[5]);
+            let _ = emb.checked_table(&ps, &[0, 5]);
         }));
         assert!(caught.is_err());
     }

@@ -13,7 +13,9 @@
 //! into reused buffers and keeps each layer's input, and
 //! [`Mlp::backward_into`] writes into reused [`MlpGrads`] bit for bit
 //! the gradients the tape would. [`Mlp::forward_train`] and
-//! [`Mlp::backward`] are the same passes on fresh buffers.
+//! [`Mlp::backward`] are the same passes on fresh buffers. An
+//! [`Embedding`] has no tape forward: its user gathers rows from
+//! [`Embedding::checked_table`] and scatter-adds their gradients.
 //!
 //! The layer set is exactly what the paper's models need: [`Linear`],
 //! [`Embedding`] and [`Mlp`] towers with ReLU hidden activations
@@ -30,4 +32,4 @@ mod serialize;
 pub use init::Init;
 pub use layers::{tower_forward, Embedding, Linear, Mlp, MlpGrads};
 pub use params::{Bound, ParamId, ParamSet};
-pub use serialize::{LoadError, SerializeError};
+pub use serialize::LoadError;

@@ -136,8 +136,8 @@ impl ParamSet {
 
     /// Like [`ParamSet::bind`] but inserts only the parameters named by
     /// `ids` as leaves. The split-graph training path uses this to give
-    /// its encoder tape and its gate/loss tape just the weights each
-    /// one reads instead of cloning the whole model onto both.
+    /// its gate/loss tape just the gates' weights instead of copying
+    /// the whole model, embedding tables included, onto it.
     ///
     /// Reading an unbound parameter through [`Bound::var`] panics;
     /// [`ParamSet::collect_grads`] skips unbound entries.

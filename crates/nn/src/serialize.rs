@@ -62,9 +62,6 @@ pub enum LoadError {
     Mismatch(String),
 }
 
-/// Former name of [`LoadError`], kept for existing callers.
-pub type SerializeError = LoadError;
-
 impl std::fmt::Display for LoadError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {

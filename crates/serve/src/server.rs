@@ -248,8 +248,8 @@ pub struct Server {
 impl Server {
     /// Binds `addr` (use port 0 for an ephemeral port) and starts the
     /// accept loop and the batcher thread. Every gate-input
-    /// configuration is servable (the tape-free path mirrors the
-    /// training encoder for each variant).
+    /// configuration is servable (serving runs the training encoder's
+    /// forward for each variant).
     ///
     /// # Errors
     /// Fails on a config [`ServeConfig::validate`] rejects

@@ -129,8 +129,8 @@ fn concurrent_scrape_during_reload_stays_clean() {
     let addr = server.local_addr();
     let obs = server.obs_addr().expect("obs listener is configured");
 
-    let dir = std::path::Path::new("target/obs_http");
-    std::fs::create_dir_all(dir).expect("mkdir");
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("obs_http");
+    std::fs::create_dir_all(&dir).expect("mkdir");
     let ckpt = dir.join("reload.amoe");
     trained_model(&d).params().save(&ckpt).expect("save ckpt");
 
@@ -266,8 +266,8 @@ fn metrics_with_registry_on_carry_one_series_per_fact() {
     let addr = server.local_addr();
     let obs = server.obs_addr().expect("obs listener is configured");
 
-    let dir = std::path::Path::new("target/obs_http");
-    std::fs::create_dir_all(dir).expect("mkdir");
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("obs_http");
+    std::fs::create_dir_all(&dir).expect("mkdir");
     let ckpt = dir.join("registry_on.amoe");
     trained_model(&d).params().save(&ckpt).expect("save ckpt");
     let rows = feature_rows(&d, 4);

@@ -54,7 +54,17 @@ diff -u results/repro_all_scale0.1.txt target/ci_repro/stdout_t1.txt || {
   echo "FAIL: repro_all --scale 0.1 at AMOE_THREADS=1 differs from the golden file" >&2; exit 1; }
 
 step "cargo test -q --offline (workspace)"
+# A crate's tests run with that crate's directory as the working
+# directory, so a test that writes under a relative `target/` leaves a
+# `crates/<name>/target/` behind. Tests write scratch files under
+# CARGO_TARGET_TMPDIR instead; a stray crate target directory fails.
+rm -rf crates/*/target
 cargo test -q --offline --release --workspace
+STRAY_TARGETS="$(find crates -mindepth 2 -maxdepth 2 -name target)"
+if [[ -n "$STRAY_TARGETS" ]]; then
+  echo "FAIL: a crate test wrote under a relative target/: $STRAY_TARGETS" >&2
+  exit 1
+fi
 
 step "binary smoke: amoe-serve serve driven by amoe-online over real TCP"
 # Exercises the standalone binaries end to end: demo-export a

@@ -9,11 +9,12 @@
 //! lives in a single `#[test]` because the thread budget is process
 //! global state.
 
+use adv_hsc_moe::dataset::buckets::equal_count_task_buckets;
 use adv_hsc_moe::dataset::{generate, Batch, DriftConfig, DriftWorld, GeneratorConfig, Split};
 use adv_hsc_moe::moe::finetune::FineTuner;
 use adv_hsc_moe::moe::ranker::{OptimConfig, Ranker};
 use adv_hsc_moe::moe::serving::ServingMoe;
-use adv_hsc_moe::moe::{GateInput, MoeConfig, MoeModel, TrainConfig, Trainer};
+use adv_hsc_moe::moe::{DnnModel, GateInput, MmoeModel, MoeConfig, MoeModel, TrainConfig, Trainer};
 use adv_hsc_moe::nn::ParamSet;
 use adv_hsc_moe::online::SessionStream;
 use adv_hsc_moe::tensor::matmul::{self, reference};
@@ -248,6 +249,61 @@ fn trained_parameters_match_pinned_fingerprints() {
     assert_eq!(
         finetuned, 0x6DDC_7FCF_A65E_C07E,
         "fine-tuned parameters moved"
+    );
+
+    // The embedding gradients' scatter order: the TC table read by both
+    // the gate input and the constraint gate (and the user-segment and
+    // query tables by the gate input), tables much larger than the
+    // batch, and the two baselines that share the encoder.
+    let wide = generate(&GeneratorConfig {
+        brands_per_tc: 2_000,
+        n_shops: 5_000,
+        ..GeneratorConfig::tiny(49)
+    });
+    let mut wide_model = MoeModel::new(
+        &wide.meta,
+        narrow(MoeConfig::adv_hsc_moe()),
+        OptimConfig::default(),
+    );
+    let wide_batch = Batch::from_split(&wide.train, &(0..96).collect::<Vec<_>>());
+    for _ in 0..6 {
+        wide_model.train_step(&wide_batch);
+    }
+    let mut dnn = DnnModel::new(&d.meta, &MoeConfig::default(), OptimConfig::default());
+    let task_of_tc = equal_count_task_buckets(&d.train, d.hierarchy.num_tc(), 4);
+    let mut mmoe = MmoeModel::new(
+        &d.meta,
+        &MoeConfig::default(),
+        8,
+        task_of_tc,
+        OptimConfig::default(),
+    );
+    for _ in 0..6 {
+        dnn.train_step(&batch(96));
+        mmoe.train_step(&batch(96));
+    }
+    let gate_input = |gate_input: GateInput| MoeConfig {
+        gate_input,
+        ..narrow(MoeConfig::adv_hsc_moe())
+    };
+    assert_eq!(
+        [
+            trained(gate_input(GateInput::TcSc), 96),
+            trained(gate_input(GateInput::UserTcSc), 96),
+            trained(gate_input(GateInput::QueryTcSc), 96),
+            param_hash(wide_model.params()),
+            param_hash(dnn.params()),
+            param_hash(mmoe.params()),
+        ],
+        [
+            0xA10F_2B92_8E3A_0A55,
+            0xA152_FFDE_1431_201A,
+            0x7108_E538_F51E_315A,
+            0x3BFC_3CAF_0680_0998,
+            0xF145_F5E8_8C82_5928,
+            0x17CC_368C_AE63_28F6,
+        ],
+        "embedding-gradient cases moved"
     );
 }
 
