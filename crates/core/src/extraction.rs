@@ -16,9 +16,10 @@
 //! scores equal the full ensemble's bit for bit.
 
 use amoe_dataset::Batch;
-use amoe_nn::tower_forward;
+use amoe_nn::{tower_forward, ParamId, ParamSet};
 use amoe_tensor::{ops, reduce, topk, Matrix};
 
+use crate::features::FeatureEncoder;
 use crate::models::MoeModel;
 
 /// A compact, frozen, single-category scorer extracted from a trained
@@ -34,16 +35,10 @@ pub struct CategoryModel {
     /// Expert tower weights: for each retained expert, its layers as
     /// `(w, b)` matrices, in forward order.
     layers: Vec<Vec<(Matrix, Matrix)>>,
-    /// Snapshot of the embedding tables needed to assemble the input.
-    embeddings: ExtractedEmbeddings,
-}
-
-struct ExtractedEmbeddings {
-    sc: Matrix,
-    brand: Matrix,
-    shop: Matrix,
-    user_segment: Matrix,
-    price_bucket: Matrix,
+    /// The model's encoder, which builds `X` from `tables`.
+    encoder: FeatureEncoder,
+    /// Snapshot of the model's embedding tables, under the model's ids.
+    tables: ParamSet,
 }
 
 /// Panics unless the model gates on the SC embedding alone: only then
@@ -105,19 +100,26 @@ pub fn extract_category_model(model: &MoeModel, sc: usize) -> CategoryModel {
         })
         .collect();
 
-    let table = |name: &str| params.value(params.find(name).expect(name)).clone();
+    // The encoder registers its tables first, so copying the parameters
+    // up to the last table `X` reads keeps every table's id.
+    let encoder = model.encoder().clone();
+    let last = encoder.input_tables().map(|e| e.table().index()).max();
+    let mut tables = ParamSet::new();
+    for id in (0..=last.expect("X reads a table")).map(ParamId::from_index) {
+        let name = params.name(id);
+        assert!(
+            name.starts_with("emb."),
+            "extraction: parameter {name:?} sits among the encoder's tables"
+        );
+        tables.add(name, params.value(id).clone());
+    }
     CategoryModel {
         sc,
         expert_indices,
         weights,
         layers,
-        embeddings: ExtractedEmbeddings {
-            sc: table("emb.sc.table"),
-            brand: table("emb.brand.table"),
-            shop: table("emb.shop.table"),
-            user_segment: table("emb.user_segment.table"),
-            price_bucket: table("emb.price_bucket.table"),
-        },
+        encoder,
+        tables,
     }
 }
 
@@ -131,11 +133,11 @@ impl CategoryModel {
             .iter()
             .flat_map(|t| t.iter().map(|(w, b)| w.len() + b.len()))
             .sum();
-        let emb = self.embeddings.sc.len()
-            + self.embeddings.brand.len()
-            + self.embeddings.shop.len()
-            + self.embeddings.user_segment.len()
-            + self.embeddings.price_bucket.len();
+        let emb: usize = self
+            .encoder
+            .input_tables()
+            .map(|e| self.tables.value(e.table()).len())
+            .sum();
         towers + emb
     }
 
@@ -154,15 +156,7 @@ impl CategoryModel {
     /// Raw ensemble logits under the frozen mixture.
     #[must_use]
     pub fn predict_logits(&self, batch: &Batch) -> Vec<f32> {
-        let e = &self.embeddings;
-        let x = Matrix::hcat(&[
-            &e.sc.gather_rows(&batch.sc),
-            &e.brand.gather_rows(&batch.brand),
-            &e.shop.gather_rows(&batch.shop),
-            &e.user_segment.gather_rows(&batch.user_segment),
-            &e.price_bucket.gather_rows(&batch.price_bucket),
-            &batch.numeric,
-        ]);
+        let x = self.encoder.input_infer(&self.tables, batch);
         let mut out = Matrix::zeros(batch.len(), 1);
         // `acts[0]` stays `x`; each tower rewrites the layers above it.
         let mut acts = vec![x];

@@ -20,6 +20,7 @@ use crate::config::{GateInput, MoeConfig};
 /// The sub-category table is shared between the main input and the
 /// inference gate, exactly as in the paper ("`x_sc ∈ X` is \[the\] SC
 /// embedding vector, a part of \[the\] input vector").
+#[derive(Clone)]
 pub struct FeatureEncoder {
     sc: Embedding,
     tc: Embedding,
@@ -188,6 +189,29 @@ impl FeatureEncoder {
         }
     }
 
+    /// The tables `X` reads, in its column order.
+    pub(crate) fn input_tables(&self) -> impl Iterator<Item = &Embedding> {
+        INPUT.iter().filter_map(|&block| self.embedding(block))
+    }
+
+    /// The table behind an embedding block; `None` for the numeric
+    /// block.
+    fn embedding(&self, block: Block) -> Option<&Embedding> {
+        Some(match block {
+            Sc => &self.sc,
+            Tc => &self.tc,
+            Brand => &self.brand,
+            Shop => &self.shop,
+            UserSegment => &self.user_segment,
+            PriceBucket => &self.price_bucket,
+            Query => self
+                .query
+                .as_ref()
+                .expect("FeatureEncoder: query embedding not built for this config"),
+            Numeric => return None,
+        })
+    }
+
     /// The table behind an embedding block and the batch's ids into it;
     /// `None` for the numeric block.
     fn lookup<'a>(
@@ -195,21 +219,17 @@ impl FeatureEncoder {
         block: Block,
         batch: &'a Batch,
     ) -> Option<(&'a Embedding, &'a [usize])> {
-        Some(match block {
-            Sc => (&self.sc, &batch.sc),
-            Tc => (&self.tc, &batch.tc),
-            Brand => (&self.brand, &batch.brand),
-            Shop => (&self.shop, &batch.shop),
-            UserSegment => (&self.user_segment, &batch.user_segment),
-            PriceBucket => (&self.price_bucket, &batch.price_bucket),
-            Query => (
-                self.query
-                    .as_ref()
-                    .expect("FeatureEncoder: query embedding not built for this config"),
-                &batch.query,
-            ),
+        let ids = match block {
+            Sc => &batch.sc,
+            Tc => &batch.tc,
+            Brand => &batch.brand,
+            Shop => &batch.shop,
+            UserSegment => &batch.user_segment,
+            PriceBucket => &batch.price_bucket,
+            Query => &batch.query,
             Numeric => return None,
-        })
+        };
+        Some((self.embedding(block)?, ids))
     }
 
     fn width(&self, batch: &Batch, blocks: &[Block]) -> usize {

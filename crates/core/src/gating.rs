@@ -9,7 +9,7 @@
 //! The top-K logits go through a masked softmax (Eq. 6–7); the rest get
 //! exactly zero probability.
 
-use amoe_autograd::{Tape, Var};
+use amoe_autograd::Var;
 use amoe_nn::{Bound, Init, ParamId, ParamSet};
 use amoe_tensor::{Matrix, Rng};
 
@@ -84,7 +84,6 @@ impl NoisyTopKGate {
     #[must_use]
     pub fn forward<'t>(
         &self,
-        _tape: &'t Tape,
         bound: &Bound<'t>,
         gate_input: Var<'t>,
         k: usize,
@@ -185,6 +184,7 @@ impl ExpertRoutes {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use amoe_autograd::Tape;
     use amoe_tensor::reduce;
 
     fn setup(noisy: bool) -> (ParamSet, NoisyTopKGate) {
@@ -200,8 +200,8 @@ mod tests {
         let mut rng = Rng::seed_from(4);
         let x = rng.normal_matrix(5, 6, 0.0, 1.0);
         let tape = Tape::new();
-        let bound = ps.bind(&tape);
-        let out = gate.forward(&tape, &bound, tape.leaf(x), 3, None);
+        let bound = ps.bind_subset(&tape, &gate.param_ids());
+        let out = gate.forward(&bound, tape.leaf(x), 3, None);
         let p = out.probs.value();
         for r in 0..5 {
             let nonzero = p.row(r).iter().filter(|&&v| v > 0.0).count();
@@ -238,8 +238,8 @@ mod tests {
         let (ps, gate) = setup(false);
         let x = Rng::seed_from(8).normal_matrix(40, 6, 0.0, 1.0);
         let tape = Tape::new();
-        let bound = ps.bind(&tape);
-        let topk = gate.forward(&tape, &bound, tape.leaf(x), 3, None).topk_mask;
+        let bound = ps.bind_subset(&tape, &gate.param_ids());
+        let topk = gate.forward(&bound, tape.leaf(x), 3, None).topk_mask;
         // Serving: the top-K rows alone, K per row.
         let routes = ExpertRoutes::new(&topk, None);
         assert_routes_match(&routes, &topk, None);
@@ -260,8 +260,8 @@ mod tests {
         let x = rng.normal_matrix(3, 6, 0.0, 1.0);
         let run = || {
             let tape = Tape::new();
-            let bound = ps.bind(&tape);
-            gate.forward(&tape, &bound, tape.leaf(x.clone()), 2, None)
+            let bound = ps.bind_subset(&tape, &gate.param_ids());
+            gate.forward(&bound, tape.leaf(x.clone()), 2, None)
                 .probs
                 .value()
         };
@@ -277,12 +277,12 @@ mod tests {
         let mut rng = Rng::seed_from(6);
         let x = Rng::seed_from(7).normal_matrix(16, 6, 0.0, 0.2);
         let tape = Tape::new();
-        let bound = ps.bind(&tape);
+        let bound = ps.bind_subset(&tape, &gate.param_ids());
         let clean = gate
-            .forward(&tape, &bound, tape.leaf(x.clone()), 2, None)
+            .forward(&bound, tape.leaf(x.clone()), 2, None)
             .topk_mask;
         let noisy = gate
-            .forward(&tape, &bound, tape.leaf(x), 2, Some(&mut rng))
+            .forward(&bound, tape.leaf(x), 2, Some(&mut rng))
             .topk_mask;
         assert_ne!(clean, noisy, "noise never changed the top-k selection");
     }
@@ -295,8 +295,8 @@ mod tests {
         let mut rng = Rng::seed_from(8);
         let x = Rng::seed_from(9).normal_matrix(4, 6, 0.0, 1.0);
         let tape = Tape::new();
-        let bound = ps.bind(&tape);
-        let out = gate.forward(&tape, &bound, tape.leaf(x), 2, Some(&mut rng));
+        let bound = ps.bind_subset(&tape, &gate.param_ids());
+        let out = gate.forward(&bound, tape.leaf(x), 2, Some(&mut rng));
         // Clean logits equal x·W regardless of the noise branch.
         let expect = amoe_tensor::matmul::matmul(&out.clean_logits.value(), &Matrix::eye(8));
         amoe_tensor::assert_close(&out.clean_logits.value(), &expect, 1e-6, 1e-7);
@@ -309,8 +309,8 @@ mod tests {
         let mut rng = Rng::seed_from(10);
         let x = rng.normal_matrix(4, 6, 0.0, 1.0);
         let tape = Tape::new();
-        let bound = ps.bind(&tape);
-        let out = gate.forward(&tape, &bound, tape.leaf(x), 2, None);
+        let bound = ps.bind_subset(&tape, &gate.param_ids());
+        let out = gate.forward(&bound, tape.leaf(x), 2, None);
         let weight = rng.normal_matrix(4, 8, 0.0, 1.0);
         let loss = out.probs.mul_const(&weight).sum_all();
         let grads = tape.backward(loss);
@@ -324,8 +324,8 @@ mod tests {
         let mut rng = Rng::seed_from(11);
         let x = rng.normal_matrix(3, 6, 0.0, 1.0);
         let tape = Tape::new();
-        let bound = ps.bind(&tape);
-        let out = gate.forward(&tape, &bound, tape.leaf(x.clone()), 2, None);
+        let bound = ps.bind_subset(&tape, &gate.param_ids());
+        let out = gate.forward(&bound, tape.leaf(x.clone()), 2, None);
         amoe_tensor::assert_close(
             &gate.logits_infer(&ps, &x),
             &out.clean_logits.value(),
@@ -342,8 +342,8 @@ mod tests {
         let mut rng = Rng::seed_from(12);
         let x = rng.normal_matrix(32, 6, 0.0, 1.0);
         let tape = Tape::new();
-        let bound = ps.bind(&tape);
-        let out = gate.forward(&tape, &bound, tape.leaf(x), 2, None);
+        let bound = ps.bind_subset(&tape, &gate.param_ids());
+        let out = gate.forward(&bound, tape.leaf(x), 2, None);
         let imp = reduce::col_sum(&out.probs.value());
         let total: f32 = imp.as_slice().iter().sum();
         assert!((total - 32.0).abs() < 1e-3); // probabilities sum to 1/row

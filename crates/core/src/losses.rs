@@ -102,57 +102,6 @@ pub fn adversarial_loss<'t>(
     sum_m2.scale(d as f32) - (sum_m * sum_a).scale(2.0) + sum_a2.scale(k as f32)
 }
 
-/// Generalised multi-level Hierarchical Soft Constraint (the paper's
-/// Sec. 6 future-work item: deeper hierarchies / knowledge graphs as
-/// chains of soft constraints).
-///
-/// `level_logits[0]` is the inference gate (finest level, e.g.
-/// sub-category); each subsequent entry is the constraint gate of the
-/// next coarser ancestor (top-category, department, ...). Adjacent
-/// levels are pulled together on the top-K coordinates of the finest
-/// gate, with per-link weights:
-///
-/// ```text
-/// HSC_chain = Σ_l w_l · Σ_{i ∈ U_topK} (p_l[i] − p_{l+1}[i])²
-/// ```
-///
-/// With two levels and `weights = [1.0]` this reduces exactly to
-/// [`hsc_loss`]. Returns the per-example `B x 1` penalty.
-///
-/// # Panics
-/// Panics if fewer than two levels are given or
-/// `weights.len() != level_logits.len() - 1`.
-#[must_use]
-pub fn hsc_chain_loss<'t>(
-    level_logits: &[Var<'t>],
-    weights: &[f32],
-    topk_mask: &Matrix,
-) -> Var<'t> {
-    assert!(
-        level_logits.len() >= 2,
-        "hsc_chain_loss: need at least 2 levels, got {}",
-        level_logits.len()
-    );
-    assert_eq!(
-        weights.len(),
-        level_logits.len() - 1,
-        "hsc_chain_loss: {} weights for {} links",
-        weights.len(),
-        level_logits.len() - 1
-    );
-    let probs: Vec<Var<'t>> = level_logits.iter().map(|l| l.softmax_rows()).collect();
-    let mut total: Option<Var<'t>> = None;
-    for (link, &w) in weights.iter().enumerate() {
-        let gap = probs[link] - probs[link + 1];
-        let term = (gap * gap).mul_const(topk_mask).row_sum().scale(w);
-        total = Some(match total {
-            Some(acc) => acc + term,
-            None => term,
-        });
-    }
-    total.expect("at least one link")
-}
-
 /// Load-balancing loss over the batch: the squared coefficient of
 /// variation of per-expert importance (column sums of the gate
 /// probabilities), `CV²(imp) = N·Σimp² / (Σimp)² − 1`.
@@ -307,69 +256,6 @@ mod tests {
         let a = Matrix::from_rows(&[&[0., 0., 1., 0., 0.], &[0., 0., 0., 1., 0.]]);
         let v = adversarial_loss(e, &m, &a, 2, 1).value();
         assert!(v.as_slice().iter().all(|x| x.abs() < 1e-7));
-    }
-
-    #[test]
-    fn hsc_chain_two_levels_equals_hsc() {
-        let mut rng = Rng::seed_from(31);
-        let gi = rng.normal_matrix(3, 5, 0.0, 1.0);
-        let gc = rng.normal_matrix(3, 5, 0.0, 1.0);
-        let mask = topk::row_topk_mask(&gi, 2);
-        let tape = Tape::new();
-        let a = tape.leaf(gi.clone());
-        let b = tape.leaf(gc.clone());
-        let chain = hsc_chain_loss(&[a, b], &[1.0], &mask).value();
-        let plain = hsc_loss(a, b, &mask).value();
-        amoe_tensor::assert_close(&chain, &plain, 1e-6, 1e-7);
-    }
-
-    #[test]
-    fn hsc_chain_three_levels_sums_links() {
-        let mut rng = Rng::seed_from(32);
-        let l0 = rng.normal_matrix(2, 4, 0.0, 1.0);
-        let l1 = rng.normal_matrix(2, 4, 0.0, 1.0);
-        let l2 = rng.normal_matrix(2, 4, 0.0, 1.0);
-        let mask = topk::row_topk_mask(&l0, 2);
-        let tape = Tape::new();
-        let (a, b, c) = (
-            tape.leaf(l0.clone()),
-            tape.leaf(l1.clone()),
-            tape.leaf(l2.clone()),
-        );
-        let chain = hsc_chain_loss(&[a, b, c], &[0.7, 0.3], &mask).value();
-        let expect = amoe_tensor::ops::add(
-            &hsc_loss(a, b, &mask).scale(0.7).value(),
-            &hsc_loss(b, c, &mask).scale(0.3).value(),
-        );
-        amoe_tensor::assert_close(&chain, &expect, 1e-5, 1e-6);
-    }
-
-    #[test]
-    fn hsc_chain_gradcheck() {
-        let mut rng = Rng::seed_from(33);
-        let l0 = rng.normal_matrix(2, 5, 0.0, 1.0);
-        let l1 = rng.normal_matrix(2, 5, 0.0, 1.0);
-        let l2 = rng.normal_matrix(2, 5, 0.0, 1.0);
-        let mask = topk::row_topk_mask(&l0, 2);
-        assert_gradients(
-            move |_t, v| {
-                hsc_chain_loss(&[v[0], v[1], v[2]], &[0.5, 0.5], &mask)
-                    .mean_all()
-                    .into()
-            },
-            &[l0.clone(), l1, l2],
-            1e-2,
-            2e-2,
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "need at least 2 levels")]
-    fn hsc_chain_single_level_panics() {
-        let tape = Tape::new();
-        let a = tape.leaf(Matrix::ones(1, 3));
-        let mask = Matrix::ones(1, 3);
-        let _ = hsc_chain_loss(&[a], &[], &mask);
     }
 
     #[test]

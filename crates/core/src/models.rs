@@ -5,7 +5,7 @@ use std::sync::Mutex;
 use amoe_autograd::{Tape, Var};
 use amoe_dataset::{Batch, DatasetMeta};
 use amoe_nn::optim::{Adam, Optimizer};
-use amoe_nn::{Mlp, MlpGrads, ParamId, ParamSet};
+use amoe_nn::{Bound, Mlp, MlpGrads, ParamId, ParamSet};
 use amoe_tensor::matmul::matmul;
 use amoe_tensor::{ops, pool, reduce, Matrix, Rng};
 
@@ -244,19 +244,22 @@ impl MoeModel {
     /// It is the oracle behind [`MoeModel::predict_logits_dense`] and
     /// feeds the case study's [`MoeModel::expert_logits`]; evaluation
     /// scores through [`ServingMoe`], and training runs the sparse
-    /// split-graph step of [`MoeModel::accumulate_gradients`].
-    fn forward<'t>(
-        &self,
-        tape: &'t Tape,
-        bound: &amoe_nn::Bound<'t>,
-        batch: &Batch,
-    ) -> MoeForward<'t> {
-        let x = tape.leaf(self.encoder_input_infer(batch));
+    /// split-graph step of [`MoeModel::accumulate_gradients`]. Only the
+    /// gate is on the tape; each tower's output enters it as a leaf.
+    fn forward<'t>(&self, tape: &'t Tape, batch: &Batch) -> MoeForward<'t> {
+        let bound = self
+            .params
+            .bind_subset(tape, &self.inference_gate.param_ids());
+        let x = self.encoder_input_infer(batch);
         let gate_in = tape.leaf(self.gate_input_infer(batch));
         let gate = self
             .inference_gate
-            .forward(tape, bound, gate_in, self.config.top_k, None);
-        let outs: Vec<Var<'t>> = self.experts.iter().map(|e| e.forward(bound, x)).collect();
+            .forward(&bound, gate_in, self.config.top_k, None);
+        let outs: Vec<Var<'t>> = self
+            .experts
+            .iter()
+            .map(|e| tape.leaf(e.infer(&self.params, x.clone())))
+            .collect();
         let expert_matrix = Var::concat_cols(&outs);
         let logit = (gate.probs * expert_matrix).row_sum();
         MoeForward {
@@ -277,6 +280,11 @@ impl MoeModel {
     #[must_use]
     pub fn experts(&self) -> &[Mlp] {
         &self.experts
+    }
+
+    /// The feature encoder (read-only, used by extraction).
+    pub(crate) fn encoder(&self) -> &FeatureEncoder {
+        &self.encoder
     }
 
     /// The model input `X` (Eq. 2), as training and serving build it.
@@ -305,9 +313,7 @@ impl MoeModel {
     #[must_use]
     pub fn predict_logits_dense(&self, batch: &Batch) -> Vec<f32> {
         let tape = Tape::new();
-        let bound = self.params.bind(&tape);
-        let fwd = self.forward(&tape, &bound, batch);
-        fwd.logit.value().into_vec()
+        self.forward(&tape, batch).logit.value().into_vec()
     }
 
     /// Raw per-expert logits and the top-K selection mask for a batch
@@ -315,8 +321,7 @@ impl MoeModel {
     #[must_use]
     pub fn expert_logits(&self, batch: &Batch) -> (Matrix, Matrix) {
         let tape = Tape::new();
-        let bound = self.params.bind(&tape);
-        let fwd = self.forward(&tape, &bound, batch);
+        let fwd = self.forward(&tape, batch);
         (fwd.expert_matrix.value(), fwd.gate.topk_mask)
     }
 }
@@ -446,13 +451,9 @@ impl MoeModel {
         let gate_in_leaf = loss_tape.leaf_from(gate_in);
         let mut step_rng = self.rng.fork(0);
         let noise = self.config.noisy_gating.then_some(&mut step_rng);
-        let gate = self.inference_gate.forward(
-            loss_tape,
-            &loss_bound,
-            gate_in_leaf,
-            self.config.top_k,
-            noise,
-        );
+        let gate = self
+            .inference_gate
+            .forward(&loss_bound, gate_in_leaf, self.config.top_k, noise);
         let adv_mask = self.config.adversarial.then(|| {
             sample_adversarial_mask(&gate.topk_mask, self.config.n_adversarial, &mut step_rng)
         });
@@ -627,8 +628,102 @@ fn record_gate_telemetry(t: &mut GateTelemetry, probs: &Matrix) {
 }
 
 // ---------------------------------------------------------------------------
-// DNN baseline
+// Baselines: DNN and MMoE
 // ---------------------------------------------------------------------------
+
+/// One baseline training step (DNN, MMoE), leaving fresh (clipped)
+/// gradients in `params`. The towers train as [`MoeModel`]'s experts
+/// do, on the tape-free forward that scores them, and a tape holds only
+/// the gates and the loss.
+///
+/// Each tower runs [`Mlp::forward_train`] on all of `X`. The tape takes
+/// the towers' outputs and `X` as leaves and binds `gates`: DNN has
+/// none, and its one tower output is the logit; MMoE [`mix`]es the
+/// outputs under its task gates. After the tape's backward each tower
+/// runs [`Mlp::backward`] from its output's cotangent, and
+/// [`FeatureEncoder::backward`] runs last. `X`'s cotangent sums as a
+/// tape of the whole graph summed it: the towers from the last to the
+/// first, then the gates'.
+fn baseline_gradients(
+    params: &mut ParamSet,
+    encoder: &FeatureEncoder,
+    towers: &[Mlp],
+    gates: &[ParamId],
+    task_masks: &[Matrix],
+    batch: &Batch,
+    clip_norm: f32,
+) -> StepStats {
+    let tape = Tape::new();
+    let bound = params.bind_subset(&tape, gates);
+    let x = encoder.input_infer(params, batch);
+    let (inputs, outs): (Vec<Vec<Matrix>>, Vec<Var<'_>>) = towers
+        .iter()
+        .map(|tower| {
+            let (inputs, out) = tower.forward_train(params, x.clone());
+            (inputs, tape.leaf(out))
+        })
+        .unzip();
+    let x = tape.leaf(x);
+    let logit = if gates.is_empty() {
+        outs[0]
+    } else {
+        mix(&bound, gates, task_masks, x, &outs)
+    };
+    let loss = logit.bce_with_logits(&batch.labels).mean_all();
+    let value = loss.value()[(0, 0)];
+    let grads = tape.backward(loss);
+    params.zero_grads();
+    params.collect_grads(&bound, &grads);
+    // Last tower first: ascending order moves the MMoE pin.
+    let mut d_x: Option<Matrix> = None;
+    for ((tower, inputs), &out) in towers.iter().zip(&inputs).zip(&outs).rev() {
+        let d_out = grads.get(out).expect("the loss reads every tower");
+        let (d_tower, tower_grads) = tower.backward(params, inputs, d_out);
+        for (id, g) in &tower_grads {
+            ops::add_assign(params.grad_mut(*id), g);
+        }
+        match &mut d_x {
+            Some(d_x) => ops::add_assign(d_x, &d_tower),
+            None => d_x = Some(d_tower),
+        }
+    }
+    let mut d_x = d_x.expect("at least one tower");
+    if let Some(d_gates) = grads.get(x) {
+        ops::add_assign(&mut d_x, d_gates);
+    }
+    encoder.backward(params, batch, &d_x, None, None, &mut Vec::new());
+    if clip_norm > 0.0 {
+        params.clip_grad_global_norm(clip_norm);
+    }
+    StepStats {
+        loss: value,
+        ce: value,
+        ..Default::default()
+    }
+}
+
+/// MMoE's task-gated mixture of the tower outputs `outs`: each row's
+/// gate logits come from its task's gate over `X` (rows of a task's
+/// mask are 1 where the example belongs to the task), and their
+/// softmax weights the towers.
+fn mix<'t>(
+    bound: &Bound<'t>,
+    gates: &[ParamId],
+    task_masks: &[Matrix],
+    x: Var<'t>,
+    outs: &[Var<'t>],
+) -> Var<'t> {
+    let mut mixed: Option<Var<'t>> = None;
+    for (&gate, mask) in gates.iter().zip(task_masks) {
+        let logits_t = x.matmul(bound.var(gate)).mul_const(mask);
+        mixed = Some(match mixed {
+            Some(acc) => acc + logits_t,
+            None => logits_t,
+        });
+    }
+    let probs = mixed.expect("at least one task gate").softmax_rows();
+    (probs * Var::concat_cols(outs)).row_sum()
+}
 
 /// The plain feed-forward baseline: the same encoder feeding a single
 /// tower of the same shape as one expert (Sec. 5.1.4).
@@ -673,26 +768,15 @@ impl Ranker for DnnModel {
     }
 
     fn train_step(&mut self, batch: &Batch) -> StepStats {
-        let tape = Tape::new();
-        let bound = self.params.bind(&tape);
-        let x = tape.leaf(self.encoder.input_infer(&self.params, batch));
-        let logit = self.tower.forward(&bound, x);
-        let loss = logit.bce_with_logits(&batch.labels).mean_all();
-        let stats = StepStats {
-            loss: loss.value()[(0, 0)],
-            ce: loss.value()[(0, 0)],
-            ..Default::default()
-        };
-        let grads = tape.backward(loss);
-        self.params.zero_grads();
-        self.params.collect_grads(&bound, &grads);
-        let d_x = grads.get(x).expect("the tower reads X");
-        self.encoder
-            .backward(&mut self.params, batch, d_x, None, None, &mut Vec::new());
-        drop(bound);
-        if self.clip_norm > 0.0 {
-            self.params.clip_grad_global_norm(self.clip_norm);
-        }
+        let stats = baseline_gradients(
+            &mut self.params,
+            &self.encoder,
+            std::slice::from_ref(&self.tower),
+            &[],
+            &[],
+            batch,
+            self.clip_norm,
+        );
         self.optimizer.step(&mut self.params);
         stats
     }
@@ -803,25 +887,6 @@ impl MmoeModel {
         }
         masks
     }
-
-    /// The task-gated mixture of the expert towers on `X`, the leaf the
-    /// encoder's rows are copied into.
-    fn mix<'t>(&self, bound: &amoe_nn::Bound<'t>, x: Var<'t>, batch: &Batch) -> Var<'t> {
-        let masks = self.task_masks(batch);
-        // Per-example gate logits: each row comes from its task's gate.
-        let mut mixed: Option<Var<'t>> = None;
-        for (gate, mask) in self.gates.iter().zip(&masks) {
-            let logits_t = x.matmul(bound.var(*gate)).mul_const(mask);
-            mixed = Some(match mixed {
-                Some(acc) => acc + logits_t,
-                None => logits_t,
-            });
-        }
-        let probs = mixed.expect("at least one task gate").softmax_rows();
-        let outs: Vec<Var<'t>> = self.experts.iter().map(|e| e.forward(bound, x)).collect();
-        let expert_matrix = Var::concat_cols(&outs);
-        (probs * expert_matrix).row_sum()
-    }
 }
 
 impl Ranker for MmoeModel {
@@ -830,33 +895,23 @@ impl Ranker for MmoeModel {
     }
 
     fn train_step(&mut self, batch: &Batch) -> StepStats {
-        let tape = Tape::new();
-        let bound = self.params.bind(&tape);
-        let x = tape.leaf(self.encoder.input_infer(&self.params, batch));
-        let logit = self.mix(&bound, x, batch);
-        let loss = logit.bce_with_logits(&batch.labels).mean_all();
-        let stats = StepStats {
-            loss: loss.value()[(0, 0)],
-            ce: loss.value()[(0, 0)],
-            ..Default::default()
-        };
-        let grads = tape.backward(loss);
-        self.params.zero_grads();
-        self.params.collect_grads(&bound, &grads);
-        let d_x = grads.get(x).expect("the gates and towers read X");
-        self.encoder
-            .backward(&mut self.params, batch, d_x, None, None, &mut Vec::new());
-        drop(bound);
-        if self.clip_norm > 0.0 {
-            self.params.clip_grad_global_norm(self.clip_norm);
-        }
+        let masks = self.task_masks(batch);
+        let stats = baseline_gradients(
+            &mut self.params,
+            &self.encoder,
+            &self.experts,
+            &self.gates,
+            &masks,
+            batch,
+            self.clip_norm,
+        );
         self.optimizer.step(&mut self.params);
         stats
     }
 
-    /// Scores without a tape: the same kernels as [`MmoeModel`]'s
-    /// training forward, in the same order, so the scores equal that
-    /// forward's through a sigmoid bit for bit.
+    /// Scores without a tape: the same kernels as the training forward
+    /// (`mix` over the towers' outputs), in the same order, so the
+    /// scores equal that forward's through a sigmoid bit for bit.
     fn predict(&self, batch: &Batch) -> Vec<f32> {
         let x = self.encoder.input_infer(&self.params, batch);
         let mut mixed: Option<Matrix> = None;
@@ -1043,8 +1098,7 @@ mod tests {
         }
         // The tape-free probabilities equal the dense tape's, bit for bit.
         let tape = Tape::new();
-        let bound = model.params.bind(&tape);
-        let clean = model.forward(&tape, &bound, &batch).gate.clean_logits;
+        let clean = model.forward(&tape, &batch).gate.clean_logits;
         assert_eq!(full, ops::softmax_rows(&clean.value()));
     }
 
@@ -1095,23 +1149,25 @@ mod tests {
             mmoe.train_step(&batch);
         }
         let tape = Tape::new();
-        let bound = mmoe.params.bind(&tape);
+        let bound = mmoe.params.bind_subset(&tape, &mmoe.gates);
         let oracle = ops::sigmoid(&mmoe.forward(&tape, &bound, &batch).value());
         let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&mmoe.predict(&batch)), bits(oracle.as_slice()));
     }
 
     impl MmoeModel {
-        /// The training step's tape forward in one call: the oracle
-        /// that [`Ranker::predict`] is pinned to.
-        fn forward<'t>(
-            &self,
-            tape: &'t Tape,
-            bound: &amoe_nn::Bound<'t>,
-            batch: &Batch,
-        ) -> Var<'t> {
-            let x = tape.leaf(self.encoder.input_infer(&self.params, batch));
-            self.mix(bound, x, batch)
+        /// The training step's forward in one call, its towers' outputs
+        /// and `X` as leaves: the oracle that [`Ranker::predict`] is
+        /// pinned to.
+        fn forward<'t>(&self, tape: &'t Tape, bound: &Bound<'t>, batch: &Batch) -> Var<'t> {
+            let x = self.encoder.input_infer(&self.params, batch);
+            let outs: Vec<Var<'t>> = self
+                .experts
+                .iter()
+                .map(|e| tape.leaf(e.infer(&self.params, x.clone())))
+                .collect();
+            let masks = self.task_masks(batch);
+            mix(bound, &self.gates, &masks, tape.leaf(x), &outs)
         }
     }
 

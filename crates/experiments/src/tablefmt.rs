@@ -35,12 +35,6 @@ impl TextTable {
         self.rows.push(cells.to_vec());
     }
 
-    /// Convenience: a row of displayable items.
-    pub fn row_display(&mut self, cells: &[&dyn std::fmt::Display]) {
-        let cells: Vec<String> = cells.iter().map(ToString::to_string).collect();
-        self.row(&cells);
-    }
-
     /// Renders the table.
     #[must_use]
     pub fn render(&self) -> String {

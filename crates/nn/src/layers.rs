@@ -1,9 +1,8 @@
 //! Layers: linear, embedding and MLP towers.
 
-use amoe_autograd::Var;
 use amoe_tensor::{matmul, ops, reduce, Matrix, Rng};
 
-use crate::{Bound, Init, ParamId, ParamSet};
+use crate::{Init, ParamId, ParamSet};
 
 /// A fully-connected layer `y = x·W + b`.
 #[derive(Clone, Debug)]
@@ -57,26 +56,6 @@ impl Linear {
     #[must_use]
     pub fn bias(&self) -> Option<ParamId> {
         self.b
-    }
-
-    /// Tape forward pass.
-    #[must_use]
-    pub fn forward<'t>(&self, bound: &Bound<'t>, x: Var<'t>) -> Var<'t> {
-        let y = x.matmul(bound.var(self.w));
-        match self.b {
-            Some(b) => y.add_row(bound.var(b)),
-            None => y,
-        }
-    }
-
-    /// Tape-free forward pass for serving.
-    #[must_use]
-    pub fn infer(&self, ps: &ParamSet, x: &Matrix) -> Matrix {
-        let y = matmul::matmul(x, ps.value(self.w));
-        match self.b {
-            Some(b) => ops::add_row_broadcast(&y, ps.value(b)),
-            None => y,
-        }
     }
 }
 
@@ -184,19 +163,6 @@ impl Mlp {
         &self.layers
     }
 
-    /// Tape forward: ReLU after every layer except the last.
-    #[must_use]
-    pub fn forward<'t>(&self, bound: &Bound<'t>, x: Var<'t>) -> Var<'t> {
-        let mut h = x;
-        for (i, layer) in self.layers.iter().enumerate() {
-            h = layer.forward(bound, h);
-            if i + 1 < self.layers.len() {
-                h = h.relu();
-            }
-        }
-        h
-    }
-
     /// Tape-free forward pass for serving and scoring.
     #[must_use]
     pub fn infer(&self, ps: &ParamSet, x: Matrix) -> Matrix {
@@ -238,7 +204,8 @@ impl Mlp {
     ///
     /// It runs the tape's kernels in the tape's order, so each result is
     /// bit for bit what [`Tape::backward`](amoe_autograd::Tape::backward)
-    /// gives for [`Mlp::forward`]. The ReLU mask is read off the next
+    /// gives for the same layers on a tape (`x·W + b`, then a ReLU on
+    /// every layer but the last). The ReLU mask is read off the next
     /// layer's input, its output: `max(v, 0) > 0` holds exactly when
     /// `v > 0`, NaN included.
     ///
@@ -371,19 +338,33 @@ impl MlpGrads {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use amoe_autograd::Tape;
+    use crate::Bound;
+    use amoe_autograd::{Tape, Var};
 
-    #[test]
-    fn linear_forward_matches_infer() {
-        let mut ps = ParamSet::new();
-        let mut rng = Rng::seed_from(1);
-        let lin = Linear::new(&mut ps, "l", 3, 2, Init::XavierUniform, true, &mut rng);
-        let x = rng.normal_matrix(4, 3, 0.0, 1.0);
-        let tape = Tape::new();
-        let bound = ps.bind(&tape);
-        let y_tape = lin.forward(&bound, tape.leaf(x.clone())).value();
-        assert_eq!(y_tape, lin.infer(&ps, &x));
-        assert_eq!(y_tape.shape(), (4, 2));
+    /// Binds every weight and bias of `mlp` onto `tape`.
+    fn bind_mlp<'t>(ps: &ParamSet, mlp: &Mlp, tape: &'t Tape) -> Bound<'t> {
+        let ids: Vec<ParamId> = mlp
+            .layers()
+            .iter()
+            .flat_map(|l| [l.weight(), l.bias().expect("bias")])
+            .collect();
+        ps.bind_subset(tape, &ids)
+    }
+
+    /// The tower forward as a tape graph, `x·W + b` per layer and a
+    /// ReLU on every layer but the last: the oracle that
+    /// [`Mlp::forward_train`] and [`Mlp::backward`] are pinned to.
+    fn tape_forward<'t>(mlp: &Mlp, bound: &Bound<'t>, x: Var<'t>) -> Var<'t> {
+        let n = mlp.layers().len();
+        mlp.layers().iter().enumerate().fold(x, |h, (i, layer)| {
+            let b = layer.bias().expect("bias");
+            let y = h.matmul(bound.var(layer.weight())).add_row(bound.var(b));
+            if i + 1 < n {
+                y.relu()
+            } else {
+                y
+            }
+        })
     }
 
     #[test]
@@ -419,8 +400,8 @@ mod tests {
         assert_eq!(mlp.layers().len(), 3);
         let x = rng.normal_matrix(5, 6, 0.0, 1.0);
         let tape = Tape::new();
-        let bound = ps.bind(&tape);
-        let y_tape = mlp.forward(&bound, tape.leaf(x.clone())).value();
+        let bound = bind_mlp(&ps, &mlp, &tape);
+        let y_tape = tape_forward(&mlp, &bound, tape.leaf(x.clone())).value();
         assert_eq!(y_tape, mlp.infer(&ps, x));
     }
 
@@ -435,8 +416,8 @@ mod tests {
         let before;
         {
             let tape = Tape::new();
-            let bound = ps.bind(&tape);
-            let pred = mlp.forward(&bound, tape.leaf(x.clone()));
+            let bound = bind_mlp(&ps, &mlp, &tape);
+            let pred = tape_forward(&mlp, &bound, tape.leaf(x.clone()));
             let diff = pred.add_const(&amoe_tensor::ops::scale(&y, -1.0));
             let loss = diff.square().mean_all();
             before = loss.value()[(0, 0)];
@@ -449,8 +430,8 @@ mod tests {
             amoe_tensor::ops::axpy(&mut ps.entries[i].value, -0.1, &g);
         }
         let tape = Tape::new();
-        let bound = ps.bind(&tape);
-        let pred = mlp.forward(&bound, tape.leaf(x.clone()));
+        let bound = bind_mlp(&ps, &mlp, &tape);
+        let pred = tape_forward(&mlp, &bound, tape.leaf(x.clone()));
         let diff = pred.add_const(&amoe_tensor::ops::scale(&y, -1.0));
         let after = diff.square().mean_all().value()[(0, 0)];
         assert!(after < before);
@@ -476,9 +457,9 @@ mod tests {
             }
 
             let tape = Tape::new();
-            let bound = ps.bind(&tape);
+            let bound = bind_mlp(&ps, &mlp, &tape);
             let x_leaf = tape.leaf(x.clone());
-            let out = mlp.forward(&bound, x_leaf);
+            let out = tape_forward(&mlp, &bound, x_leaf);
             let oracle = tape.backward_multi(vec![(out, d_out.clone())]);
 
             let (inputs, y) = mlp.forward_train(&ps, x);

@@ -1,21 +1,20 @@
 #![warn(missing_docs)]
 
-//! Neural-network building blocks over the autograd tape.
+//! Neural-network building blocks: parameters, layers, optimisers.
 //!
-//! Parameters live in a [`ParamSet`] *outside* any tape; each training
-//! step binds them onto a fresh [`amoe_autograd::Tape`] as leaves
-//! ([`ParamSet::bind`]), builds the loss, runs backward, collects the
-//! leaf gradients back into the set ([`ParamSet::collect_grads`]) and
-//! lets an [`optim::Optimizer`] update the values. This keeps tapes
-//! short-lived and parameters in one flat, serialisable store.
-//! An [`Mlp`] can also train without a tape: [`Mlp::forward_into`]
-//! runs the serving forward ([`tower_forward`], the one layer loop)
-//! into reused buffers and keeps each layer's input, and
-//! [`Mlp::backward_into`] writes into reused [`MlpGrads`] bit for bit
-//! the gradients the tape would. [`Mlp::forward_train`] and
-//! [`Mlp::backward`] are the same passes on fresh buffers. An
-//! [`Embedding`] has no tape forward: its user gathers rows from
-//! [`Embedding::checked_table`] and scatter-adds their gradients.
+//! Parameters live in a [`ParamSet`] *outside* any tape, in one flat,
+//! serialisable store. No layer has a tape forward. An [`Mlp`] trains
+//! on the forward that serves it: [`Mlp::forward_into`] runs the one
+//! layer loop ([`tower_forward`]) into reused buffers and keeps each
+//! layer's input, and [`Mlp::backward_into`] writes into reused
+//! [`MlpGrads`] bit for bit the gradients a tape of the same layers
+//! would. [`Mlp::forward_train`] and [`Mlp::backward`] are the same
+//! passes on fresh buffers. An [`Embedding`]'s user gathers rows from
+//! [`Embedding::checked_table`] and scatter-adds their gradients. A
+//! tape ([`amoe_autograd::Tape`]) holds only a model's gates and loss:
+//! [`ParamSet::bind_subset`] puts just the parameters it reads on it as
+//! leaves, and [`ParamSet::collect_grads`] adds their gradients back
+//! into the set. An [`optim::Optimizer`] then updates the values.
 //!
 //! The layer set is exactly what the paper's models need: [`Linear`],
 //! [`Embedding`] and [`Mlp`] towers with ReLU hidden activations

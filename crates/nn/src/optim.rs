@@ -128,15 +128,6 @@ impl Adam {
         }
     }
 
-    /// Overrides the exponential-decay rates.
-    #[must_use]
-    pub fn with_betas(mut self, beta1: f32, beta2: f32) -> Self {
-        assert!((0.0..1.0).contains(&beta1) && (0.0..1.0).contains(&beta2));
-        self.beta1 = beta1;
-        self.beta2 = beta2;
-        self
-    }
-
     /// Number of steps taken so far.
     #[must_use]
     pub fn steps(&self) -> u64 {

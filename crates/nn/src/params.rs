@@ -120,24 +120,11 @@ impl ParamSet {
         self.entries.iter().map(|e| (e.name.as_str(), &e.value))
     }
 
-    /// Inserts every parameter as a leaf on `tape`, returning the binding
-    /// used to reference them while building the loss and to collect
-    /// gradients afterwards.
-    #[must_use]
-    pub fn bind<'t>(&self, tape: &'t Tape) -> Bound<'t> {
-        Bound {
-            vars: self
-                .entries
-                .iter()
-                .map(|e| Some(tape.leaf_from(&e.value)))
-                .collect(),
-        }
-    }
-
-    /// Like [`ParamSet::bind`] but inserts only the parameters named by
-    /// `ids` as leaves. The split-graph training path uses this to give
-    /// its gate/loss tape just the gates' weights instead of copying
-    /// the whole model, embedding tables included, onto it.
+    /// Inserts the parameters named by `ids` as leaves on `tape`,
+    /// returning the binding used to reference them while building the
+    /// loss and to collect gradients afterwards. A tape holds only what
+    /// its graph reads: training binds just the gates' weights, never
+    /// the towers or the embedding tables, which train without a tape.
     ///
     /// Reading an unbound parameter through [`Bound::var`] panics;
     /// [`ParamSet::collect_grads`] skips unbound entries.
@@ -227,8 +214,8 @@ impl std::fmt::Debug for ParamSet {
 
 /// Tape-bound views of parameters for one forward/backward pass.
 ///
-/// Produced by [`ParamSet::bind`] (every parameter) or
-/// [`ParamSet::bind_subset`] (a selection; the rest stay `None`).
+/// Produced by [`ParamSet::bind_subset`]; unbound parameters stay
+/// `None`.
 pub struct Bound<'t> {
     pub(crate) vars: Vec<Option<Var<'t>>>,
 }
@@ -237,8 +224,8 @@ impl<'t> Bound<'t> {
     /// The tape variable bound to `id`.
     ///
     /// # Panics
-    /// Panics if `id` was not part of the binding (subset bindings only
-    /// carry the parameters they were built with).
+    /// Panics if `id` was not part of the binding (a binding carries
+    /// only the parameters it was built with).
     #[must_use]
     pub fn var(&self, id: ParamId) -> Var<'t> {
         self.vars[id.0].expect("Bound::var: parameter not part of this binding")
@@ -273,7 +260,7 @@ mod tests {
         let mut ps = ParamSet::new();
         let w = ps.add("w", Matrix::from_rows(&[&[2.0, -1.0]]));
         let tape = Tape::new();
-        let bound = ps.bind(&tape);
+        let bound = ps.bind_subset(&tape, &[w]);
         let loss = bound.var(w).square().sum_all();
         let grads = tape.backward(loss);
         ps.collect_grads(&bound, &grads);
@@ -281,7 +268,7 @@ mod tests {
         assert_eq!(ps.grad(w).row(0), &[4.0, -2.0]);
         // Accumulation: second pass doubles the gradient.
         let tape2 = Tape::new();
-        let b2 = ps.bind(&tape2);
+        let b2 = ps.bind_subset(&tape2, &[w]);
         let loss2 = b2.var(w).square().sum_all();
         let g2 = tape2.backward(loss2);
         ps.collect_grads(&b2, &g2);

@@ -9,18 +9,13 @@
 use std::fmt::Write as _;
 use std::fs::OpenOptions;
 use std::io::Write as _;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::Mutex;
 
 use crate::json;
 
-/// The open sink: target path plus an append-mode file handle.
-struct SinkFile {
-    path: PathBuf,
-    file: std::fs::File,
-}
-
-static SINK: Mutex<Option<SinkFile>> = Mutex::new(None);
+/// The open sink: an append-mode file handle.
+static SINK: Mutex<Option<std::fs::File>> = Mutex::new(None);
 
 /// Points the JSONL sink at `path` (append mode; the file is created
 /// if missing), or closes it with `None`. Setting a path also enables
@@ -36,10 +31,7 @@ pub fn set_sink_path(path: Option<&Path>) {
         }
         Some(p) => match OpenOptions::new().create(true).append(true).open(p) {
             Ok(file) => {
-                *sink = Some(SinkFile {
-                    path: p.to_path_buf(),
-                    file,
-                });
+                *sink = Some(file);
                 crate::set_enabled(true);
             }
             Err(e) => {
@@ -52,15 +44,6 @@ pub fn set_sink_path(path: Option<&Path>) {
             }
         },
     }
-}
-
-/// The current sink path, if a sink is open.
-#[must_use]
-pub fn sink_path() -> Option<PathBuf> {
-    SINK.lock()
-        .expect("obs sink poisoned")
-        .as_ref()
-        .map(|s| s.path.clone())
 }
 
 /// One field value of an event record.
@@ -232,12 +215,12 @@ pub fn emit(event: &Event) {
     }
     let line = event.to_json();
     let mut sink = SINK.lock().expect("obs sink poisoned");
-    if let Some(s) = sink.as_mut() {
+    if let Some(file) = sink.as_mut() {
         // Single write_all of line+\n under the lock keeps lines whole
         // even with events emitted from pool worker threads.
         let mut buf = line;
         buf.push('\n');
-        if let Err(e) = s.file.write_all(buf.as_bytes()) {
+        if let Err(e) = file.write_all(buf.as_bytes()) {
             eprintln!("amoe-obs: sink write failed ({e}); closing sink");
             *sink = None;
         }

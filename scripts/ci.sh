@@ -163,8 +163,12 @@ cargo test -q --offline --config profile.dev.opt-level=0 --test obs_noalloc --te
 step "pinned training fingerprints at opt-level 0"
 # The root Cargo.toml claims no opt level changes a float result.
 # Tier-1 runs the pinned fingerprints at opt-level 1 and the workspace
-# step above at release; this runs them unoptimised.
+# step above at release; this runs them unoptimised. Every model's
+# towers train through Mlp::backward, so its bit-for-bit identity with
+# the tape runs unoptimised too.
 cargo test -q --offline --config profile.dev.opt-level=0 --test determinism \
   trained_parameters_match_pinned_fingerprints
+cargo test -q --offline --config profile.dev.opt-level=0 -p amoe-nn \
+  mlp_backward_matches_tape_bit_for_bit
 
 step "ci green"

@@ -117,8 +117,10 @@ fn train_step_losses_identical_across_thread_counts() {
     let d = generate(&GeneratorConfig::tiny(49));
     let batch = Batch::from_split(&d.train, &(0..96.min(d.train.len())).collect::<Vec<_>>());
     // Losses can match while a gradient differs, so the sweep also
-    // compares the trained parameters' fingerprint.
-    let sweep = |threads: usize| -> (Vec<[f32; 5]>, u64) {
+    // compares the trained parameters' fingerprints, the two baselines'
+    // (DNN and a 4-task MMoE, which share one step) among them.
+    let task_of_tc = equal_count_task_buckets(&d.train, d.hierarchy.num_tc(), 4);
+    let sweep = |threads: usize| -> (Vec<[f32; 5]>, [u64; 3]) {
         pool::set_threads(threads);
         let mut model = MoeModel::new(
             &d.meta,
@@ -135,7 +137,20 @@ fn train_step_losses_identical_across_thread_counts() {
                 [s.loss, s.ce, s.hsc, s.adv, s.load_balance]
             })
             .collect();
-        (losses, param_hash(model.params()))
+        let mut dnn = DnnModel::new(&d.meta, &MoeConfig::default(), OptimConfig::default());
+        let mut mmoe = MmoeModel::new(
+            &d.meta,
+            &MoeConfig::default(),
+            8,
+            task_of_tc.clone(),
+            OptimConfig::default(),
+        );
+        for _ in 0..6 {
+            dnn.train_step(&batch);
+            mmoe.train_step(&batch);
+        }
+        let hashes = [model.params(), dnn.params(), mmoe.params()].map(param_hash);
+        (losses, hashes)
     };
     let reference = sweep(1);
     assert!(reference.0.iter().flatten().all(|v| v.is_finite()));

@@ -1,13 +1,13 @@
 //! Allocation budget of a warmed-up training step, and the reuse of its
 //! workspace across batch sizes.
 //!
-//! `MoeModel` keeps its step buffers (both tapes, every tower's
-//! activations, cotangents and gradients, the GEMM pack buffers) from
-//! one `train_step` to the next, so once they have grown to a batch's
-//! shapes a step allocates only a few small per-step values (the
-//! gating noise and masks, two parameter bindings). This test binary
-//! installs a counting global allocator, so it holds only these tests
-//! (integration test files are separate binaries).
+//! `MoeModel` keeps its step buffers (the gate/loss tape, every
+//! tower's activations, cotangents and gradients, the GEMM pack
+//! buffers) from one `train_step` to the next, so once they have grown
+//! to a batch's shapes a step allocates only a few small per-step
+//! values (the gating noise and masks, one parameter binding). This
+//! test binary installs a counting global allocator, so it holds only
+//! these tests (integration test files are separate binaries).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
