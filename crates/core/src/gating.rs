@@ -47,14 +47,16 @@ impl NoisyTopKGate {
         noisy: bool,
         rng: &mut Rng,
     ) -> Self {
-        let w = params.add(
-            format!("{name}.w"),
-            Init::XavierUniform.sample(in_dim, n_experts, rng),
-        );
+        let w = params.add_with(format!("{name}.w"), in_dim, n_experts, || {
+            Init::XavierUniform.sample(in_dim, n_experts, rng)
+        });
         // Noise weights start at zero: training begins deterministic and
         // learns where exploration noise helps (Shazeer's initialisation).
-        let w_noise =
-            noisy.then(|| params.add(format!("{name}.w_noise"), Matrix::zeros(in_dim, n_experts)));
+        let w_noise = noisy.then(|| {
+            params.add_with(format!("{name}.w_noise"), in_dim, n_experts, || {
+                Matrix::zeros(in_dim, n_experts)
+            })
+        });
         NoisyTopKGate {
             w,
             w_noise,

@@ -129,59 +129,21 @@ impl MoeModel {
     /// Panics if the config is inconsistent with the schema.
     #[must_use]
     pub fn new(meta: &DatasetMeta, config: MoeConfig, optim: OptimConfig) -> Self {
-        config.validate(meta);
-        let mut rng = Rng::seed_from(config.seed);
-        let mut init_rng = rng.fork(1);
-        let noise_rng = rng.fork(2);
-        let mut params = ParamSet::new();
-        let encoder = FeatureEncoder::new(&mut params, meta, &config, &mut init_rng);
-        let input_dim = config.input_dim(meta);
-        let dims = tower_dims(input_dim, &config.tower.hidden);
-        let experts: Vec<Mlp> = (0..config.n_experts)
-            .map(|i| Mlp::new(&mut params, &format!("expert{i}"), &dims, &mut init_rng))
-            .collect();
-        let inference_gate = NoisyTopKGate::new(
-            &mut params,
-            "gate.inference",
-            config.gate_input_dim(meta),
-            config.n_experts,
-            config.noisy_gating,
-            &mut init_rng,
-        );
-        let constraint_gate = config.hsc.then(|| {
-            NoisyTopKGate::new(
-                &mut params,
-                "gate.constraint",
-                config.emb_dim,
-                config.n_experts,
-                false,
-                &mut init_rng,
-            )
-        });
-        let mut head_ids = inference_gate.param_ids();
-        if let Some(cg) = &constraint_gate {
-            head_ids.extend(cg.param_ids());
-        }
-        let workspace = StepWorkspace::new(head_ids, experts.len());
-        MoeModel {
-            config,
-            params,
-            encoder,
-            experts,
-            inference_gate,
-            constraint_gate,
-            optimizer: Adam::adamw(optim.lr, optim.weight_decay),
-            clip_norm: optim.clip_norm,
-            rng: noise_rng,
-            gate_telemetry: GateTelemetry::default(),
-            workspace: Mutex::new(workspace),
-        }
+        Self::build(meta, config, optim, None).expect("a fresh model loads no checkpoint")
     }
 
     /// Builds an inference-ready model from checkpointed weights: the
     /// structure comes from `(meta, config)`, the values from `params`
     /// (by name — extra tensors in `params` are ignored, missing or
     /// mis-shaped ones are a typed [`amoe_nn::LoadError::Mismatch`]).
+    ///
+    /// No initialiser runs: each of the model's parameters is the
+    /// loaded tensor of its name, moved in ([`ParamSet::fill_from`]),
+    /// and no gradient buffer exists until a first training step, so
+    /// the model holds the checkpoint's weights once and nothing else.
+    /// The gating-noise stream forks from the seed as in
+    /// [`MoeModel::new`], so a warm-started model trains bit for bit as
+    /// one built by `new` and overwritten with the same values would.
     ///
     /// This is the one constructor shared by the trainer's export path
     /// (save `model.params()`, reload for analysis/fine-tuning) and the
@@ -198,11 +160,9 @@ impl MoeModel {
         meta: &DatasetMeta,
         config: MoeConfig,
         optim: OptimConfig,
-        params: &ParamSet,
+        params: ParamSet,
     ) -> Result<Self, amoe_nn::LoadError> {
-        let mut model = Self::new(meta, config, optim);
-        model.params.load_values_from(params)?;
-        Ok(model)
+        Self::build(meta, config, optim, Some(params))
     }
 
     /// Warm-starts a model from a checkpoint file: the entry point the
@@ -219,8 +179,75 @@ impl MoeModel {
         optim: OptimConfig,
         path: impl AsRef<std::path::Path>,
     ) -> Result<Self, amoe_nn::LoadError> {
-        let params = ParamSet::load(path)?;
-        Self::from_params(meta, config, optim, &params)
+        Self::from_params(meta, config, optim, ParamSet::load(path)?)
+    }
+
+    /// [`MoeModel::new`] when `loaded` is `None`; otherwise
+    /// [`MoeModel::from_params`]. Registration order is parameter
+    /// order, and the init stream is forked before the noise stream
+    /// either way.
+    fn build(
+        meta: &DatasetMeta,
+        config: MoeConfig,
+        optim: OptimConfig,
+        loaded: Option<ParamSet>,
+    ) -> Result<Self, amoe_nn::LoadError> {
+        config.validate(meta);
+        let mut rng = Rng::seed_from(config.seed);
+        let mut init_rng = rng.fork(1);
+        let noise_rng = rng.fork(2);
+        let mut register = |params: &mut ParamSet| {
+            let encoder = FeatureEncoder::new(params, meta, &config, &mut init_rng);
+            let dims = tower_dims(config.input_dim(meta), &config.tower.hidden);
+            let experts: Vec<Mlp> = (0..config.n_experts)
+                .map(|i| Mlp::new(params, &format!("expert{i}"), &dims, &mut init_rng))
+                .collect();
+            let inference_gate = NoisyTopKGate::new(
+                params,
+                "gate.inference",
+                config.gate_input_dim(meta),
+                config.n_experts,
+                config.noisy_gating,
+                &mut init_rng,
+            );
+            let constraint_gate = config.hsc.then(|| {
+                NoisyTopKGate::new(
+                    params,
+                    "gate.constraint",
+                    config.emb_dim,
+                    config.n_experts,
+                    false,
+                    &mut init_rng,
+                )
+            });
+            (encoder, experts, inference_gate, constraint_gate)
+        };
+        let (params, (encoder, experts, inference_gate, constraint_gate)) = match loaded {
+            Some(loaded) => ParamSet::fill_from(loaded, register)?,
+            None => {
+                let mut params = ParamSet::new();
+                let parts = register(&mut params);
+                (params, parts)
+            }
+        };
+        let mut head_ids = inference_gate.param_ids();
+        if let Some(cg) = &constraint_gate {
+            head_ids.extend(cg.param_ids());
+        }
+        let workspace = StepWorkspace::new(head_ids, experts.len());
+        Ok(MoeModel {
+            config,
+            params,
+            encoder,
+            experts,
+            inference_gate,
+            constraint_gate,
+            optimizer: Adam::adamw(optim.lr, optim.weight_decay),
+            clip_norm: optim.clip_norm,
+            rng: noise_rng,
+            gate_telemetry: GateTelemetry::default(),
+            workspace: Mutex::new(workspace),
+        })
     }
 
     /// The model's configuration.
@@ -258,7 +285,7 @@ impl MoeModel {
         let outs: Vec<Var<'t>> = self
             .experts
             .iter()
-            .map(|e| tape.leaf(e.infer(&self.params, x.clone())))
+            .map(|e| tape.leaf(e.infer(&self.params, &x)))
             .collect();
         let expert_matrix = Var::concat_cols(&outs);
         let logit = (gate.probs * expert_matrix).row_sum();
@@ -783,7 +810,7 @@ impl Ranker for DnnModel {
 
     fn predict(&self, batch: &Batch) -> Vec<f32> {
         let x = self.encoder.input_infer(&self.params, batch);
-        ops::sigmoid(&self.tower.infer(&self.params, x)).into_vec()
+        ops::sigmoid(&self.tower.infer(&self.params, &x)).into_vec()
     }
 
     fn num_parameters(&self) -> usize {
@@ -846,10 +873,9 @@ impl MmoeModel {
             .collect();
         let gates: Vec<ParamId> = (0..n_tasks)
             .map(|t| {
-                params.add(
-                    format!("gate.task{t}.w"),
-                    amoe_nn::Init::XavierUniform.sample(input_dim, n_experts, &mut init_rng),
-                )
+                params.add_with(format!("gate.task{t}.w"), input_dim, n_experts, || {
+                    amoe_nn::Init::XavierUniform.sample(input_dim, n_experts, &mut init_rng)
+                })
             })
             .collect();
         MmoeModel {
@@ -930,7 +956,7 @@ impl Ranker for MmoeModel {
         let outs: Vec<Matrix> = self
             .experts
             .iter()
-            .map(|e| e.infer(&self.params, x.clone()))
+            .map(|e| e.infer(&self.params, &x))
             .collect();
         ops::mul_assign(&mut probs, &Matrix::hcat(&outs.iter().collect::<Vec<_>>()));
         ops::sigmoid(&reduce::row_sum(&probs)).into_vec()
@@ -1035,6 +1061,21 @@ mod tests {
         assert!(s.adv > 0.0, "adv component stayed zero: {s:?}");
     }
 
+    /// A copy of `ps`'s values, as a checkpoint load would hand over.
+    fn exported(ps: &ParamSet) -> ParamSet {
+        let mut copy = ParamSet::new();
+        for (name, value) in ps.iter() {
+            copy.add(name, value.clone());
+        }
+        copy
+    }
+
+    /// Every parameter's f32 bits, in registration order.
+    fn param_bits(model: &MoeModel) -> Vec<u32> {
+        let values = model.params().iter().flat_map(|(_, m)| m.as_slice());
+        values.map(|v| v.to_bits()).collect()
+    }
+
     #[test]
     fn from_params_round_trips_predictions() {
         let d = data();
@@ -1049,9 +1090,33 @@ mod tests {
             seed: 999,
             ..small_cfg()
         };
-        let restored =
-            MoeModel::from_params(&d.meta, cfg, OptimConfig::default(), model.params()).unwrap();
+        let restored = MoeModel::from_params(
+            &d.meta,
+            cfg,
+            OptimConfig::default(),
+            exported(model.params()),
+        )
+        .unwrap();
         assert_eq!(model.predict(&batch), restored.predict(&batch));
+
+        // Skipping the init draws changes no training bit: a model
+        // filled from the checkpoint trains exactly as one built by
+        // `new` (every initialiser run) and then overwritten with it.
+        let o = OptimConfig::default();
+        let mut filled =
+            MoeModel::from_params(&d.meta, small_cfg(), o, exported(model.params())).unwrap();
+        let mut overwritten = MoeModel::new(&d.meta, small_cfg(), o);
+        overwritten
+            .params_mut()
+            .load_values_from(model.params())
+            .unwrap();
+        assert_eq!(param_bits(&filled), param_bits(&overwritten));
+        for _ in 0..3 {
+            filled.train_step(&batch);
+            overwritten.train_step(&batch);
+        }
+        assert_eq!(param_bits(&filled), param_bits(&overwritten));
+        assert_ne!(param_bits(&filled), param_bits(&model));
     }
 
     #[test]
@@ -1063,7 +1128,12 @@ mod tests {
             n_experts: 8,
             ..small_cfg()
         };
-        let err = MoeModel::from_params(&d.meta, bigger, OptimConfig::default(), small.params());
+        let err = MoeModel::from_params(
+            &d.meta,
+            bigger,
+            OptimConfig::default(),
+            exported(small.params()),
+        );
         assert!(matches!(err, Err(amoe_nn::LoadError::Mismatch(_))));
     }
 
@@ -1164,7 +1234,7 @@ mod tests {
             let outs: Vec<Var<'t>> = self
                 .experts
                 .iter()
-                .map(|e| tape.leaf(e.infer(&self.params, x.clone())))
+                .map(|e| tape.leaf(e.infer(&self.params, &x)))
                 .collect();
             let masks = self.task_masks(batch);
             mix(bound, &self.gates, &masks, tape.leaf(x), &outs)

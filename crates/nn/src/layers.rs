@@ -24,8 +24,14 @@ impl Linear {
         bias: bool,
         rng: &mut Rng,
     ) -> Self {
-        let w = ps.add(format!("{name}.w"), init.sample(in_dim, out_dim, rng));
-        let b = bias.then(|| ps.add(format!("{name}.b"), Matrix::zeros(1, out_dim)));
+        let w = ps.add_with(format!("{name}.w"), in_dim, out_dim, || {
+            init.sample(in_dim, out_dim, rng)
+        });
+        let b = bias.then(|| {
+            ps.add_with(format!("{name}.b"), 1, out_dim, || {
+                Matrix::zeros(1, out_dim)
+            })
+        });
         Linear {
             w,
             b,
@@ -71,10 +77,9 @@ impl Embedding {
     /// Registers the table under `name.table`; rows are N(0, 0.05) as is
     /// conventional for sparse-feature embeddings.
     pub fn new(ps: &mut ParamSet, name: &str, vocab: usize, dim: usize, rng: &mut Rng) -> Self {
-        let table = ps.add(
-            format!("{name}.table"),
-            Init::Normal(0.05).sample(vocab, dim, rng),
-        );
+        let table = ps.add_with(format!("{name}.table"), vocab, dim, || {
+            Init::Normal(0.05).sample(vocab, dim, rng)
+        });
         Embedding { table, vocab, dim }
     }
 
@@ -163,11 +168,13 @@ impl Mlp {
         &self.layers
     }
 
-    /// Tape-free forward pass for serving and scoring.
+    /// Tape-free forward pass for serving and scoring; layer 0 reads
+    /// `x` in place.
     #[must_use]
-    pub fn infer(&self, ps: &ParamSet, x: Matrix) -> Matrix {
-        let (_, out) = self.forward_train(ps, x);
-        out
+    pub fn infer(&self, ps: &ParamSet, x: &Matrix) -> Matrix {
+        let mut outs = vec![Matrix::scalar(0.0); self.layers.len()];
+        layers_forward(x, |i| self.layer_params(ps, i), &mut outs);
+        outs.pop().expect("the tower output")
     }
 
     /// Tape-free forward pass for training: the output plus each
@@ -290,11 +297,24 @@ pub fn tower_forward<'a>(
     while acts.len() < n_layers + 1 {
         acts.push(Matrix::scalar(0.0));
     }
+    let (x, outs) = acts.split_first_mut().expect("checked non-empty");
+    layers_forward(x, layer, outs);
+}
+
+/// The layer loop itself: layer `i` reads `x` (layer 0) or `outs[i - 1]`
+/// and writes `outs[i]`, one layer per buffer of `outs`.
+fn layers_forward<'a>(
+    x: &Matrix,
+    layer: impl Fn(usize) -> (&'a Matrix, &'a Matrix),
+    outs: &mut [Matrix],
+) {
+    let n_layers = outs.len();
     for i in 0..n_layers {
         let (w, b) = layer(i);
-        let (inputs, outputs) = acts.split_at_mut(i + 1);
-        let y = &mut outputs[0];
-        matmul::matmul_into(&inputs[i], w, y);
+        let (below, above) = outs.split_at_mut(i);
+        let input = below.last().unwrap_or(x);
+        let y = &mut above[0];
+        matmul::matmul_into(input, w, y);
         ops::add_row_assign(y, b);
         if i + 1 < n_layers {
             ops::map_assign(y, ops::relu_scalar);
@@ -402,7 +422,7 @@ mod tests {
         let tape = Tape::new();
         let bound = bind_mlp(&ps, &mlp, &tape);
         let y_tape = tape_forward(&mlp, &bound, tape.leaf(x.clone())).value();
-        assert_eq!(y_tape, mlp.infer(&ps, x));
+        assert_eq!(y_tape, mlp.infer(&ps, &x));
     }
 
     #[test]
@@ -426,7 +446,7 @@ mod tests {
         }
         // Manual SGD step.
         for i in 0..ps.len() {
-            let g = ps.entries[i].grad.clone();
+            let g = ps.grad(ParamId::from_index(i)).clone();
             amoe_tensor::ops::axpy(&mut ps.entries[i].value, -0.1, &g);
         }
         let tape = Tape::new();

@@ -3,7 +3,14 @@
 //! Neural-network building blocks: parameters, layers, optimisers.
 //!
 //! Parameters live in a [`ParamSet`] *outside* any tape, in one flat,
-//! serialisable store. No layer has a tape forward. An [`Mlp`] trains
+//! serialisable store. A gradient buffer exists only once a training
+//! step first uses it ([`ParamSet::zero_grads`] starts every step), so
+//! a set that is only loaded, served or evaluated holds its values and
+//! nothing else, and an [`optim::Optimizer`] step with no gradient
+//! pass before it panics. Layers register each tensor with its
+//! initialiser as a closure ([`ParamSet::add_with`]); inside
+//! [`ParamSet::fill_from`] a checkpoint's tensor is moved in instead
+//! and the initialiser never runs. No layer has a tape forward. An [`Mlp`] trains
 //! on the forward that serves it: [`Mlp::forward_into`] runs the one
 //! layer loop ([`tower_forward`]) into reused buffers and keeps each
 //! layer's input, and [`Mlp::backward_into`] writes into reused

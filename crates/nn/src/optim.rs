@@ -12,6 +12,10 @@ use crate::ParamSet;
 /// accumulated gradients. Callers `zero_grads()` between steps.
 pub trait Optimizer {
     /// Applies one update step.
+    ///
+    /// # Panics
+    /// Panics if a gradient buffer was never sized: a step with no
+    /// gradient pass before it is a caller's bug, not a no-op.
     fn step(&mut self, params: &mut ParamSet);
 
     /// Current learning rate.
@@ -51,11 +55,11 @@ impl Sgd {
 impl Optimizer for Sgd {
     fn step(&mut self, params: &mut ParamSet) {
         if self.momentum == 0.0 {
-            for e in &mut params.entries {
-                e.value
+            for (value, grad) in params.values_and_grads() {
+                value
                     .as_mut_slice()
                     .iter_mut()
-                    .zip(e.grad.as_slice())
+                    .zip(grad.as_slice())
                     .for_each(|(w, &g)| *w -= self.lr * g);
             }
             return;
@@ -67,12 +71,11 @@ impl Optimizer for Sgd {
                 .map(|e| Matrix::zeros(e.value.rows(), e.value.cols()))
                 .collect();
         }
-        for (e, v) in params.entries.iter_mut().zip(&mut self.velocity) {
-            for ((w, &g), vel) in e
-                .value
+        for ((value, grad), v) in params.values_and_grads().zip(&mut self.velocity) {
+            for ((w, &g), vel) in value
                 .as_mut_slice()
                 .iter_mut()
-                .zip(e.grad.as_slice())
+                .zip(grad.as_slice())
                 .zip(v.as_mut_slice())
             {
                 *vel = self.momentum * *vel + g;
@@ -148,12 +151,11 @@ impl Optimizer for Adam {
         self.t += 1;
         let bc1 = 1.0 - self.beta1.powi(self.t as i32);
         let bc2 = 1.0 - self.beta2.powi(self.t as i32);
-        for ((e, m), v) in params.entries.iter_mut().zip(&mut self.m).zip(&mut self.v) {
-            for (((w, &g), mi), vi) in e
-                .value
+        for (((value, grad), m), v) in params.values_and_grads().zip(&mut self.m).zip(&mut self.v) {
+            for (((w, &g), mi), vi) in value
                 .as_mut_slice()
                 .iter_mut()
-                .zip(e.grad.as_slice())
+                .zip(grad.as_slice())
                 .zip(m.as_mut_slice())
                 .zip(v.as_mut_slice())
             {
@@ -189,7 +191,7 @@ mod tests {
     /// Loss = 0.5 * ||w||^2 so grad = w; all optimizers must drive w to 0.
     fn fill_grad(ps: &mut ParamSet) {
         let g = ps.entries[0].value.clone();
-        ps.entries[0].grad = g;
+        ps.entries[0].grad = Some(g);
     }
 
     fn run<O: Optimizer>(mut opt: O, steps: usize) -> f32 {
@@ -229,6 +231,15 @@ mod tests {
         }
         let after = ps.value(ps.find("w").unwrap()).frob_norm();
         assert!(after < before, "{after} !< {before}");
+    }
+
+    #[test]
+    #[should_panic(expected = "before any gradient pass")]
+    fn adam_step_without_a_gradient_pass_panics() {
+        // A freshly registered (or loaded) set has no gradient buffers;
+        // stepping it must fail loudly, not update from nothing.
+        let mut ps = quadratic_setup();
+        Adam::new(0.1).step(&mut ps);
     }
 
     #[test]

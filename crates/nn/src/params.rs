@@ -3,6 +3,8 @@
 use amoe_autograd::{Grads, Tape, Var};
 use amoe_tensor::{ops, Matrix};
 
+use crate::serialize::Fill;
+
 /// Opaque handle to one parameter tensor inside a [`ParamSet`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct ParamId(pub(crate) usize);
@@ -25,15 +27,25 @@ impl ParamId {
 pub(crate) struct ParamEntry {
     pub(crate) name: String,
     pub(crate) value: Matrix,
-    pub(crate) grad: Matrix,
+    /// `None` until a training step first writes it.
+    pub(crate) grad: Option<Matrix>,
 }
 
 /// All trainable tensors of a model, with their accumulated gradients.
+///
+/// A gradient buffer is allocated on first use: [`ParamSet::zero_grads`],
+/// which starts every training step, sizes them all, and
+/// [`ParamSet::grad_mut`] and [`ParamSet::collect_grads`] size the ones
+/// they write. A set that is only loaded, served, evaluated or
+/// extracted holds its values and nothing else.
 ///
 /// Names must be unique; they key serialisation and debugging output.
 #[derive(Default)]
 pub struct ParamSet {
     pub(crate) entries: Vec<ParamEntry>,
+    /// The checkpoint a [`ParamSet::fill_from`] registration claims its
+    /// tensors from; `None` outside one.
+    pub(crate) fill: Option<Fill>,
 }
 
 impl ParamSet {
@@ -48,14 +60,48 @@ impl ParamSet {
     /// # Panics
     /// Panics if `name` is already registered.
     pub fn add(&mut self, name: impl Into<String>, value: Matrix) -> ParamId {
+        let (rows, cols) = value.shape();
+        self.add_with(name, rows, cols, || value)
+    }
+
+    /// Registers a `rows x cols` parameter whose initial value `init`
+    /// makes. Inside [`ParamSet::fill_from`] the value is the
+    /// checkpoint's tensor of that name instead, moved in, and `init`
+    /// never runs.
+    ///
+    /// # Panics
+    /// Panics if `name` is already registered, or if `init` makes a
+    /// value of another shape.
+    pub fn add_with(
+        &mut self,
+        name: impl Into<String>,
+        rows: usize,
+        cols: usize,
+        init: impl FnOnce() -> Matrix,
+    ) -> ParamId {
         let name = name.into();
         assert!(
             !self.entries.iter().any(|e| e.name == name),
             "ParamSet::add: duplicate parameter name {name:?}"
         );
-        let grad = Matrix::zeros(value.rows(), value.cols());
+        let value = match &mut self.fill {
+            Some(fill) => fill.claim(&name, rows, cols),
+            None => {
+                let value = init();
+                assert_eq!(
+                    value.shape(),
+                    (rows, cols),
+                    "ParamSet::add_with: {name:?} initialised to the wrong shape"
+                );
+                value
+            }
+        };
         let id = ParamId(self.entries.len());
-        self.entries.push(ParamEntry { name, value, grad });
+        self.entries.push(ParamEntry {
+            name,
+            value,
+            grad: None,
+        });
         id
     }
 
@@ -89,15 +135,25 @@ impl ParamSet {
     }
 
     /// Immutable view of a parameter's accumulated gradient.
+    ///
+    /// # Panics
+    /// Panics if no training step has sized the buffer yet.
     #[must_use]
     pub fn grad(&self, id: ParamId) -> &Matrix {
-        &self.entries[id.0].grad
+        let e = &self.entries[id.0];
+        e.grad.as_ref().unwrap_or_else(|| {
+            panic!(
+                "ParamSet::grad: {:?} has no gradient yet (no training step ran)",
+                e.name
+            )
+        })
     }
 
     /// Mutable view of a parameter's accumulated gradient (used by
-    /// fine-tuning to freeze parameters by zeroing their gradients).
+    /// fine-tuning to freeze parameters by zeroing their gradients),
+    /// sized and zeroed on first use.
     pub fn grad_mut(&mut self, id: ParamId) -> &mut Matrix {
-        &mut self.entries[id.0].grad
+        self.entries[id.0].grad_mut()
     }
 
     /// Name of a parameter.
@@ -152,25 +208,46 @@ impl ParamSet {
     pub fn collect_grads(&mut self, bound: &Bound<'_>, grads: &Grads<'_>) {
         for (entry, var) in self.entries.iter_mut().zip(&bound.vars) {
             if let Some(g) = var.and_then(|v| grads.get(v)) {
-                ops::add_assign(&mut entry.grad, g);
+                ops::add_assign(entry.grad_mut(), g);
             }
         }
     }
 
-    /// Resets all accumulated gradients to zero.
+    /// Resets all accumulated gradients to zero, first sizing every
+    /// buffer no step has used yet.
     pub fn zero_grads(&mut self) {
         for e in &mut self.entries {
-            e.grad.fill(0.0);
+            e.grad_mut().fill(0.0);
         }
     }
 
-    /// Global L2 norm over all gradients.
+    /// Every value with its gradient, for an optimiser's update.
+    ///
+    /// # Panics
+    /// Panics if a gradient was never sized: an update needs a
+    /// gradient pass ([`ParamSet::zero_grads`] starts every one) first.
+    pub(crate) fn values_and_grads(&mut self) -> impl Iterator<Item = (&mut Matrix, &Matrix)> {
+        // Checked up front, so a failed step updates nothing.
+        if let Some(e) = self.entries.iter().find(|e| e.grad.is_none()) {
+            panic!(
+                "optimiser step on {:?} before any gradient pass (zero_grads never ran)",
+                e.name
+            );
+        }
+        self.entries
+            .iter_mut()
+            .map(|e| (&mut e.value, e.grad.as_ref().expect("checked above")))
+    }
+
+    /// Global L2 norm over all gradients; a buffer no step has sized
+    /// counts as zero.
     #[must_use]
     pub fn grad_global_norm(&self) -> f32 {
         self.entries
             .iter()
-            .map(|e| {
-                let n = e.grad.frob_norm();
+            .filter_map(|e| e.grad.as_ref())
+            .map(|g| {
+                let n = g.frob_norm();
                 n * n
             })
             .sum::<f32>()
@@ -183,19 +260,27 @@ impl ParamSet {
         let norm = self.grad_global_norm();
         if norm > max_norm && norm > 0.0 {
             let s = max_norm / norm;
-            for e in &mut self.entries {
-                e.grad.as_mut_slice().iter_mut().for_each(|v| *v *= s);
+            for g in self.entries.iter_mut().filter_map(|e| e.grad.as_mut()) {
+                g.as_mut_slice().iter_mut().for_each(|v| *v *= s);
             }
         }
         norm
     }
 
-    /// True if every parameter and gradient is finite.
+    /// True if every parameter and every sized gradient is finite.
     #[must_use]
     pub fn all_finite(&self) -> bool {
         self.entries
             .iter()
-            .all(|e| e.value.all_finite() && e.grad.all_finite())
+            .all(|e| e.value.all_finite() && e.grad.iter().all(Matrix::all_finite))
+    }
+}
+
+impl ParamEntry {
+    /// The gradient buffer, sized and zeroed on first use.
+    fn grad_mut(&mut self) -> &mut Matrix {
+        let (rows, cols) = self.value.shape();
+        self.grad.get_or_insert_with(|| Matrix::zeros(rows, cols))
     }
 }
 
@@ -248,6 +333,30 @@ mod tests {
     }
 
     #[test]
+    fn gradients_are_sized_on_first_use() {
+        let mut ps = ParamSet::new();
+        let w = ps.add("w", Matrix::ones(2, 3));
+        let u = ps.add("u", Matrix::ones(1, 2));
+        assert!(ps.entries.iter().all(|e| e.grad.is_none()));
+        assert_eq!(ps.grad_global_norm(), 0.0);
+        assert!(ps.all_finite());
+        ps.grad_mut(u)[(0, 1)] = 2.0;
+        assert!(ps.entries[w.0].grad.is_none());
+        assert_eq!(ps.grad(u).row(0), &[0.0, 2.0]);
+        ps.zero_grads();
+        assert_eq!(ps.grad(w), &Matrix::zeros(2, 3));
+        assert_eq!(ps.grad(u), &Matrix::zeros(1, 2));
+    }
+
+    #[test]
+    #[should_panic(expected = "no gradient yet")]
+    fn reading_an_unsized_gradient_panics() {
+        let mut ps = ParamSet::new();
+        let w = ps.add("w", Matrix::ones(1, 1));
+        let _ = ps.grad(w);
+    }
+
+    #[test]
     #[should_panic(expected = "duplicate parameter name")]
     fn duplicate_name_panics() {
         let mut ps = ParamSet::new();
@@ -288,6 +397,7 @@ mod tests {
         assert_eq!(tape.len(), 1);
         let loss = bound.var(w).square().sum_all();
         let grads = tape.backward(loss);
+        ps.zero_grads();
         ps.collect_grads(&bound, &grads);
         assert_eq!(ps.grad(w).row(0), &[4.0, -2.0]);
         assert_eq!(ps.grad(u).row(0), &[0.0]);
@@ -317,7 +427,7 @@ mod tests {
     fn clip_global_norm() {
         let mut ps = ParamSet::new();
         let w = ps.add("w", Matrix::ones(1, 2));
-        ps.entries[0].grad = Matrix::from_rows(&[&[3.0, 4.0]]); // norm 5
+        ps.entries[0].grad = Some(Matrix::from_rows(&[&[3.0, 4.0]])); // norm 5
         let pre = ps.clip_grad_global_norm(1.0);
         assert!((pre - 5.0).abs() < 1e-6);
         assert!((ps.grad(w).frob_norm() - 1.0).abs() < 1e-6);

@@ -13,7 +13,9 @@
 //! ```
 //!
 //! Gradients and optimizer state are not checkpointed; a loaded model is
-//! ready for inference or fresh fine-tuning.
+//! ready for inference or fresh fine-tuning. [`ParamSet::fill_from`]
+//! builds a model around a loaded set's own buffers, so a model loaded
+//! that way holds its weights once and no gradient.
 //!
 //! # Hostile-input hardening
 //!
@@ -218,27 +220,90 @@ impl ParamSet {
         Ok(ps)
     }
 
-    /// Copies values from another set into `self`, matching by name.
-    /// Every parameter of `self` must be present in `other` with the same
-    /// shape (extra tensors in `other` are ignored).
+    /// Copies values from another set into `self`'s buffers in place,
+    /// matching by name. Every parameter of `self` must be present in
+    /// `other` with the same shape (extra tensors in `other` are
+    /// ignored).
     pub fn load_values_from(&mut self, other: &ParamSet) -> Result<(), LoadError> {
         for e in &mut self.entries {
             let src = other
                 .entries
                 .iter()
                 .find(|o| o.name == e.name)
-                .ok_or_else(|| LoadError::Mismatch(format!("missing tensor {:?}", e.name)))?;
-            if src.value.shape() != e.value.shape() {
-                return Err(LoadError::Mismatch(format!(
-                    "tensor {:?} has shape {:?}, expected {:?}",
-                    e.name,
-                    src.value.shape(),
-                    e.value.shape()
-                )));
-            }
-            e.value = src.value.clone();
+                .ok_or_else(|| missing(&e.name))?;
+            check_shape(&e.name, src.value.shape(), e.value.shape())?;
+            e.value.as_mut_slice().copy_from_slice(src.value.as_slice());
         }
         Ok(())
+    }
+
+    /// Runs `register` (a model's constructor, say) on an empty set
+    /// that takes its values from `loaded`: each
+    /// [`ParamSet::add_with`] moves in the loaded tensor of that name
+    /// after checking its shape, and its initialiser never runs, so the
+    /// returned set holds the checkpoint's buffers and nothing else. A
+    /// registered name `loaded` lacks, or holds at another shape, is a
+    /// [`LoadError::Mismatch`]; tensors no registration claims are
+    /// dropped.
+    pub fn fill_from<T>(
+        loaded: ParamSet,
+        register: impl FnOnce(&mut ParamSet) -> T,
+    ) -> Result<(ParamSet, T), LoadError> {
+        let mut ps = ParamSet {
+            entries: Vec::with_capacity(loaded.entries.len()),
+            fill: Some(Fill {
+                loaded: loaded.entries,
+                error: None,
+            }),
+        };
+        let built = register(&mut ps);
+        match ps.fill.take().and_then(|f| f.error) {
+            Some(e) => Err(e),
+            None => Ok((ps, built)),
+        }
+    }
+}
+
+/// The state of one [`ParamSet::fill_from`] registration.
+pub(crate) struct Fill {
+    /// The loaded tensors no registration has claimed yet, in file
+    /// order (which is registration order for a model's own export).
+    loaded: Vec<crate::params::ParamEntry>,
+    /// The first missing or mis-shaped tensor.
+    error: Option<LoadError>,
+}
+
+impl Fill {
+    /// Moves out the loaded tensor `name`. A missing or mis-shaped one
+    /// records the first error and stands in as zeros, since the
+    /// registration runs to its end before [`ParamSet::fill_from`]
+    /// reports it.
+    pub(crate) fn claim(&mut self, name: &str, rows: usize, cols: usize) -> Matrix {
+        let claimed = match self.loaded.iter().position(|e| e.name == name) {
+            None => Err(missing(name)),
+            Some(i) => {
+                let value = self.loaded.remove(i).value;
+                check_shape(name, value.shape(), (rows, cols)).map(|()| value)
+            }
+        };
+        claimed.unwrap_or_else(|e| {
+            self.error.get_or_insert(e);
+            Matrix::zeros(rows, cols)
+        })
+    }
+}
+
+fn missing(name: &str) -> LoadError {
+    LoadError::Mismatch(format!("missing tensor {name:?}"))
+}
+
+fn check_shape(name: &str, got: (usize, usize), want: (usize, usize)) -> Result<(), LoadError> {
+    if got == want {
+        Ok(())
+    } else {
+        Err(LoadError::Mismatch(format!(
+            "tensor {name:?} has shape {got:?}, expected {want:?}"
+        )))
     }
 }
 
@@ -488,6 +553,59 @@ mod tests {
             dst.value(dst.find("y").unwrap()),
             src.value(src.find("y").unwrap())
         );
+    }
+
+    #[test]
+    fn load_values_from_copies_into_the_existing_buffer() {
+        let mut src = ParamSet::new();
+        src.add("y", Matrix::from_rows(&[&[1.0, 2.0, 3.0]]));
+        let mut dst = ParamSet::new();
+        let y = dst.add("y", Matrix::zeros(1, 3));
+        let buffer = dst.value(y).as_slice().as_ptr();
+        dst.load_values_from(&src).unwrap();
+        assert_eq!(dst.value(y).as_slice(), &[1.0, 2.0, 3.0]);
+        assert_eq!(dst.value(y).as_slice().as_ptr(), buffer);
+    }
+
+    #[test]
+    fn fill_from_moves_loaded_tensors_in_and_runs_no_initialiser() {
+        let mut rng = Rng::seed_from(4);
+        let mut loaded = ParamSet::new();
+        loaded.add("a", rng.normal_matrix(2, 3, 0.0, 1.0));
+        loaded.add("extra", Matrix::ones(4, 4));
+        loaded.add("b", rng.normal_matrix(1, 3, 0.0, 1.0));
+        let want_a = loaded.value(loaded.find("a").unwrap()).clone();
+        let buffer_b = loaded.value(loaded.find("b").unwrap()).as_slice().as_ptr();
+        let never = || -> Matrix { panic!("an initialiser ran during a fill") };
+        let (ps, ids) = ParamSet::fill_from(loaded, |ps| {
+            (ps.add_with("b", 1, 3, never), ps.add_with("a", 2, 3, never))
+        })
+        .unwrap();
+        // Registration order, not file order; the extra tensor is gone.
+        assert_eq!(ps.len(), 2);
+        assert_eq!(ps.name(ids.0), "b");
+        assert_eq!(ps.value(ids.1), &want_a);
+        assert_eq!(ps.value(ids.0).as_slice().as_ptr(), buffer_b);
+        assert!(ps.fill.is_none());
+        assert!(ps.entries.iter().all(|e| e.grad.is_none()));
+    }
+
+    #[test]
+    fn fill_from_rejects_missing_and_misshaped_tensors() {
+        let loaded = || {
+            let mut ps = ParamSet::new();
+            ps.add("w", Matrix::zeros(2, 3));
+            ps
+        };
+        let missing = ParamSet::fill_from(loaded(), |ps| {
+            ps.add_with("w", 2, 3, || Matrix::zeros(2, 3));
+            ps.add_with("u", 1, 1, || Matrix::zeros(1, 1));
+        });
+        assert!(matches!(missing, Err(LoadError::Mismatch(m)) if m.contains("\"u\"")));
+        let misshaped = ParamSet::fill_from(loaded(), |ps| {
+            ps.add_with("w", 3, 2, || Matrix::zeros(3, 2));
+        });
+        assert!(matches!(misshaped, Err(LoadError::Mismatch(m)) if m.contains("shape")));
     }
 
     #[test]

@@ -178,7 +178,7 @@ fn serve(args: &[String]) -> Result<(), String> {
         &spec.meta,
         spec.config.clone(),
         OptimConfig::default(),
-        &params,
+        params,
     )
     .map_err(|e| format!("checkpoint does not match spec: {e}"))?;
 

@@ -660,7 +660,7 @@ fn reload_response(shared: &Arc<Shared>, path: &str) -> Response {
                 &shared.meta,
                 shared.model_config.clone(),
                 OptimConfig::default(),
-                &params,
+                params,
             )
             .map_err(|e| format!("checkpoint incompatible with serving config: {e}"))
         });

@@ -153,12 +153,13 @@ grep -q '"event":"serve_batch".*"compute_us":' target/ci_serve_demo/obs.jsonl ||
   echo "FAIL: the AMOE_OBS log holds no serve_batch record with compute_us" >&2
   exit 1; }
 
-step "noalloc guard: disabled telemetry and tracing allocate nothing, a warmed-up train_step stays under its budget"
+step "noalloc guard: disabled telemetry and tracing allocate nothing, a warmed-up train_step stays under its budget, a loaded model holds its weights once"
 # Unoptimised on purpose: the counting allocator must not be optimised
 # around, and the allocation contracts have to hold without the
 # optimiser's help. The dev profile itself runs at opt-level 1 (root
 # Cargo.toml), so this step sets opt-level 0 explicitly.
-cargo test -q --offline --config profile.dev.opt-level=0 --test obs_noalloc --test train_step_alloc
+cargo test -q --offline --config profile.dev.opt-level=0 --test obs_noalloc --test train_step_alloc \
+  --test checkpoint_load_alloc
 
 step "pinned training fingerprints at opt-level 0"
 # The root Cargo.toml claims no opt level changes a float result.
